@@ -45,7 +45,6 @@ _COMMON_KEYS = {
     "problem": ((str, dict), True, None),
     "seed": (int, False, 0),
     "output_dir": (str, False, "uqmc_out"),
-    "workers": (int, False, 1),
 }
 _METHOD_KEYS = {
     "mc": {
@@ -172,8 +171,6 @@ def validate_config(text: str) -> dict:
             unknown = set(cfg["mcmc"]) - _MCMC_KEYS
             if unknown:
                 raise _fail("mcmc", f"unknown keys {sorted(unknown)}")
-    if cfg["workers"] < 1:
-        raise _fail("workers", "must be >= 1")
     if method == "cv" and not (
         cfg["coef"] == "auto" or isinstance(cfg["coef"], (int, float))
     ):
@@ -199,14 +196,13 @@ def _run_estimator(cfg: dict):
     method = cfg["method"]
     rng = RngStream(cfg["seed"])
     ledger = CostLedger()
-    workers = cfg["workers"]
     bundle = _bundle_for(cfg)
     extras: dict = {}
     flags: list[str] = []
 
     if method == "mc":
         model = _require(bundle, "model", method)
-        report = mc_estimate(model, bundle.input, cfg["n"], rng, ledger, workers=workers)
+        report = mc_estimate(model, bundle.input, cfg["n"], rng, ledger)
         result = report.to_dict()
         if cfg["dump_samples"]:
             x = draw_inputs(bundle.input, rng.split(0), cfg["n"], model.input_dim)
@@ -227,7 +223,7 @@ def _run_estimator(cfg: dict):
             coef=cfg["coef"],
             pilot_n=cfg["pilot_n"],
         )
-        report = cv_estimate(ens.high, bundle.input, cv_cfg, cfg["n"], rng, ledger, workers=workers)
+        report = cv_estimate(ens.high, bundle.input, cv_cfg, cfg["n"], rng, ledger)
         result = report.to_dict()
     elif method == "two_level":
         h = _require(bundle, "hierarchy", method)
@@ -241,7 +237,7 @@ def _run_estimator(cfg: dict):
             raise ConfigError("two_level: non-adjacent levels need equal input dims")
         report = two_level_estimate(
             h.levels[lo], h.levels[hi], h.input, cfg["budget"], rng, ledger,
-            pilot_n=cfg["pilot_n"], coarsen=coarsen, workers=workers,
+            pilot_n=cfg["pilot_n"], coarsen=coarsen,
         )
         result = report.to_dict()
     elif method == "mlmc":
@@ -253,7 +249,6 @@ def _run_estimator(cfg: dict):
             max_cost=cfg["max_cost"],
             fixed_level=cfg["fixed_level"],
             ledger=ledger,
-            workers=workers,
         )
         result = res.report.to_dict()
         flags = list(res.report.diagnostics.get("flags", []))
@@ -271,7 +266,7 @@ def _run_estimator(cfg: dict):
         ens = _require(bundle, "ensemble", method)
         report, plan = mfmc_estimate(
             ens, bundle.input, cfg["budget"], rng,
-            n_pilot=cfg["pilot"], ledger=ledger, workers=workers,
+            n_pilot=cfg["pilot"], ledger=ledger,
         )
         result = report.to_dict()
         flags = list(report.diagnostics.get("flags", []))
@@ -303,7 +298,6 @@ def _run_estimator(cfg: dict):
             mcmc=mcmc,
             rng=rng,
             ledger=ledger,
-            workers=workers,
         )
         result = run.report.to_dict()
         extras["model_probabilities"] = {
@@ -397,7 +391,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a run configuration")
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--out", type=Path, default=None)
     p_val = sub.add_parser("validate", help="validate a run configuration")
     p_val.add_argument("config", type=Path)
@@ -418,8 +411,6 @@ def main(argv=None) -> int:
 
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.workers is not None:
-        cfg["workers"] = max(1, args.workers)
     out_dir = args.out if args.out is not None else Path(cfg["output_dir"])
 
     try:

@@ -34,7 +34,6 @@ def mc_estimate(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> EstimateReport:
     """Plain Monte Carlo mean estimate with its CLT error estimate.
 
@@ -45,7 +44,7 @@ def mc_estimate(
         raise InvalidParameterError("mc_estimate needs n >= 2 for a variance estimate")
     ledger = ledger if ledger is not None else CostLedger()
     x = draw_inputs(input, rng.split(_MAIN), n, model.input_dim)
-    y = evaluate(model, x, ledger, workers=workers)
+    y = evaluate(model, x, ledger)
     s_hat = float(np.mean(y))
     zeta_sq = float(np.var(y, ddof=1))
     return EstimateReport(
@@ -85,7 +84,6 @@ def cv_estimate(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> EstimateReport:
     """Control-variates estimate of E[model] using a control with known mean.
 
@@ -104,8 +102,8 @@ def cv_estimate(
     rho_hat = None
     if lam == "auto":
         xp = draw_inputs(input, rng.split(_PILOT), cfg.pilot_n, model.input_dim)
-        yp = evaluate(model, xp, ledger, workers=workers)
-        gp = evaluate(cfg.control, xp, ledger, workers=workers)
+        yp = evaluate(model, xp, ledger)
+        gp = evaluate(cfg.control, xp, ledger)
         var_g = float(np.var(gp, ddof=1))
         if var_g == 0.0:
             raise EstimatorError("control variate is constant on the pilot sample")
@@ -116,8 +114,8 @@ def cv_estimate(
     lam = float(lam)
 
     x = draw_inputs(input, rng.split(_MAIN), n, model.input_dim)
-    y = evaluate(model, x, ledger, workers=workers)
-    g = evaluate(cfg.control, x, ledger, workers=workers)
+    y = evaluate(model, x, ledger)
+    g = evaluate(cfg.control, x, ledger)
     adjusted = y - lam * (g - cfg.control_mean)
     s_hat = float(np.mean(adjusted))
     zeta_sq = float(np.var(adjusted, ddof=1))
@@ -150,7 +148,6 @@ def two_level_estimate(
     ledger: CostLedger | None = None,
     pilot_n: int = 50,
     coarsen=None,
-    workers: int = 1,
 ) -> EstimateReport:
     """Two-term estimator: coarse mean plus a coupled fine-minus-coarse
     correction, with the budget split by the variance/cost ratio rule
@@ -168,8 +165,8 @@ def two_level_estimate(
     def coupled(stream: RngStream, m: int) -> tuple[np.ndarray, np.ndarray]:
         x = draw_inputs(input, stream, m, fine.input_dim)
         xc = x if coarsen is None else coarsen(x)
-        yf = evaluate(fine, x, ledger, workers=workers)
-        yc = evaluate(coarse, xc, ledger, workers=workers)
+        yf = evaluate(fine, x, ledger)
+        yc = evaluate(coarse, xc, ledger)
         return yc, yf - yc
 
     pilot_cost = pilot_n * c1
@@ -190,7 +187,7 @@ def two_level_estimate(
         n0 = max(2, int(remaining // c0))
         x = draw_inputs(input, rng.split(_TERM0), n0, fine.input_dim)
         xc = x if coarsen is None else coarsen(x)
-        y = evaluate(coarse, xc, ledger, workers=workers)
+        y = evaluate(coarse, xc, ledger)
         s_hat = float(np.mean(y))
         est_var = float(np.var(y, ddof=1)) / n0
         n1 = 0
@@ -210,7 +207,7 @@ def two_level_estimate(
 
         x0 = draw_inputs(input, rng.split(_TERM0), n0, fine.input_dim)
         x0c = x0 if coarsen is None else coarsen(x0)
-        y0 = evaluate(coarse, x0c, ledger, workers=workers)
+        y0 = evaluate(coarse, x0c, ledger)
         _, d1 = coupled(rng.split(_TERM1), n1)
         s_hat = float(np.mean(y0) + np.mean(d1))
         est_var = float(np.var(y0, ddof=1)) / n0 + float(np.var(d1, ddof=1)) / n1

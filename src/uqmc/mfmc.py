@@ -64,7 +64,6 @@ def pilot_statistics(
     n_pilot: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> PilotStats:
     """Evaluate every member on the same pilot inputs and estimate
     variances (unbiased) and Pearson correlations with the high-fidelity
@@ -72,13 +71,13 @@ def pilot_statistics(
     if n_pilot < 10:
         raise InvalidParameterError("pilot needs n_pilot >= 10")
     x = draw_inputs(input, rng, n_pilot, ensemble.high.input_dim)
-    y_hi = evaluate(ensemble.high, x, ledger, workers=workers)
+    y_hi = evaluate(ensemble.high, x, ledger)
     var_hi = float(np.var(y_hi, ddof=1))
     if var_hi == 0.0:
         raise EstimatorError("high-fidelity model is constant on the pilot sample")
     sig_lo, rho = [], []
     for m in ensemble.lows:
-        y = evaluate(m, x, ledger, workers=workers)
+        y = evaluate(m, x, ledger)
         v = float(np.var(y, ddof=1))
         if v == 0.0:
             raise EstimatorError(f"model '{m.id}' is constant on the pilot sample")
@@ -288,7 +287,6 @@ def mfmc_estimate(
     n_pilot: int = 50,
     beta_override=None,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> tuple[EstimateReport, MfmcPlan]:
     """Full multifidelity run: pilot, ordering validation, plan, fresh
     main sample with prefix reuse.
@@ -303,15 +301,13 @@ def mfmc_estimate(
     if budget < pilot_cost + 2.0 * ensemble.high.cost_per_eval:
         raise BudgetError("budget cannot cover the pilot plus two high-fidelity samples")
 
-    stats = pilot_statistics(
-        ensemble, input, n_pilot, rng.split(_PILOT), ledger, workers=workers
-    )
+    stats = pilot_statistics(ensemble, input, n_pilot, rng.split(_PILOT), ledger)
     stats = validate_ordering(stats)
     remaining = budget - pilot_cost
 
     if stats.k == 0 and ensemble.lows:
         n_mc = max(2, int(remaining // ensemble.high.cost_per_eval))
-        report = mc_estimate(ensemble.high, input, n_mc, rng, ledger, workers=workers)
+        report = mc_estimate(ensemble.high, input, n_mc, rng, ledger)
         report.method = "mfmc"
         report.diagnostics["flags"] = list(stats.flags) + ["all_surrogates_dropped"]
         report.total_cost = ledger.total()
@@ -329,11 +325,8 @@ def mfmc_estimate(
     models = {m.id: m for m in ensemble.all_models}
     lows = [models[i] for i in stats.low_ids]
     x = draw_inputs(input, rng.split(_MAIN), plan.n[-1], ensemble.high.input_dim)
-    y_hi = evaluate(ensemble.high, x[: plan.n[0]], ledger, workers=workers)
-    y_lows = [
-        evaluate(m, x[: plan.n[i + 1]], ledger, workers=workers)
-        for i, m in enumerate(lows)
-    ]
+    y_hi = evaluate(ensemble.high, x[: plan.n[0]], ledger)
+    y_lows = [evaluate(m, x[: plan.n[i + 1]], ledger) for i, m in enumerate(lows)]
     estimate = combine_multifidelity(y_hi, y_lows, plan.n, beta)
     est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(beta))
 

@@ -60,17 +60,16 @@ def coupled_sample(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """n draws of the level correction Y_l, both models evaluated on the
     same underlying inputs."""
     fine = h.levels[level]
     x = draw_inputs(h.input, rng, n, fine.input_dim)
-    y = evaluate(fine, x, ledger, workers=workers)
+    y = evaluate(fine, x, ledger)
     if level > 0:
         coarse = h.levels[level - 1]
         xc = x if coarse.input_dim == fine.input_dim else h.coarsen(x)
-        y = y - evaluate(coarse, xc, ledger, workers=workers)
+        y = y - evaluate(coarse, xc, ledger)
     return y
 
 
@@ -80,14 +79,13 @@ def level_statistics(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> LevelStats:
     """Mean/variance of Y_l from n fresh coupled samples."""
     if not 0 <= level <= h.max_level:
         raise InvalidParameterError(f"level {level} outside hierarchy 0..{h.max_level}")
     if n < 2:
         raise InvalidParameterError("level_statistics needs n >= 2")
-    y = coupled_sample(h, level, n, rng, ledger, workers=workers)
+    y = coupled_sample(h, level, n, rng, ledger)
     return LevelStats(
         level=level,
         mean=float(np.mean(y)),
@@ -193,7 +191,6 @@ def mlmc_estimate(
     max_cost: float | None = None,
     fixed_level: int | None = None,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> MlmcResult:
     """Adaptive multilevel estimator.
 
@@ -232,7 +229,7 @@ def mlmc_estimate(
         if need <= 0:
             return
         stream = rng.split(acc.level).advance(acc.draws_consumed)
-        y = coupled_sample(h, acc.level, need, stream, ledger, workers=workers)
+        y = coupled_sample(h, acc.level, need, stream, ledger)
         acc.add(y, acc.dim)
 
     for lv in range(top + 1):

@@ -14,6 +14,14 @@ from .inference import ModelProbabilities
 from .mcmc import ParameterPosterior
 
 
+def thin_evenly(rows: np.ndarray, cap: int) -> np.ndarray:
+    """At most ``cap`` rows, evenly spaced, keeping the first and last."""
+    n = rows.shape[0]
+    if n <= cap:
+        return rows
+    return rows[np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))]
+
+
 @dataclass(frozen=True)
 class CandidateModelSet:
     """T parametrized distributions sampled family-by-parameters."""
@@ -73,11 +81,8 @@ def candidate_set_from_posteriors(
     entries = []
     for fam, post in posteriors.items():
         samples = post.samples
-        if max_per_family is not None and samples.shape[0] > max_per_family:
-            idx = np.unique(
-                np.round(np.linspace(0, samples.shape[0] - 1, max_per_family)).astype(int)
-            )
-            samples = samples[idx]
+        if max_per_family is not None:
+            samples = thin_evenly(samples, max_per_family)
         entries.extend(Distribution(fam, tuple(row)) for row in samples)
     if not entries:
         raise InvalidParameterError("no posterior samples to build a candidate set from")

@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 from ..distributions import Distribution, Family, family_logpdf, family_ppf
 from ..exceptions import InvalidParameterError, QuadratureError
 from ..rng import RngStream
-from .ensemble import CandidateModelSet
+from .ensemble import CandidateModelSet, thin_evenly
 from .inference import ModelProbabilities
 from .mcmc import ParameterPosterior
 
@@ -105,27 +105,13 @@ class MixtureDensity:
         return out
 
     def quantile_bounds(self, tail: float = _TAIL) -> tuple[float, float]:
-        lo = min(float(c.ppf(tail)) for c in self.components)
-        hi = max(float(c.ppf(1.0 - tail)) for c in self.components)
-        return lo, hi
+        return _integration_bounds(self.components, tail)
 
     def to_json(self) -> dict:
         return {
             "weights": self.weights.tolist(),
             "components": [c.to_json() for c in self.components],
         }
-
-
-def _posterior_components(
-    post: ParameterPosterior, cap: int
-) -> np.ndarray:
-    samples = post.samples
-    if samples.shape[0] > cap:
-        idx = np.unique(
-            np.round(np.linspace(0, samples.shape[0] - 1, cap)).astype(int)
-        )
-        samples = samples[idx]
-    return samples
 
 
 def optimal_mixture(
@@ -154,7 +140,7 @@ def optimal_mixture(
     comps: list[Distribution] = []
     w: list[float] = []
     for fam in fams:
-        samples = _posterior_components(posteriors[fam], max_components_per_family)
+        samples = thin_evenly(posteriors[fam].samples, max_components_per_family)
         fam_w = (1.0 / len(fams)) if mode == "equal" else weights[fam]
         for row in samples:
             comps.append(Distribution(fam, tuple(row)))
@@ -176,11 +162,8 @@ def _breakpoints(dists, lo: float, hi: float, cap: int = 40) -> list[float]:
     for d in dists:
         for u in (0.25, 0.5, 0.75):
             pts.add(float(d.ppf(u)))
-    pts = sorted(p for p in pts if lo < p < hi)
-    if len(pts) > cap:
-        idx = np.unique(np.round(np.linspace(0, len(pts) - 1, cap)).astype(int))
-        pts = [pts[i] for i in idx]
-    return pts
+    pts = np.array(sorted(p for p in pts if lo < p < hi))
+    return thin_evenly(pts, cap).tolist()
 
 
 def _quad(fn, lo: float, hi: float, points=None) -> float:

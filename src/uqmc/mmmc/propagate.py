@@ -24,23 +24,34 @@ from .mixture import MixtureDensity
 _MAIN = 0
 
 
-def _check_support(target, proposal) -> None:
+def _who(candidate: int | None) -> str:
+    return "" if candidate is None else f" for candidate {candidate}"
+
+
+def _check_support(
+    target, q_support: tuple[float, float], candidate: int | None = None
+) -> None:
     t_lo, t_hi = target.support()
-    q_lo, q_hi = proposal.support()
+    q_lo, q_hi = q_support
     if t_lo < q_lo or t_hi > q_hi:
         raise EstimatorError(
-            f"target support ({t_lo}, {t_hi}) not contained in proposal support "
-            f"({q_lo}, {q_hi})"
+            f"target{_who(candidate)} support ({t_lo}, {t_hi}) not contained in "
+            f"proposal support ({q_lo}, {q_hi})"
         )
 
 
-def _weights(target, proposal, x: np.ndarray) -> np.ndarray:
-    log_w = np.asarray(target.logpdf(x)) - np.asarray(proposal.logpdf(x))
+def _importance_weights(
+    target, x: np.ndarray, log_q: np.ndarray, candidate: int | None = None
+) -> np.ndarray:
+    """Density ratios target/proposal at the proposal draws ``x``, given the
+    proposal's log density ``log_q`` there.  A NaN or +inf weight aborts,
+    naming the first offending sample (and the candidate, if given)."""
+    log_w = np.asarray(target.logpdf(x)) - log_q
     bad = np.flatnonzero(~(np.isfinite(log_w) | (log_w == -np.inf)))
     if bad.size:
         i = int(bad[0])
         raise EstimatorError(
-            f"non-finite importance weight at sample {i} (x={x[i]!r}); "
+            f"non-finite importance weight{_who(candidate)} at sample {i} (x={x[i]!r}); "
             "proposal support does not cover the target"
         )
     return np.exp(log_w)
@@ -59,7 +70,6 @@ def is_estimate(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> EstimateReport:
     """Importance-sampling estimate of E_target[model] from proposal draws.
 
@@ -75,14 +85,14 @@ def is_estimate(
     """
     if n < 2:
         raise InvalidParameterError("is_estimate needs n >= 2")
-    _check_support(target, proposal)
+    _check_support(target, proposal.support())
     ledger = ledger if ledger is not None else CostLedger()
     if isinstance(proposal, MixtureDensity):
         x = proposal.sample(rng.split(_MAIN), n)
     else:
         x = proposal.ppf(rng.split(_MAIN).uniforms(n))
-    y = evaluate(model, x[:, None], ledger, workers=workers)
-    w = _weights(target, proposal, x)
+    y = evaluate(model, x[:, None], ledger)
+    w = _importance_weights(target, x, np.asarray(proposal.logpdf(x)))
     wy = w * y
     s_hat = float(np.mean(wy))
     sigma_sq = float(np.mean((wy - s_hat) ** 2))
@@ -149,14 +159,13 @@ def draw_propagation_samples(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> PropagationSamples:
     """Draw the single shared sample set and evaluate the model once."""
     if n < 2:
         raise InvalidParameterError("propagation needs n >= 2")
     ledger = ledger if ledger is not None else CostLedger()
     x = proposal.sample(rng.split(_MAIN), n)
-    y = evaluate(model, x[:, None], ledger, workers=workers)
+    y = evaluate(model, x[:, None], ledger)
     return PropagationSamples(
         x=x, y=y, log_q=np.asarray(proposal.logpdf(x)), proposal=proposal, seed=rng.seed
     )
@@ -172,15 +181,10 @@ def reweight(
     T = targets.size
     estimates = np.empty(T)
     ess = np.empty(T)
+    q_support = samples.proposal.support()
     for j, target in enumerate(targets.entries):
-        _check_support(target, samples.proposal)
-        log_w = np.asarray(target.logpdf(samples.x)) - samples.log_q
-        bad = np.flatnonzero(~(np.isfinite(log_w) | (log_w == -np.inf)))
-        if bad.size:
-            raise EstimatorError(
-                f"non-finite weight for candidate {j} at sample {int(bad[0])}"
-            )
-        w = np.exp(log_w)
+        _check_support(target, q_support, j)
+        w = _importance_weights(target, samples.x, samples.log_q, j)
         estimates[j] = float(np.mean(w * samples.y))
         ess[j] = effective_sample_count(w)
     qs = np.quantile(estimates, _QUANTILES)
@@ -205,10 +209,9 @@ def propagate_multimodel(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> MultimodelReport:
     """Single-loop propagation: n model evaluations total, independent of
     the number of candidate models."""
     ledger = ledger if ledger is not None else CostLedger()
-    samples = draw_propagation_samples(model, proposal, n, rng, ledger, workers=workers)
+    samples = draw_propagation_samples(model, proposal, n, rng, ledger)
     return reweight(samples, targets, ledger)

@@ -90,7 +90,6 @@ def run_multimodel(
     mcmc: McmcOptions = McmcOptions(),
     rng: RngStream,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> MultimodelRun:
     """The full single-loop pipeline for one dataset and one model."""
     ledger = ledger if ledger is not None else CostLedger()
@@ -110,9 +109,7 @@ def run_multimodel(
     mixture = optimal_mixture(
         probabilities, posteriors, mixture_mode, max_components_per_family
     )
-    samples = draw_propagation_samples(
-        model, mixture, n, rng.split(_PROPAGATE_SPLIT), ledger, workers=workers
-    )
+    samples = draw_propagation_samples(model, mixture, n, rng.split(_PROPAGATE_SPLIT), ledger)
     report = reweight(samples, candidates, ledger)
     return MultimodelRun(
         probabilities=probabilities,

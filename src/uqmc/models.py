@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -82,15 +81,15 @@ def evaluate(
     model: Model,
     inputs,
     ledger: CostLedger | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Evaluate a batch of input vectors, in input order.
 
     The ledger is charged len(inputs) * cost_per_eval.  A non-finite
     output aborts with the offending input rather than being dropped,
     since silently dropping samples biases every estimator built on top.
-    Worker count never changes results: outputs land in a preallocated
-    array by index and reductions happen later over the full array.
+    The model runs on chunks of at most ``_EVAL_CHUNK`` rows, which bounds
+    its temporaries; outputs land in a preallocated array by index, so the
+    chunking never changes results.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 1:
@@ -103,21 +102,14 @@ def evaluate(
     started = time.perf_counter() if ledger is not None and ledger.track_wall_time else 0.0
     out = np.empty(n, dtype=np.float64)
 
-    def run_chunk(lo: int, hi: int) -> None:
+    for lo in range(0, n, _EVAL_CHUNK):
+        hi = min(lo + _EVAL_CHUNK, n)
         y = np.asarray(model.fn(x[lo:hi]), dtype=np.float64)
         if y.shape != (hi - lo,):
             raise EvaluationError(
                 f"model '{model.id}' returned shape {y.shape} for {hi - lo} inputs"
             )
         out[lo:hi] = y
-
-    bounds = [(lo, min(lo + _EVAL_CHUNK, n)) for lo in range(0, n, _EVAL_CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        for lo, hi in bounds:
-            run_chunk(lo, hi)
 
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:

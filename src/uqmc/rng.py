@@ -2,9 +2,9 @@
 
 Every logical draw index maps to a fixed (seed, stream_id, block) cell of
 the Philox-4x64 keyed counter space, so a stream's i-th draw is the same
-number no matter how the index range is chunked across batches, workers,
-or calls.  Streams are immutable values: consuming draws means asking for
-an advanced copy, and splitting never touches the parent.
+number no matter how the index range is chunked across batches or calls.
+Streams are immutable values: consuming draws means asking for an
+advanced copy, and splitting never touches the parent.
 """
 
 from __future__ import annotations

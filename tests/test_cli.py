@@ -22,7 +22,6 @@ class TestValidate:
     def test_minimal_mc_defaults(self):
         cfg = validate_config('{"method": "mc", "problem": "quadratic", "n": 1000}')
         assert cfg["seed"] == 0
-        assert cfg["workers"] == 1
         assert cfg["problem"] == {"name": "quadratic", "params": {}}
 
     def test_missing_required_field_named(self):
@@ -34,6 +33,8 @@ class TestValidate:
             validate_config(
                 '{"method": "mfmc", "problem": "poly_fidelity", "buget": 10}'
             )
+        with pytest.raises(ConfigError, match="workers: unknown key"):
+            validate_config('{"method": "mc", "problem": "quadratic", "n": 10, "workers": 1}')
 
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -79,15 +80,6 @@ class TestRun:
         assert (tmp_path / "a/report.json").read_bytes() == (
             tmp_path / "b/report.json"
         ).read_bytes()
-
-    def test_workers_do_not_change_reports(self, tmp_path):
-        cfg = {"method": "mlmc", "problem": "gbm_euler", "eps": 0.05, "seed": 1}
-        run_cli(tmp_path, cfg, out="w1", extra=("--workers", "1"))
-        run_cli(tmp_path, cfg, out="w4", extra=("--workers", "4"))
-        r1 = json.loads((tmp_path / "w1/report.json").read_text())
-        r4 = json.loads((tmp_path / "w4/report.json").read_text())
-        del r1["config"]["workers"], r4["config"]["workers"]
-        assert r1 == r4
 
     def test_mlmc_levels_csv_rows(self, tmp_path):
         code, report = run_cli(

@@ -55,12 +55,6 @@ class TestMcEstimate:
         with pytest.raises(InvalidParameterError):
             mc_estimate(QUAD.model, STD_NORMAL, 1, RngStream(0))
 
-    def test_deterministic_across_workers(self):
-        a = mc_estimate(QUAD.model, STD_NORMAL, 150_000, RngStream(6), workers=1)
-        b = mc_estimate(QUAD.model, STD_NORMAL, 150_000, RngStream(6), workers=4)
-        assert a.estimate == b.estimate
-        assert a.estimator_variance == b.estimator_variance
-
 
 class TestCvEstimate:
     def test_perfect_control_zero_variance(self):

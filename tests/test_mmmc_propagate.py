@@ -175,6 +175,21 @@ class TestPropagate:
         assert np.array_equal(r1.estimates, r1b.estimates)
         assert r1.estimates[0] != r2.estimates[0]
 
+    def test_reweight_rejects_candidate_outside_proposal_support(self):
+        # A positive-support proposal cannot serve a normal candidate; the
+        # support check must fire for that candidate before any weighting.
+        q = MixtureDensity(
+            (Distribution(Family.LOGNORMAL, (0.0, 0.5)), Distribution(Family.GAMMA, (2.0, 1.0))),
+            np.array([0.5, 0.5]),
+        )
+        samples = draw_propagation_samples(IDENT, q, 500, RngStream(17))
+        targets = CandidateModelSet(
+            entries=(Distribution(Family.LOGNORMAL, (0.1, 0.6)), N01),
+            source_pi=(1.0,), seed=0,
+        )
+        with pytest.raises(EstimatorError, match="candidate 1 support"):
+            reweight(samples, targets)
+
     def test_is_replication_mean_unbiased(self):
         # Fixed target, mixture proposal: the replication mean of the
         # reweighted estimate must agree with direct MC truth within 3 SE.

@@ -5,6 +5,7 @@ import pytest
 
 from uqmc.exceptions import EvaluationError, InvalidParameterError
 from uqmc.models import (
+    _EVAL_CHUNK,
     CostLedger,
     LevelHierarchy,
     Model,
@@ -60,12 +61,11 @@ def test_nonfinite_output_flagged_with_input():
     assert ledger.total() == 0.0
 
 
-def test_determinism_and_worker_independence():
+def test_chunking_matches_whole_batch():
     m = Model("sq", lambda x: x[:, 0] ** 2, cost_per_eval=1.0)
     x = draw_inputs(builtin_problem("quadratic").input, RngStream(4), 200_000, 1)
-    y1 = evaluate(m, x, workers=1)
-    y4 = evaluate(m, x, workers=4)
-    assert np.array_equal(y1, y4)
+    assert x.shape[0] > 3 * _EVAL_CHUNK  # four chunks, the last one partial
+    assert np.array_equal(evaluate(m, x), m.fn(x))
 
 
 class TestBuiltinProblems:
