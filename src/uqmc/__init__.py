@@ -2,8 +2,9 @@
 
 Estimator families:
 
-- ``mc``: standard Monte Carlo, control variates, two-level estimation
-- ``mlmc``: multilevel Monte Carlo over a model hierarchy
+- ``mc``: standard Monte Carlo and control variates
+- ``mlmc``: multilevel Monte Carlo over a model hierarchy, and the
+  two-level estimator as its budget-mode special case
 - ``mfmc``: multifidelity Monte Carlo over a surrogate ensemble
 - ``mmmc``: multimodel Monte Carlo for small-data input uncertainty
 
@@ -22,7 +23,7 @@ from .distributions import (
     mle_fit,
     sample,
 )
-from .mc import ControlVariateConfig, cv_estimate, draw_inputs, mc_estimate, two_level_estimate
+from .mc import ControlVariateConfig, cv_estimate, draw_inputs, mc_estimate
 from .mfmc import (
     MfmcPlan,
     PilotStats,
@@ -39,6 +40,7 @@ from .mlmc import (
     mlmc_allocation,
     mlmc_convergence_test,
     mlmc_estimate,
+    two_level_estimate,
 )
 from .models import (
     CostLedger,

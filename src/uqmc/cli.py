@@ -29,9 +29,9 @@ from .exceptions import (
     QuadratureError,
     UqmcError,
 )
-from .mc import ControlVariateConfig, cv_estimate, draw_inputs, mc_estimate, two_level_estimate
+from .mc import ControlVariateConfig, cv_estimate, draw_inputs, mc_estimate
 from .mfmc import mfmc_estimate
-from .mlmc import mlmc_estimate
+from .mlmc import mlmc_estimate, two_level_estimate
 from .mmmc import McmcOptions, run_multimodel
 from .models import CostLedger, builtin_problem, evaluate
 from .reports import _plain
@@ -230,14 +230,11 @@ def _run_estimator(cfg: dict):
         lo, hi = cfg["coarse_level"], cfg["fine_level"]
         if not 0 <= lo < hi <= h.max_level:
             raise ConfigError("two_level: need 0 <= coarse_level < fine_level <= max level")
-        coarsen = h.coarsen
-        if h.levels[lo].input_dim == h.levels[hi].input_dim:
-            coarsen = None
-        elif hi != lo + 1:
+        if hi != lo + 1 and h.levels[lo].input_dim != h.levels[hi].input_dim:
             raise ConfigError("two_level: non-adjacent levels need equal input dims")
         report = two_level_estimate(
             h.levels[lo], h.levels[hi], h.input, cfg["budget"], rng, ledger,
-            pilot_n=cfg["pilot_n"], coarsen=coarsen,
+            pilot_n=cfg["pilot_n"], coarsen=h.coarsen,
         )
         result = report.to_dict()
     elif method == "mlmc":

@@ -1,10 +1,9 @@
-"""Standard Monte Carlo, control variates, and the two-level estimator.
+"""Standard Monte Carlo and control variates.
 
-Substream layout shared by all estimators in this module: split(0) draws
-the main sample, split(1) the pilot, split(2)/split(3) the independent
-term samples of the two-level estimator.  Estimators that degenerate to
-plain MC therefore reproduce ``mc_estimate`` bit for bit on the same
-stream.
+Substream layout shared by both estimators: split(0) draws the main
+sample and split(1) the control-variate pilot, so a control-variate run
+draws the same main sample as ``mc_estimate`` on the same stream.  The
+two-level estimator is MLMC with one correction and lives in ``mlmc``.
 """
 
 from __future__ import annotations
@@ -14,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .exceptions import BudgetError, EstimatorError, InvalidParameterError
+from .exceptions import EstimatorError, InvalidParameterError
 from .models import CostLedger, Model, evaluate
 from .reports import EstimateReport
 from .rng import RngStream
 
-_MAIN, _PILOT, _TERM0, _TERM1 = 0, 1, 2, 3
+_MAIN, _PILOT = 0, 1
 
 
 def draw_inputs(dist: Distribution, rng: RngStream, n: int, dim: int = 1) -> np.ndarray:
@@ -138,95 +137,3 @@ def cv_estimate(
         },
     )
 
-
-def two_level_estimate(
-    coarse: Model,
-    fine: Model,
-    input: Distribution,
-    budget: float,
-    rng: RngStream,
-    ledger: CostLedger | None = None,
-    pilot_n: int = 50,
-    coarsen=None,
-) -> EstimateReport:
-    """Two-term estimator: coarse mean plus a coupled fine-minus-coarse
-    correction, with the budget split by the variance/cost ratio rule
-    N1/N0 = sqrt(V1/C1) / sqrt(V0/C0).
-
-    ``coarsen`` maps fine-level inputs onto coarse-level inputs when the
-    two models have different input dimensions.
-    """
-    if coarse.input_dim != fine.input_dim and coarsen is None:
-        raise InvalidParameterError("differing input dims need a coarsen map")
-    ledger = ledger if ledger is not None else CostLedger()
-    c0 = coarse.cost_per_eval
-    c1 = fine.cost_per_eval + coarse.cost_per_eval
-
-    def coupled(stream: RngStream, m: int) -> tuple[np.ndarray, np.ndarray]:
-        x = draw_inputs(input, stream, m, fine.input_dim)
-        xc = x if coarsen is None else coarsen(x)
-        yf = evaluate(fine, x, ledger)
-        yc = evaluate(coarse, xc, ledger)
-        return yc, yf - yc
-
-    pilot_cost = pilot_n * c1
-    if budget < pilot_cost + 2 * c0 + 2 * c1:
-        raise BudgetError(
-            f"budget {budget} cannot cover a {pilot_n}-sample pilot plus 2 samples per term"
-        )
-    y0p, d1p = coupled(rng.split(_PILOT), pilot_n)
-    v0 = float(np.var(y0p, ddof=1))
-    v1 = float(np.var(d1p, ddof=1))
-    remaining = budget - pilot_cost
-
-    flags = []
-    if v1 == 0.0:
-        # Fine and coarse agree sample-for-sample: the correction carries no
-        # information, so spend everything on the coarse term.
-        flags.append("zero_correction_variance")
-        n0 = max(2, int(remaining // c0))
-        x = draw_inputs(input, rng.split(_TERM0), n0, fine.input_dim)
-        xc = x if coarsen is None else coarsen(x)
-        y = evaluate(coarse, xc, ledger)
-        s_hat = float(np.mean(y))
-        est_var = float(np.var(y, ddof=1)) / n0
-        n1 = 0
-    else:
-        ratio = np.sqrt(v1 / c1) / np.sqrt(v0 / c0) if v0 > 0.0 else np.inf
-        if np.isinf(ratio):
-            n0_f, n1_f = 2.0, (remaining - 2 * c0) / c1
-        else:
-            n0_f = remaining / (c0 + ratio * c1)
-            n1_f = ratio * n0_f
-        n0 = max(2, int(n0_f))
-        n1 = max(2, int(n1_f))
-        if n0 * c0 + n1 * c1 > remaining:
-            raise BudgetError("budget too small for 2 samples per term after the pilot")
-        # Leftover buys extra coarse samples (always the cheaper term).
-        n0 += int((remaining - n0 * c0 - n1 * c1) // c0)
-
-        x0 = draw_inputs(input, rng.split(_TERM0), n0, fine.input_dim)
-        x0c = x0 if coarsen is None else coarsen(x0)
-        y0 = evaluate(coarse, x0c, ledger)
-        _, d1 = coupled(rng.split(_TERM1), n1)
-        s_hat = float(np.mean(y0) + np.mean(d1))
-        est_var = float(np.var(y0, ddof=1)) / n0 + float(np.var(d1, ddof=1)) / n1
-
-    return EstimateReport(
-        estimate=s_hat,
-        estimator_variance=est_var,
-        n_per_model={
-            coarse.id: pilot_n + n0 + n1,
-            fine.id: pilot_n + n1,
-        },
-        total_cost=ledger.total(),
-        seed=rng.seed,
-        method="two_level",
-        diagnostics={
-            "pilot_v0": v0,
-            "pilot_v1": v1,
-            "n0": n0,
-            "n1": n1,
-            "flags": flags,
-        },
-    )

@@ -1,10 +1,15 @@
 """Multilevel Monte Carlo: coupled per-level statistics, cost-optimal
-sample allocation, and the adaptive estimator loop.
+sample allocation, the adaptive estimator loop, and the two-level
+estimator (MLMC with one correction, under a work budget).
 
-The estimator assembles the telescoping sum of coupled corrections
-Y_l = M(l) - M(l-1), each estimated on its own independent substream
-(stream id = level, counter continuing across top-up rounds), so adding
-samples or levels never perturbs draws already taken.
+Both estimators assemble the telescoping sum of coupled corrections
+Y_l = M(l) - M(l-1), drawn by ``coupled_sample``.  Substream layout:
+
+- ``mlmc_estimate`` draws level l on split(l), its counter continuing
+  across top-up rounds, so adding samples or levels never perturbs draws
+  already taken;
+- ``two_level_estimate`` draws its pilot on split(1), the coarse term
+  Y_0 on split(2) and the correction Y_1 on split(3).
 """
 
 from __future__ import annotations
@@ -14,14 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import Distribution
 from .exceptions import BudgetError, InvalidParameterError
 from .mc import draw_inputs
-from .models import CostLedger, LevelHierarchy, evaluate
+from .models import CostLedger, LevelHierarchy, Model, evaluate
 from .reports import EstimateReport
 from .rng import RngStream
 
 _ADAPT_SPLIT = math.sqrt(2.0)  # eps^2 split evenly between variance and bias^2
 _MAX_ROUNDS = 100
+_PILOT_STREAM, _TERM_STREAM = 1, 2  # two_level_estimate: Y_l on split(_TERM_STREAM + l)
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,19 @@ class MlmcResult:
     levels: list[LevelStats]
 
 
+def _coupled_outputs(h: LevelHierarchy, level: int, n: int, rng: RngStream, ledger):
+    """Outputs of levels l and l-1 (None at level 0) on n shared inputs,
+    coarsened for level l-1 only when the input dimensions differ."""
+    fine = h.levels[level]
+    x = draw_inputs(h.input, rng, n, fine.input_dim)
+    y = evaluate(fine, x, ledger)
+    if level == 0:
+        return y, None
+    coarse = h.levels[level - 1]
+    xc = x if coarse.input_dim == fine.input_dim else h.coarsen(x)
+    return y, evaluate(coarse, xc, ledger)
+
+
 def coupled_sample(
     h: LevelHierarchy,
     level: int,
@@ -63,14 +83,18 @@ def coupled_sample(
 ) -> np.ndarray:
     """n draws of the level correction Y_l, both models evaluated on the
     same underlying inputs."""
-    fine = h.levels[level]
-    x = draw_inputs(h.input, rng, n, fine.input_dim)
-    y = evaluate(fine, x, ledger)
-    if level > 0:
-        coarse = h.levels[level - 1]
-        xc = x if coarse.input_dim == fine.input_dim else h.coarsen(x)
-        y = y - evaluate(coarse, xc, ledger)
-    return y
+    y, yc = _coupled_outputs(h, level, n, rng, ledger)
+    return y if yc is None else y - yc
+
+
+def _level_stats(level: int, y: np.ndarray, cost: float) -> LevelStats:
+    return LevelStats(
+        level=level,
+        mean=float(np.mean(y)),
+        variance=float(np.var(y, ddof=1)) if y.size > 1 else 0.0,
+        cost=cost,
+        n=y.size,
+    )
 
 
 def level_statistics(
@@ -85,14 +109,7 @@ def level_statistics(
         raise InvalidParameterError(f"level {level} outside hierarchy 0..{h.max_level}")
     if n < 2:
         raise InvalidParameterError("level_statistics needs n >= 2")
-    y = coupled_sample(h, level, n, rng, ledger)
-    return LevelStats(
-        level=level,
-        mean=float(np.mean(y)),
-        variance=float(np.var(y, ddof=1)),
-        cost=h.coupled_cost(level),
-        n=n,
-    )
+    return _level_stats(level, coupled_sample(h, level, n, rng, ledger), h.coupled_cost(level))
 
 
 def mlmc_allocation(stats: list[LevelStats], eps: float) -> MlmcPlan:
@@ -156,29 +173,20 @@ class _LevelAccumulator:
     dim: int
     batches: list = field(default_factory=list)
     n: int = 0
-    draws_consumed: int = 0
     _cache: np.ndarray | None = None
 
-    def add(self, y: np.ndarray, dim: int) -> None:
+    def add(self, y: np.ndarray) -> None:
         self.batches.append(y)
         self.n += y.size
-        self.draws_consumed += y.size * dim
         self._cache = None
 
     def values(self) -> np.ndarray:
-        if self._cache is None or self._cache.size != self.n:
+        if self._cache is None:
             self._cache = np.concatenate(self.batches) if self.batches else np.empty(0)
         return self._cache
 
     def stats(self) -> LevelStats:
-        y = self.values()
-        return LevelStats(
-            level=self.level,
-            mean=float(np.mean(y)),
-            variance=float(np.var(y, ddof=1)) if y.size > 1 else 0.0,
-            cost=self.cost,
-            n=self.n,
-        )
+        return _level_stats(self.level, self.values(), self.cost)
 
 
 def mlmc_estimate(
@@ -199,7 +207,9 @@ def mlmc_estimate(
     top-ups against the eps^2/2 variance target with the remaining-bias
     test at eps/sqrt(2), adding a level whenever the test fails.  With
     ``fixed_level`` set, the level set is frozen and the full eps^2
-    variance budget is used with no bias test.
+    variance budget is used with no bias test.  ``max_cost`` is checked
+    before every batch, pilots included: a batch that would take the
+    ledger past it raises ``BudgetError`` instead of being drawn.
     """
     if eps <= 0.0:
         raise InvalidParameterError("eps must be positive")
@@ -228,9 +238,10 @@ def mlmc_estimate(
         need = want - acc.n
         if need <= 0:
             return
-        stream = rng.split(acc.level).advance(acc.draws_consumed)
-        y = coupled_sample(h, acc.level, need, stream, ledger)
-        acc.add(y, acc.dim)
+        if max_cost is not None and ledger.total() + need * acc.cost > max_cost:
+            raise BudgetError(f"mlmc would exceed max_cost={max_cost}")
+        stream = rng.split(acc.level).advance(acc.n * acc.dim)
+        acc.add(coupled_sample(h, acc.level, need, stream, ledger))
 
     for lv in range(top + 1):
         add_level(lv)
@@ -249,8 +260,6 @@ def mlmc_estimate(
         if any(needed):
             for acc, want in zip(accs, plan.n_per_level):
                 top_up(acc, want)
-            if max_cost is not None and ledger.total() > max_cost:
-                raise BudgetError(f"mlmc exceeded max_cost={max_cost}")
             continue
         if not adaptive:
             break
@@ -267,8 +276,6 @@ def mlmc_estimate(
             flags.append("bias_target_unmet")
             break
         add_level(len(accs))
-        if max_cost is not None and ledger.total() > max_cost:
-            raise BudgetError(f"mlmc exceeded max_cost={max_cost}")
     else:
         flags.append("round_limit_reached")
 
@@ -299,3 +306,78 @@ def mlmc_estimate(
         },
     )
     return MlmcResult(report=report, plan=plan, levels=stats)
+
+
+def two_level_estimate(
+    coarse: Model,
+    fine: Model,
+    input: Distribution,
+    budget: float,
+    rng: RngStream,
+    ledger: CostLedger | None = None,
+    pilot_n: int = 50,
+    coarsen=None,
+) -> EstimateReport:
+    """MLMC on the hierarchy (coarse, fine) under a work budget: coarse
+    mean plus a coupled fine-minus-coarse correction.
+
+    A coupled pilot estimates V_0 and V_1; the budget B left after it is
+    split by the budget form of the ``mlmc_allocation`` rule,
+    N_l = xi * sqrt(V_l / C_l) with xi = B / sum(sqrt(V_l * C_l)), each
+    count floored to 2 and the leftover spent on coarse samples.
+    ``coarsen`` is the hierarchy's map from fine to coarse inputs.
+    """
+    if pilot_n < 2:
+        raise InvalidParameterError("two_level_estimate needs pilot_n >= 2")
+    h = LevelHierarchy((coarse, fine), input, coarsen)
+    ledger = ledger if ledger is not None else CostLedger()
+    c0, c1 = h.coupled_cost(0), h.coupled_cost(1)
+
+    pilot_cost = pilot_n * c1
+    if budget < pilot_cost + 2 * c0 + 2 * c1:
+        raise BudgetError(
+            f"budget {budget} cannot cover a {pilot_n}-sample pilot plus 2 samples per term"
+        )
+    y, yc = _coupled_outputs(h, 1, pilot_n, rng.split(_PILOT_STREAM), ledger)
+    v0 = float(np.var(yc, ddof=1))
+    v1 = float(np.var(y - yc, ddof=1))
+    remaining = budget - pilot_cost
+
+    flags = []
+    if v1 == 0.0:
+        # Fine and coarse agree sample-for-sample: the correction carries no
+        # information, so spend everything on the coarse term.
+        flags.append("zero_correction_variance")
+        n0, n1 = max(2, int(remaining // c0)), 0
+    else:
+        if v0 == 0.0:
+            # A constant coarse model needs only its floor of 2 samples.
+            n0_f, n1_f = 2.0, (remaining - 2 * c0) / c1
+        else:
+            xi = remaining / (math.sqrt(v0 * c0) + math.sqrt(v1 * c1))
+            n0_f, n1_f = xi * math.sqrt(v0 / c0), xi * math.sqrt(v1 / c1)
+        n0, n1 = max(2, int(n0_f)), max(2, int(n1_f))
+        if n0 * c0 + n1 * c1 > remaining:
+            raise BudgetError("budget too small for 2 samples per term after the pilot")
+        n0 += int((remaining - n0 * c0 - n1 * c1) // c0)
+
+    stats = [
+        level_statistics(h, lv, n, rng.split(_TERM_STREAM + lv), ledger)
+        for lv, n in enumerate((n0, n1))
+        if n
+    ]
+    return EstimateReport(
+        estimate=float(sum(s.mean for s in stats)),
+        estimator_variance=float(sum(s.variance / s.n for s in stats)),
+        n_per_model={coarse.id: pilot_n + n0 + n1, fine.id: pilot_n + n1},
+        total_cost=ledger.total(),
+        seed=rng.seed,
+        method="two_level",
+        diagnostics={
+            "pilot_v0": v0,
+            "pilot_v1": v1,
+            "n0": n0,
+            "n1": n1,
+            "flags": flags,
+        },
+    )

@@ -4,7 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from uqmc.cli import main, validate_config
+from uqmc.cli import main, run_config, validate_config
 from uqmc.exceptions import ConfigError
 
 SCHEMA = json.loads(
@@ -126,6 +126,18 @@ class TestRun:
         assert code == 0
         jsonschema.validate(report, SCHEMA)
 
+    def test_two_level_non_adjacent_levels_rejected(self, tmp_path, capsys):
+        # gbm_euler levels 0 and 2 differ in input dim and the hierarchy's
+        # coarsen map only links adjacent levels.
+        code, report = run_cli(
+            tmp_path,
+            {"method": "two_level", "problem": "gbm_euler", "budget": 2000,
+             "coarse_level": 0, "fine_level": 2},
+        )
+        assert code == 2
+        assert report is None
+        assert "non-adjacent levels need equal input dims" in capsys.readouterr().err
+
     def test_mfmc_run_with_plan(self, tmp_path):
         code, report = run_cli(
             tmp_path,
@@ -231,3 +243,14 @@ class TestRun:
         assert "wall_time_s" not in json.dumps(report)
         meta = json.loads((tmp_path / "out/run_meta.json").read_text())
         assert meta["wall_time_s"] >= 0.0
+
+
+DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos/configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_runs(path, tmp_path):
+    cfg = validate_config(path.read_text())
+    _, code = run_config(cfg, tmp_path)
+    assert code == 0
+    jsonschema.validate(json.loads((tmp_path / "report.json").read_text()), SCHEMA)

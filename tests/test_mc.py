@@ -137,6 +137,38 @@ class TestTwoLevel:
         with pytest.raises(BudgetError):
             two_level_estimate(coarse, fine, STD_NORMAL, 100.0, RngStream(14))
 
+    def test_pilot_needs_two_samples(self):
+        # One pilot sample has no variance to split the budget by.
+        coarse = Model("c", lambda x: x[:, 0], 1.0)
+        fine = Model("f", lambda x: 2.0 * x[:, 0], 3.0)
+        with pytest.raises(InvalidParameterError, match="pilot_n >= 2"):
+            two_level_estimate(coarse, fine, STD_NORMAL, 2000.0, RngStream(14), pilot_n=1)
+
+    def test_demo_config_pinned(self):
+        # demos/configs/two_level_gbm.json (gbm_euler levels 0/1, budget 3000,
+        # seed 13): the pilot statistics and the budget split are pinned.
+        h = builtin_problem("gbm_euler").hierarchy
+        r = two_level_estimate(
+            h.levels[0], h.levels[1], h.input, 3000, RngStream(13), coarsen=h.coarsen
+        )
+        d = r.diagnostics
+        assert (d["n0"], d["n1"], r.total_cost) == (2430, 140, 3000.0)
+        assert d["pilot_v0"] == pytest.approx(0.04828335019384402, rel=1e-12)
+        assert d["pilot_v1"] == pytest.approx(0.00048343303996575647, rel=1e-12)
+
+    def test_constant_coarse_model_pinned(self):
+        # V_0 = 0: the coarse term keeps its floor of 2 samples, the correction
+        # takes floor((B - pilot - 2 C_0) / C_1) and the leftover buys coarse
+        # samples.
+        coarse = Model("c", lambda x: np.full(x.shape[0], 1.5), 1.0)
+        fine = Model("f", lambda x: x[:, 0], 3.0)
+        r = two_level_estimate(coarse, fine, STD_NORMAL, 2000.0, RngStream(3))
+        d = r.diagnostics
+        assert (d["n0"], d["n1"], r.total_cost) == (4, 449, 2000.0)
+        assert d["pilot_v0"] == 0.0
+        assert d["pilot_v1"] == pytest.approx(1.1377448617884585, rel=1e-12)
+        assert d["flags"] == []
+
     def test_gbm_levels_unbiased_over_replications(self):
         p = builtin_problem("gbm_euler")
         h = p.hierarchy

@@ -200,8 +200,14 @@ class TestMlmcEstimate:
         assert "bias_target_unmet" in res.report.diagnostics["flags"]
 
     def test_max_cost_enforced(self):
+        # The cap is checked before each batch is drawn, so the ledger never
+        # passes it: level 0's 100-unit pilot fits, level 1's does not.
+        from uqmc import CostLedger
+
+        ledger = CostLedger()
         with pytest.raises(BudgetError):
-            mlmc_estimate(GBM.hierarchy, 1e-3, RngStream(25), max_cost=100.0)
+            mlmc_estimate(GBM.hierarchy, 1e-3, RngStream(25), max_cost=100.0, ledger=ledger)
+        assert ledger.total() <= 100.0
 
     def test_ledger_matches_report(self):
         from uqmc import CostLedger

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uqmc import two_level_estimate
 from uqmc.exceptions import EvaluationError, InvalidParameterError
 from uqmc.models import (
     _EVAL_CHUNK,
@@ -137,3 +138,10 @@ class TestBuiltinProblems:
         m2 = Model("b", lambda x: x[:, 0], 1.0)
         with pytest.raises(InvalidParameterError):
             LevelHierarchy((m1, m2), builtin_problem("quadratic").input)
+        # two_level_estimate builds the same hierarchy, so its coarse model
+        # must be strictly cheaper than its fine one.
+        dear = Model("c", lambda x: x[:, 0], 2.0)
+        x_dist = builtin_problem("quadratic").input
+        for coarse in (m2, dear):
+            with pytest.raises(InvalidParameterError, match="strictly increasing"):
+                two_level_estimate(coarse, m1, x_dist, 1e4, RngStream(1))
