@@ -9,6 +9,7 @@ byte-identical across reruns of the same configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import json
 import sys
@@ -87,7 +88,7 @@ _METHOD_KEYS = {
         "dump_estimates": (bool, False, False),
     },
 }
-_MCMC_KEYS = {"burn_in", "keep", "thin"}
+_MCMC_KEYS = {f.name for f in dataclasses.fields(McmcOptions)}
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -171,6 +172,8 @@ def validate_config(text: str) -> dict:
             unknown = set(cfg["mcmc"]) - _MCMC_KEYS
             if unknown:
                 raise _fail("mcmc", f"unknown keys {sorted(unknown)}")
+            for key, value in cfg["mcmc"].items():
+                _check_type(f"mcmc.{key}", value, int)
     if method == "cv" and not (
         cfg["coef"] == "auto" or isinstance(cfg["coef"], (int, float))
     ):

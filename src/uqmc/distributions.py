@@ -54,6 +54,11 @@ class Family(str, enum.Enum):
         """True when the support is (0, inf)."""
         return self in (Family.LOGNORMAL, Family.GAMMA, Family.WEIBULL)
 
+    @property
+    def positive_params(self) -> tuple[bool, bool]:
+        """Which of the two parameters must be positive (shape, scale, sigma)."""
+        return (self in (Family.GAMMA, Family.WEIBULL), self is not Family.UNIFORM)
+
 
 _PARAM_NAMES = {
     Family.NORMAL: ("mu", "sigma"),
@@ -178,10 +183,9 @@ class Distribution:
             raise InvalidParameterError(f"{fam.value} takes {fam.param_count} parameters")
         if not all(math.isfinite(v) for v in p):
             raise InvalidParameterError("parameters must be finite")
-        if fam is Family.UNIFORM:
-            if not p[0] < p[1]:
-                raise InvalidParameterError("uniform requires lower < upper")
-        elif p[1] <= 0.0 or (fam in (Family.GAMMA, Family.WEIBULL) and p[0] <= 0.0):
+        if fam is Family.UNIFORM and not p[0] < p[1]:
+            raise InvalidParameterError("uniform requires lower < upper")
+        if any(v <= 0.0 for v, pos in zip(p, fam.positive_params) if pos):
             raise InvalidParameterError(f"{fam.value} requires positive shape/scale parameters")
         object.__setattr__(self, "family", fam)
         object.__setattr__(self, "params", p)

@@ -213,6 +213,9 @@ def mlmc_estimate(
     """
     if eps <= 0.0:
         raise InvalidParameterError("eps must be positive")
+    if initial_samples < 2:
+        # One sample per level has no variance to allocate by.
+        raise InvalidParameterError("mlmc_estimate needs initial_samples >= 2")
     ledger = ledger if ledger is not None else CostLedger()
     avail = h.max_level if max_level is None else min(max_level, h.max_level)
     flags: list[str] = []

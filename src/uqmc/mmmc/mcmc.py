@@ -1,8 +1,11 @@
 """Random-walk Metropolis sampling of distribution parameters.
 
-Positivity-constrained coordinates walk in log space with the Jacobian
-correction; proposal scales adapt during burn-in toward a moderate
-acceptance rate and are frozen afterwards so the kept chain targets the
+Coordinates the family constrains positive (``Family.positive_params``)
+walk in log space with the Jacobian correction.  One global proposal
+scale factor adapts during burn-in: after every ``_ADAPT_WINDOW`` (100)
+steps it shrinks by 0.7 if the window's acceptance rate is below
+``_ACCEPT_LOW`` (0.2) and grows by 1.4 if it is above ``_ACCEPT_HIGH``
+(0.5).  The factor is frozen afterwards so the kept chain targets the
 exact posterior.
 """
 
@@ -13,18 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..distributions import Dataset, Distribution, Family, mle_fit
-from ..exceptions import EstimatorError, InvalidParameterError
+from ..distributions import Dataset, Family, family_logpdf, mle_fit
+from ..exceptions import EstimatorError, InvalidParameterError, UqmcError
 from ..rng import RngStream
 
-# Which of the two parameters are constrained positive, per family.
-_POSITIVE = {
-    Family.NORMAL: (False, True),
-    Family.LOGNORMAL: (False, True),
-    Family.GAMMA: (True, True),
-    Family.WEIBULL: (True, True),
-    Family.UNIFORM: (False, False),
-}
+_ADAPT_WINDOW = 100
+_ACCEPT_LOW = 0.2
+_ACCEPT_HIGH = 0.5
 
 
 @dataclass(frozen=True)
@@ -32,12 +30,9 @@ class McmcOptions:
     burn_in: int = 5000
     keep: int = 2000
     thin: int = 5
-    adapt_window: int = 100
-    accept_low: float = 0.2
-    accept_high: float = 0.5
 
     def __post_init__(self):
-        if min(self.burn_in, self.keep, self.thin, self.adapt_window) < 1:
+        if min(self.burn_in, self.keep, self.thin) < 1:
             raise InvalidParameterError("MCMC options must be positive")
 
 
@@ -73,30 +68,16 @@ def effective_sample_size(x: np.ndarray) -> float:
     return float(n / (1.0 + 2.0 * acf_sum))
 
 
-def _log_posterior_factory(family: Family, data: Dataset, prior: list):
-    def log_post(theta: np.ndarray) -> float:
-        lp = 0.0
-        for j, pr in enumerate(prior):
-            v = float(pr.logpdf(theta[j]))
-            if not np.isfinite(v):
-                return -np.inf
-            lp += v
-        try:
-            dist = Distribution(family, tuple(theta))
-        except Exception:
-            return -np.inf
-        ll = float(np.sum(dist.logpdf(data.values)))
-        return ll + lp if np.isfinite(ll) else -np.inf
-
-    return log_post
+def _prior_medians(prior: list) -> np.ndarray:
+    return np.array([pr.ppf(0.5) for pr in prior], dtype=np.float64)
 
 
 def _initial_point(family: Family, data: Dataset, prior: list) -> np.ndarray:
     try:
         dist, _ = mle_fit(family, data)
-        theta = np.array(dist.params, dtype=np.float64)
-    except Exception:
-        theta = np.array([pr.ppf(0.5) for pr in prior], dtype=np.float64)
+    except UqmcError:
+        return _prior_medians(prior)
+    theta = np.array(dist.params, dtype=np.float64)
     # Pull coordinates the prior excludes back to the prior median.
     for j, pr in enumerate(prior):
         if not np.isfinite(float(pr.logpdf(theta[j]))):
@@ -108,7 +89,7 @@ def _initial_scales(family: Family, data: Dataset, free: list[int]) -> np.ndarra
     d = np.log(data.values) if family is Family.LOGNORMAL else data.values
     spread = max(float(np.std(d)), 1e-6 * (abs(float(np.mean(d))) + 1.0))
     root_n = math.sqrt(data.n)
-    positive = _POSITIVE[family]
+    positive = family.positive_params
     scales = []
     for j in free:
         if positive[j]:
@@ -136,83 +117,79 @@ def posterior_sample(
         raise InvalidParameterError("posterior_sample requires an RngStream")
     if len(prior) != family.param_count:
         raise InvalidParameterError("one prior per parameter required")
-    positive = _POSITIVE[family]
-    free = [j for j, pr in enumerate(prior) if not getattr(pr, "fixed", False)]
+    positive = family.positive_params
+    fixed = [getattr(pr, "fixed", False) for pr in prior]
+    free = [j for j, fx in enumerate(fixed) if not fx]
     if not free:
         raise InvalidParameterError("all parameters fixed; nothing to sample")
 
-    log_post = _log_posterior_factory(family, data, prior)
-    theta = _initial_point(family, data, prior)
-    for j, pr in enumerate(prior):
-        if getattr(pr, "fixed", False):
-            theta[j] = pr.value
+    def log_target(phi: np.ndarray, base: np.ndarray) -> tuple[float, np.ndarray]:
+        """Log posterior at walk coordinates phi, and the parameters they map to.
 
-    def to_phi(th):
-        return np.array(
-            [math.log(th[j]) if positive[j] else th[j] for j in free]
-        )
-
-    def to_theta(phi):
-        th = theta.copy()
+        Fixed coordinates are copied from ``base``.  Invalid parameters make
+        ``family_logpdf`` return -inf or NaN; both count as -inf here.
+        """
+        theta = base.copy()
+        jac = 0.0
         for idx, j in enumerate(free):
-            th[j] = math.exp(phi[idx]) if positive[j] else phi[idx]
-        return th
-
-    def target(phi):
-        th = to_theta(phi)
-        lp = log_post(th)
-        if not np.isfinite(lp):
-            return -np.inf
-        jac = sum(phi[idx] for idx, j in enumerate(free) if positive[j])
-        return lp + jac
-
-    phi = to_phi(theta)
-    if not np.isfinite(target(phi)):
-        # Fall back to prior medians when the start is infeasible.
-        theta = np.array([pr.ppf(0.5) for pr in prior], dtype=np.float64)
+            if positive[j]:
+                theta[j] = math.exp(phi[idx])
+                jac += phi[idx]
+            else:
+                theta[j] = phi[idx]
+        lp = 0.0
         for j, pr in enumerate(prior):
-            if getattr(pr, "fixed", False):
+            v = float(pr.logpdf(theta[j]))
+            if not np.isfinite(v):
+                return -np.inf, theta
+            lp += v
+        ll = float(np.sum(family_logpdf(family, theta[0], theta[1], data.values)))
+        if not np.isfinite(ll):
+            return -np.inf, theta
+        return ll + lp + jac, theta
+
+    # Start at the MLE; fall back to prior medians when that is infeasible.
+    for theta in (_initial_point(family, data, prior), _prior_medians(prior)):
+        for j, pr in enumerate(prior):
+            if fixed[j]:
                 theta[j] = pr.value
-        phi = to_phi(theta)
-        if not np.isfinite(target(phi)):
-            raise EstimatorError("no feasible starting point for the chain")
+        phi = np.array([math.log(theta[j]) if positive[j] else theta[j] for j in free])
+        lp_cur, theta = log_target(phi, theta)
+        if np.isfinite(lp_cur):
+            break
+    else:
+        raise EstimatorError("no feasible starting point for the chain")
 
     scales = _initial_scales(family, data, free)
     factor = 1.0
     gen = rng.generator()
-    lp_cur = target(phi)
 
-    warnings = []
-    window_acc = 0
-    for step in range(options.burn_in):
-        prop = phi + factor * scales * gen.standard_normal(len(free))
-        lp_prop = target(prop)
-        if math.log(gen.random()) < lp_prop - lp_cur:
-            phi, lp_cur = prop, lp_prop
-            window_acc += 1
-        if (step + 1) % options.adapt_window == 0:
-            rate = window_acc / options.adapt_window
-            if rate < options.accept_low:
-                factor *= 0.7
-            elif rate > options.accept_high:
-                factor *= 1.4
-            window_acc = 0
-
+    burn_in, thin = options.burn_in, options.thin
+    total = options.keep * thin
     kept = np.empty((options.keep, family.param_count))
-    accepted = 0
-    total = options.keep * options.thin
-    for step in range(total):
+    accepted = 0  # in the current adaptation window, then after burn-in
+    for step in range(1, burn_in + total + 1):
         prop = phi + factor * scales * gen.standard_normal(len(free))
-        lp_prop = target(prop)
+        lp_prop, theta_prop = log_target(prop, theta)
         if math.log(gen.random()) < lp_prop - lp_cur:
-            phi, lp_cur = prop, lp_prop
+            phi, lp_cur, theta = prop, lp_prop, theta_prop
             accepted += 1
-        if (step + 1) % options.thin == 0:
-            kept[(step + 1) // options.thin - 1] = to_theta(phi)
+        if step <= burn_in and step % _ADAPT_WINDOW == 0:
+            rate = accepted / _ADAPT_WINDOW
+            if rate < _ACCEPT_LOW:
+                factor *= 0.7
+            elif rate > _ACCEPT_HIGH:
+                factor *= 1.4
+            accepted = 0
+        if step == burn_in:
+            accepted = 0
+        elif step > burn_in and (step - burn_in) % thin == 0:
+            kept[(step - burn_in) // thin - 1] = theta
 
     rate = accepted / total
     if accepted == 0:
         raise EstimatorError("chain never accepted a proposal; posterior degenerate")
+    warnings = []
     if not 0.05 <= rate <= 0.95:
         warnings.append(f"acceptance rate {rate:.3f} outside [0.05, 0.95]")
 

@@ -138,6 +138,34 @@ class TestRun:
         assert report is None
         assert "non-adjacent levels need equal input dims" in capsys.readouterr().err
 
+    def test_mlmc_initial_samples_one_rejected(self, tmp_path, capsys):
+        code, report = run_cli(
+            tmp_path,
+            {"method": "mlmc", "problem": "gbm_euler", "eps": 0.01, "initial_samples": 1},
+        )
+        assert code == 2
+        assert report is None
+        assert "initial_samples >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mcmc, message",
+        [
+            ({"burn_in": "abc"}, "mcmc.burn_in: expected int, got str"),
+            ({"burn_in": 1.5}, "mcmc.burn_in: expected int, got float"),
+            ({"burn_in": True}, "mcmc.burn_in: expected integer, got boolean"),
+            ({"keep": None}, "mcmc.keep: expected int, got NoneType"),
+            ({"adapt_window": 50}, "mcmc: unknown keys ['adapt_window']"),
+        ],
+        ids=["str", "float", "bool", "null", "removed_option"],
+    )
+    def test_mmmc_mcmc_subkeys_checked(self, tmp_path, capsys, mcmc, message):
+        code, report = run_cli(
+            tmp_path, {"method": "mmmc", "problem": "smalldata_demo", "mcmc": mcmc}
+        )
+        assert code == 2
+        assert report is None
+        assert message in capsys.readouterr().err
+
     def test_mfmc_run_with_plan(self, tmp_path):
         code, report = run_cli(
             tmp_path,

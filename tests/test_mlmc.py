@@ -209,6 +209,12 @@ class TestMlmcEstimate:
             mlmc_estimate(GBM.hierarchy, 1e-3, RngStream(25), max_cost=100.0, ledger=ledger)
         assert ledger.total() <= 100.0
 
+    def test_initial_samples_need_two(self):
+        # One pilot sample per level has zero variance, which would plan one
+        # sample per level and report a zero-width interval.
+        with pytest.raises(InvalidParameterError, match="initial_samples >= 2"):
+            mlmc_estimate(GBM.hierarchy, 0.01, RngStream(26), initial_samples=1)
+
     def test_ledger_matches_report(self):
         from uqmc import CostLedger
 

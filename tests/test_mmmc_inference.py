@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from uqmc import Dataset, Family, RngStream
 from uqmc.exceptions import EstimatorError, InvalidParameterError
 from uqmc.mmmc import (
+    LogUniformPrior,
     McmcOptions,
     NormalPrior,
     PointMassPrior,
@@ -218,3 +220,127 @@ class TestPosteriorSample:
         prior = [PointMassPrior(0.0), PointMassPrior(1.0)]
         with pytest.raises(InvalidParameterError):
             posterior_sample(Family.NORMAL, MIXED_DATA, prior, McmcOptions(), RngStream(13))
+
+    def test_unexpected_mle_error_propagates(self, monkeypatch):
+        # Only the library's own fit errors fall back to prior medians.
+        def broken_fit(family, data):
+            raise ZeroDivisionError("bug in the fit")
+
+        monkeypatch.setattr("uqmc.mmmc.mcmc.mle_fit", broken_fit)
+        prior = default_priors(Family.NORMAL, MIXED_DATA)
+        with pytest.raises(ZeroDivisionError):
+            posterior_sample(Family.NORMAL, MIXED_DATA, prior, McmcOptions(), RngStream(13))
+
+
+PIN_OPTS = McmcOptions(burn_in=700, keep=150, thin=3)
+
+
+def _fingerprint(post):
+    blob = post.samples.tobytes() + repr(post.diagnostics).encode("ascii")
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestPosteriorSamplePinned:
+    """Exact draws, acceptance rates and diagnostics of the sampler.
+
+    The fingerprint hashes ``samples.tobytes()`` and ``repr(diagnostics)``
+    (proposal scales, free coordinates, warnings).  A change that alters
+    any draw, the RNG order or the adaptation schedule breaks these.
+    """
+
+    @pytest.mark.parametrize(
+        "family, seed, digest, rate",
+        [
+            (Family.NORMAL, 1, "129cb9aa9e6925b0", 0.39111111111111113),
+            (Family.NORMAL, 2, "01c07386fd6ef9b7", 0.3711111111111111),
+            (Family.LOGNORMAL, 1, "695dc3f9c65e07e0", 0.39111111111111113),
+            (Family.LOGNORMAL, 2, "4ece79119a82b6f2", 0.3711111111111111),
+            (Family.GAMMA, 1, "238f827c219acec0", 0.31777777777777777),
+            (Family.GAMMA, 2, "3d18c4afe1380bcc", 0.35555555555555557),
+            (Family.WEIBULL, 1, "c82d7d462cebef13", 0.4066666666666667),
+            (Family.WEIBULL, 2, "bc57fce3dddad61e", 0.38),
+            (Family.UNIFORM, 1, "01c41d23d480798f", 0.3422222222222222),
+            (Family.UNIFORM, 2, "bda7aaa174ec5549", 0.37777777777777777),
+        ],
+    )
+    def test_default_priors_positive_data(self, family, seed, digest, rate):
+        prior = default_priors(family, POS_DATA)
+        post = posterior_sample(family, POS_DATA, prior, PIN_OPTS, RngStream(seed))
+        assert (_fingerprint(post), post.acceptance_rate) == (digest, rate)
+        assert post.chain_length == 1150
+        assert post.diagnostics["warnings"] == []
+
+    @pytest.mark.parametrize(
+        "family, digest, rate",
+        [
+            (Family.NORMAL, "42021cec703f29aa", 0.38666666666666666),
+            (Family.UNIFORM, "71059203d734e351", 0.42),
+        ],
+    )
+    def test_default_priors_mixed_data(self, family, digest, rate):
+        prior = default_priors(family, MIXED_DATA)
+        post = posterior_sample(family, MIXED_DATA, prior, PIN_OPTS, RngStream(1))
+        assert (_fingerprint(post), post.acceptance_rate) == (digest, rate)
+
+    @pytest.mark.parametrize(
+        "family, data, prior, seed, digest, rate",
+        [
+            (Family.NORMAL, MIXED_DATA, [UniformPrior(-50.0, 50.0), PointMassPrior(1.0)],
+             1, "d203edcf641a68d8", 0.4444444444444444),
+            (Family.GAMMA, POS_DATA, [PointMassPrior(2.0), LogUniformPrior(0.01, 100.0)],
+             1, "69b6a164c95b2e4b", 0.38222222222222224),
+            # The MLE shape overflows exp(shape * log(x / 1e-160)), so the
+            # chain starts from the prior medians instead.
+            (Family.WEIBULL, POS_DATA, [LogUniformPrior(1e-4, 2.5), PointMassPrior(1e-160)],
+             1, "01a712ddb1ed125e", 0.4911111111111111),
+        ],
+    )
+    def test_fixed_coordinates(self, family, data, prior, seed, digest, rate):
+        post = posterior_sample(family, data, prior, PIN_OPTS, RngStream(seed))
+        assert (_fingerprint(post), post.acceptance_rate) == (digest, rate)
+        assert post.diagnostics["free_parameters"] == [
+            j for j, pr in enumerate(prior) if not pr.fixed
+        ]
+
+    @pytest.mark.parametrize(
+        "family, seed, digest, rate",
+        [
+            (Family.NORMAL, 1, "725f660933b8abaf", 0.40444444444444444),
+            (Family.GAMMA, 2, "c82fcbf6e1f650c3", 0.35777777777777775),
+        ],
+    )
+    def test_burn_in_not_a_window_multiple(self, family, seed, digest, rate):
+        # 750 steps: the last 50 burn-in steps never complete a window.
+        opts = McmcOptions(burn_in=750, keep=150, thin=3)
+        post = posterior_sample(family, POS_DATA, default_priors(family, POS_DATA), opts,
+                                RngStream(seed))
+        assert (_fingerprint(post), post.acceptance_rate) == (digest, rate)
+        assert post.chain_length == 1200
+
+    def test_no_feasible_start(self):
+        prior = default_priors(Family.GAMMA, MIXED_DATA)
+        with pytest.raises(EstimatorError, match="no feasible starting point"):
+            posterior_sample(Family.GAMMA, MIXED_DATA, prior, PIN_OPTS, RngStream(1))
+
+    def test_never_accepted(self):
+        prior = [LogUniformPrior(5.0, 6.0), LogUniformPrior(0.01, 0.02)]
+        with pytest.raises(EstimatorError, match="never accepted"):
+            posterior_sample(Family.WEIBULL, POS_DATA, prior, PIN_OPTS, RngStream(1))
+
+    @pytest.mark.parametrize(
+        "family, data, prior, seed, digest, rate, warning",
+        [
+            (Family.WEIBULL, POS_DATA, [LogUniformPrior(5.0, 6.0), LogUniformPrior(0.01, 0.02)],
+             2, "0df67f21c3743fc4", 0.006666666666666667, "0.007"),
+            (Family.NORMAL, MIXED_DATA, [NormalPrior(7.0, 1e-4), PointMassPrior(1.0)],
+             1, "fb72aa0e721c9896", 0.0044444444444444444, "0.004"),
+            (Family.NORMAL, MIXED_DATA, [NormalPrior(7.0, 1e-4), PointMassPrior(1.0)],
+             2, "57244e89d034ecfc", 0.006666666666666667, "0.007"),
+        ],
+    )
+    def test_low_acceptance_warning(self, family, data, prior, seed, digest, rate, warning):
+        post = posterior_sample(family, data, prior, PIN_OPTS, RngStream(seed))
+        assert (_fingerprint(post), post.acceptance_rate) == (digest, rate)
+        assert post.diagnostics["warnings"] == [
+            f"acceptance rate {warning} outside [0.05, 0.95]"
+        ]
