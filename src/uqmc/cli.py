@@ -300,6 +300,7 @@ def _run_estimator(cfg: dict):
             ledger=ledger,
         )
         result = run.report.to_dict()
+        extras["phase_s"] = dict(run.phase_seconds)
         extras["model_probabilities"] = {
             f.value: p for f, p in run.probabilities.as_dict().items()
         }
@@ -352,6 +353,7 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    write_started = time.perf_counter()
     try:
         path = out_dir / "report.json"
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -361,8 +363,12 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
                 p = out_dir / name
                 p.write_text(extras[name] + "\n")
                 written.append(p)
-        meta = out_dir / "run_meta.json"
-        meta.write_text(json.dumps({"wall_time_s": wall}) + "\n")
+        meta = {"wall_time_s": wall}
+        if "phase_s" in extras:
+            phases = extras["phase_s"]
+            phases["write"] = time.perf_counter() - write_started
+            meta["phase_s"] = phases
+        (out_dir / "run_meta.json").write_text(json.dumps(meta) + "\n")
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)

@@ -7,7 +7,10 @@ draws, so sample i of a stream is reproducible in isolation.
 
 The ``family_logpdf`` / ``family_ppf`` kernels broadcast over parameter
 arrays as well as argument arrays; mixtures and evidence integrals reuse
-them to evaluate many parameter vectors at once.
+them to evaluate many parameter vectors at once.  Each log-density formula
+lives once, in ``_logpdf_into``, which writes into caller buffers;
+``family_logpdf`` allocates them, and importance reweighting reuses them
+across candidates.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .exceptions import (
 )
 from .rng import RngStream
 
-_LOG_2PI = math.log(2.0 * math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Newton tolerance on the per-datum profile score for gamma/weibull fits.
 _SCORE_TOL = 1e-10
@@ -79,30 +82,71 @@ def family_logpdf(family: Family, a, b, x) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
+    shape = np.broadcast(a, b, x).shape
+    lx, outside = _log_argument(x) if family.positive_support else (None, None)
+    return _logpdf_into(family, a, b, x, lx, outside, np.empty(shape), np.empty(shape))
+
+
+def _log_argument(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log x`` where x > 0 (0 elsewhere) and the mask of points outside
+    (0, inf): what ``_logpdf_into`` reads for the positive-support families,
+    which write -inf at every point of the mask."""
+    inside = x > 0.0
+    return np.log(np.where(inside, x, 1.0)), ~inside
+
+
+def _logpdf_into(family: Family, a, b, x, lx, outside, out, tmp) -> np.ndarray:
+    """Write the log density of ``family`` at ``x`` into ``out`` and return it.
+
+    The one copy of every family formula.  ``out`` and ``tmp`` are work
+    buffers of the broadcast shape of (a, b, x); ``lx`` and ``outside`` come
+    from ``_log_argument(x)`` and are read only by the positive-support
+    families, so callers evaluating many parameter pairs at the same points
+    compute them once.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family is Family.NORMAL:
-            z = (x - a) / b
-            out = -0.5 * z * z - np.log(b) - 0.5 * _LOG_2PI
-            return np.where(b > 0.0, out, -np.inf)
         if family is Family.UNIFORM:
             width = b - a
-            inside = (width > 0.0) & (x >= a) & (x <= b)
-            return np.where(
-                inside, -np.log(np.where(width > 0.0, width, 1.0)), -np.inf
-            )
-        lx = np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
-        if family is Family.LOGNORMAL:
-            z = (lx - a) / b
-            out = -0.5 * z * z - lx - np.log(b) - 0.5 * _LOG_2PI
-            ok = (b > 0.0) & (x > 0.0)
+            np.copyto(out, -np.log(np.where(width > 0.0, width, 1.0)))
+            np.copyto(out, -np.inf, where=~((width > 0.0) & (x >= a) & (x <= b)))
+            return out
+        if family is Family.NORMAL:
+            np.subtract(x, a, out=tmp)
+            tmp /= b  # z
+            np.multiply(tmp, -0.5, out=out)
+            out *= tmp
+            out -= np.log(b)
+            out -= _HALF_LOG_2PI
+            bad = np.logical_not(b > 0.0)
+        elif family is Family.LOGNORMAL:
+            np.subtract(lx, a, out=tmp)
+            tmp /= b  # z
+            np.multiply(tmp, -0.5, out=out)
+            out *= tmp
+            out -= lx
+            out -= np.log(b)
+            out -= _HALF_LOG_2PI
+            bad = np.logical_not(b > 0.0)
         elif family is Family.GAMMA:
-            out = (a - 1.0) * lx - x / b - gammaln(a) - a * np.log(b)
-            ok = (a > 0.0) & (b > 0.0) & (x > 0.0)
+            np.multiply(a - 1.0, lx, out=out)
+            np.divide(x, b, out=tmp)
+            out -= tmp
+            out -= gammaln(a)
+            out -= a * np.log(b)
+            bad = np.logical_not((a > 0.0) & (b > 0.0))
         else:  # WEIBULL
-            lz = lx - np.log(b)
-            out = np.log(a / b) + (a - 1.0) * lz - np.exp(a * lz)
-            ok = (a > 0.0) & (b > 0.0) & (x > 0.0)
-        return np.where(ok, out, -np.inf)
+            np.subtract(lx, np.log(b), out=tmp)  # log(x / scale)
+            np.multiply(a - 1.0, tmp, out=out)
+            out += np.log(a / b)
+            tmp *= a
+            np.exp(tmp, out=tmp)
+            out -= tmp
+            bad = np.logical_not((a > 0.0) & (b > 0.0))
+        if bad.shape or bad:  # skip the pass for one valid parameter pair
+            np.copyto(out, -np.inf, where=bad)
+        if family.positive_support:
+            np.copyto(out, -np.inf, where=outside)
+    return out
 
 
 def family_cdf(family: Family, a, b, x) -> np.ndarray:

@@ -140,19 +140,22 @@ def posterior_sample(
         lp = 0.0
         for j, pr in enumerate(prior):
             v = float(pr.logpdf(theta[j]))
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 return -np.inf, theta
             lp += v
         ll = float(np.sum(family_logpdf(family, theta[0], theta[1], data.values)))
-        if not np.isfinite(ll):
+        if not math.isfinite(ll):
             return -np.inf, theta
         return ll + lp + jac, theta
 
     # Start at the MLE; fall back to prior medians when that is infeasible.
+    # A log-walk coordinate must start positive and finite.
     for theta in (_initial_point(family, data, prior), _prior_medians(prior)):
         for j, pr in enumerate(prior):
             if fixed[j]:
                 theta[j] = pr.value
+        if not all(0.0 < theta[j] < math.inf for j in free if positive[j]):
+            continue
         phi = np.array([math.log(theta[j]) if positive[j] else theta[j] for j in free])
         lp_cur, theta = log_target(phi, theta)
         if np.isfinite(lp_cur):

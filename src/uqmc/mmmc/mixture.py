@@ -7,6 +7,11 @@ solution: the convex mixture of the targets' posterior-expected
 densities.  ``optimal_mixture`` realizes that expectation as an average
 over stored posterior draws; ``emsd`` evaluates the objective by
 adaptive quadrature as an independent optimality check.
+
+``MixtureDensity.logpdf`` writes one row per component with the shared
+family kernel ``distributions._logpdf_into`` (log x computed once per
+chunk) and reduces the rows with ``_logsumexp_columns``, a numpy
+log-sum-exp with the arithmetic of ``scipy.special.logsumexp``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
-from scipy.special import logsumexp
 
-from ..distributions import Distribution, Family, family_logpdf, family_ppf
+from ..distributions import (
+    Distribution,
+    Family,
+    _log_argument,
+    _logpdf_into,
+    family_logpdf,
+    family_ppf,
+)
 from ..exceptions import InvalidParameterError, QuadratureError
 from ..rng import RngStream
 from .ensemble import CandidateModelSet, thin_evenly
@@ -52,8 +63,11 @@ class MixtureDensity:
         grouped = []
         for fam, idx in groups.items():
             params = np.array([comps[i].params for i in idx])
-            grouped.append((fam, params, np.log(np.maximum(w[idx], 1e-300))))
+            log_w = np.log(np.maximum(w[idx], 1e-300))
+            grouped.append((fam, params[:, :1], params[:, 1:], log_w[:, None]))
         object.__setattr__(self, "_groups", grouped)
+        los, his = zip(*(c.support() for c in comps))
+        object.__setattr__(self, "_support", (min(los), max(his)))
 
     @property
     def n_components(self) -> int:
@@ -65,20 +79,28 @@ class MixtureDensity:
         return bool(abs(float(np.sum(self.weights)) - 1.0) <= 1e-12)
 
     def support(self) -> tuple[float, float]:
-        los, his = zip(*(c.support() for c in self.components))
-        return (min(los), max(his))
+        """Hull of the component supports, computed at construction."""
+        return self._support
 
     def logpdf(self, x) -> np.ndarray:
+        """log Σ_i w_i p_i(x), in chunks of ``_CHUNK`` points: one row per
+        component (grouped by family), reduced by ``_logsumexp_columns``."""
         x = np.asarray(x, dtype=np.float64)
         flat = np.atleast_1d(x).ravel()
         out = np.empty(flat.size)
+        widest = max(a.shape[0] for _, a, _, _ in self._groups)
         for lo in range(0, flat.size, _CHUNK):
-            xs = flat[lo : lo + _CHUNK]
-            rows = [
-                lw[:, None] + family_logpdf(fam, p[:, 0][:, None], p[:, 1][:, None], xs[None, :])
-                for fam, p, lw in self._groups
-            ]
-            out[lo : lo + _CHUNK] = logsumexp(np.vstack(rows), axis=0)
+            xs = flat[None, lo : lo + _CHUNK]
+            arg = _log_argument(xs)
+            rows = np.empty((self.n_components, xs.size))
+            tmp = np.empty((widest, xs.size))
+            r = 0
+            for fam, a, b, log_w in self._groups:
+                block = rows[r : r + a.shape[0]]
+                _logpdf_into(fam, a, b, xs, *arg, block, tmp[: a.shape[0]])
+                block += log_w
+                r += a.shape[0]
+            out[lo : lo + _CHUNK] = _logsumexp_columns(rows)
         return out.reshape(x.shape) if x.ndim else np.float64(out[0])
 
     def pdf(self, x) -> np.ndarray:
@@ -112,6 +134,27 @@ class MixtureDensity:
             "weights": self.weights.tolist(),
             "components": [c.to_json() for c in self.components],
         }
+
+
+def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    """log Σ_i exp(a[i, j]) for every column j, overwriting ``a``.
+
+    The arithmetic of ``scipy.special.logsumexp(a, axis=0)``: the m entries
+    equal to the column max are taken out of the shifted sum s, and the
+    result is log1p(s / m) + log(m) + max.  A column whose max is -inf,
+    +inf or NaN gives that max, as scipy's direct log(Σ exp a) does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = a.max(axis=0)
+        top = a == a_max
+        m = top.sum(axis=0, dtype=np.float64)
+        np.copyto(a, -np.inf, where=top)
+        a -= a_max
+        np.exp(a, out=a)
+        s = a.sum(axis=0)
+        np.divide(s, m, out=s, where=s != 0.0)
+        out = np.log1p(s) + np.log(m) + a_max
+    return np.where(np.isfinite(out), out, a_max)
 
 
 def optimal_mixture(

@@ -6,14 +6,24 @@ reweighting those outputs with its density ratio, so the model
 evaluation count is n regardless of how many candidates there are.
 Cached samples also let new candidate sets (e.g. after more data
 arrives) be propagated with zero new model evaluations.
+
+Every importance weight, in ``is_estimate`` and ``reweight`` alike, comes
+from one kernel, ``_importance_weights``: the shared family log-density
+kernel ``distributions._logpdf_into`` minus the proposal log density,
+screened for NaN/+inf weights, then exponentiated, all in caller-supplied
+buffers.  ``reweight`` computes log x once and reuses two length-n buffers
+for all T candidates, so its cost is T passes over n points with no
+per-candidate allocation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..distributions import Distribution, _log_argument, _logpdf_into
 from ..exceptions import EstimatorError, InvalidParameterError
 from ..models import CostLedger, Model, evaluate
 from ..reports import EstimateReport
@@ -41,31 +51,43 @@ def _check_support(
 
 
 def _importance_weights(
-    target, x: np.ndarray, log_q: np.ndarray, candidate: int | None = None
+    target, x, arg, log_q, out, tmp, candidate: int | None = None
 ) -> np.ndarray:
-    """Density ratios target/proposal at the proposal draws ``x``, given the
-    proposal's log density ``log_q`` there.  A NaN or +inf weight aborts,
-    naming the first offending sample (and the candidate, if given)."""
-    log_w = np.asarray(target.logpdf(x)) - log_q
-    bad = np.flatnonzero(~(np.isfinite(log_w) | (log_w == -np.inf)))
-    if bad.size:
-        i = int(bad[0])
-        raise EstimatorError(
-            f"non-finite importance weight{_who(candidate)} at sample {i} (x={x[i]!r}); "
-            "proposal support does not cover the target"
-        )
-    return np.exp(log_w)
+    """Write the density ratios target/proposal at the proposal draws ``x``
+    into ``out`` and return it; ``log_q`` is the proposal's log density
+    there, ``arg`` is ``_log_argument(x)`` and ``tmp`` a second work buffer.
+
+    The log-weight is screened with one sum: only a NaN or +inf sum runs the
+    elementwise check, which aborts on a NaN or +inf weight, naming the first
+    offending sample (and the candidate, if given).  A sum that overflows
+    from finite terms runs that check and passes it.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        _logpdf_into(target.family, *target.params, x, *arg, out, tmp)
+        out -= log_q
+        if not out.sum() < math.inf:
+            bad = np.flatnonzero(~(np.isfinite(out) | (out == -np.inf)))
+            if bad.size:
+                i = int(bad[0])
+                raise EstimatorError(
+                    f"non-finite importance weight{_who(candidate)} at sample {i} "
+                    f"(x={x[i]!r}); proposal support does not cover the target"
+                )
+        return np.exp(out, out=out)
+
+
+def _ess(s: float, ss: float) -> float:
+    """Effective sample count from the weight sum and the sum of squares."""
+    return s * s / ss if ss > 0.0 else 0.0
 
 
 def effective_sample_count(w: np.ndarray) -> float:
-    s = float(np.sum(w))
-    ss = float(np.sum(w * w))
-    return s * s / ss if ss > 0.0 else 0.0
+    return _ess(float(np.sum(w)), float(np.sum(w * w)))
 
 
 def is_estimate(
     model: Model,
-    target,
+    target: Distribution,
     proposal,
     n: int,
     rng: RngStream,
@@ -73,8 +95,10 @@ def is_estimate(
 ) -> EstimateReport:
     """Importance-sampling estimate of E_target[model] from proposal draws.
 
-    Both densities are normalized by construction, so the plain density
-    ratio is used (no self-normalization) and the estimator stays
+    ``target`` is a parametric ``Distribution``; ``proposal`` is a
+    ``MixtureDensity`` or any object with ``support``, ``logpdf`` and
+    ``ppf``.  Both densities are normalized by construction, so the plain
+    density ratio is used (no self-normalization) and the estimator stays
     unbiased.  The effective sample count is reported to expose weight
     degeneracy.
 
@@ -92,7 +116,8 @@ def is_estimate(
     else:
         x = proposal.ppf(rng.split(_MAIN).uniforms(n))
     y = evaluate(model, x[:, None], ledger)
-    w = _importance_weights(target, x, np.asarray(proposal.logpdf(x)))
+    log_q = np.asarray(proposal.logpdf(x))
+    w = _importance_weights(target, x, _log_argument(x), log_q, np.empty(n), np.empty(n))
     wy = w * y
     s_hat = float(np.mean(wy))
     sigma_sq = float(np.mean((wy - s_hat) ** 2))
@@ -182,11 +207,14 @@ def reweight(
     estimates = np.empty(T)
     ess = np.empty(T)
     q_support = samples.proposal.support()
+    x, y = samples.x, samples.y
+    arg = _log_argument(x)
+    w, tmp = np.empty(samples.n), np.empty(samples.n)
     for j, target in enumerate(targets.entries):
         _check_support(target, q_support, j)
-        w = _importance_weights(target, samples.x, samples.log_q, j)
-        estimates[j] = float(np.mean(w * samples.y))
-        ess[j] = effective_sample_count(w)
+        _importance_weights(target, x, arg, samples.log_q, w, tmp, j)
+        estimates[j] = float(np.mean(np.multiply(w, y, out=tmp)))
+        ess[j] = _ess(float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp))))
     qs = np.quantile(estimates, _QUANTILES)
     return MultimodelReport(
         estimates=estimates,

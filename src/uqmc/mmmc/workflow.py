@@ -5,7 +5,8 @@ propagate the whole candidate ensemble through a model in one loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from ..distributions import Dataset, Family
 from ..exceptions import InvalidParameterError
@@ -34,6 +35,8 @@ class MultimodelRun:
     mixture: MixtureDensity
     report: MultimodelReport
     samples: PropagationSamples
+    # Wall seconds per pipeline phase; not part of any deterministic report.
+    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def quantify_input_uncertainty(
@@ -93,6 +96,7 @@ def run_multimodel(
 ) -> MultimodelRun:
     """The full single-loop pipeline for one dataset and one model."""
     ledger = ledger if ledger is not None else CostLedger()
+    t0 = time.perf_counter()
     probabilities, posteriors = quantify_input_uncertainty(
         data,
         families,
@@ -103,14 +107,18 @@ def run_multimodel(
         mcmc=mcmc,
         rng=rng,
     )
+    t1 = time.perf_counter()
     candidates = build_candidate_set(
         probabilities, posteriors, ensemble_size, rng.split(_CANDIDATE_SPLIT)
     )
     mixture = optimal_mixture(
         probabilities, posteriors, mixture_mode, max_components_per_family
     )
+    t2 = time.perf_counter()
     samples = draw_propagation_samples(model, mixture, n, rng.split(_PROPAGATE_SPLIT), ledger)
+    t3 = time.perf_counter()
     report = reweight(samples, candidates, ledger)
+    t4 = time.perf_counter()
     return MultimodelRun(
         probabilities=probabilities,
         posteriors=posteriors,
@@ -118,4 +126,10 @@ def run_multimodel(
         mixture=mixture,
         report=report,
         samples=samples,
+        phase_seconds={
+            "inference_mcmc": t1 - t0,
+            "candidates_mixture": t2 - t1,
+            "draw": t3 - t2,
+            "reweight": t4 - t3,
+        },
     )

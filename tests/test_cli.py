@@ -196,6 +196,23 @@ class TestRun:
         est_lines = (tmp_path / "out/estimates.csv").read_text().strip().splitlines()
         assert len(est_lines) - 1 == 30
 
+    def test_mmmc_run_meta_phase_seconds(self, tmp_path):
+        cfg = {
+            "method": "mmmc",
+            "problem": "smalldata_demo",
+            "samples": 500,
+            "ensemble_size": 10,
+            "mcmc": {"burn_in": 200, "keep": 50, "thin": 2},
+            "seed": 3,
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+        meta = json.loads((tmp_path / "out/run_meta.json").read_text())
+        phases = meta["phase_s"]
+        assert set(phases) == {"inference_mcmc", "candidates_mixture", "draw", "reweight", "write"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+        assert meta["wall_time_s"] >= 0.0
+
     def test_mmmc_external_csv_data(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("# demo data\n1.2\n2.1\n0.8\n1.7\n2.6\n1.1\n0.9\n1.4\n2.0\n1.6\n")

@@ -221,6 +221,15 @@ class TestPosteriorSample:
         with pytest.raises(InvalidParameterError):
             posterior_sample(Family.NORMAL, MIXED_DATA, prior, McmcOptions(), RngStream(13))
 
+    def test_nonpositive_log_walk_start_skipped(self):
+        # The MLE fails on identical data and the prior median of sigma is 0:
+        # both start candidates are infeasible for the log-space walk.
+        prior = [UniformPrior(-1.0, 1.0), UniformPrior(-1.0, 1.0)]
+        with pytest.raises(EstimatorError, match="no feasible starting point for the chain"):
+            posterior_sample(
+                Family.NORMAL, Dataset([1.0, 1.0, 1.0]), prior, McmcOptions(), RngStream(14)
+            )
+
     def test_unexpected_mle_error_propagates(self, monkeypatch):
         # Only the library's own fit errors fall back to prior medians.
         def broken_fit(family, data):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
+from scipy.special import logsumexp
 
 from uqmc import Distribution, Family, RngStream
 from uqmc.exceptions import InvalidParameterError
@@ -14,6 +16,7 @@ from uqmc.mmmc import (
     mixture_normalization,
     optimal_mixture,
 )
+from uqmc.mmmc.mixture import _logsumexp_columns
 
 N01 = Distribution(Family.NORMAL, (0.0, 1.0))
 N21 = Distribution(Family.NORMAL, (2.0, 1.0))
@@ -101,6 +104,15 @@ class TestMixtureDensity:
         )
         assert q2.support() == (0.0, math.inf)
 
+    def test_support_computed_once(self, monkeypatch):
+        q = MixtureDensity((N01, Distribution(Family.GAMMA, (2.0, 1.0))), np.array([0.5, 0.5]))
+
+        def no_call(self):
+            raise AssertionError("component support recomputed")
+
+        monkeypatch.setattr(Distribution, "support", no_call)
+        assert q.support() == (-math.inf, math.inf)
+
     def test_normalization_by_quadrature(self):
         q = MixtureDensity(
             (
@@ -111,6 +123,69 @@ class TestMixtureDensity:
             np.array([0.3, 0.4, 0.3]),
         )
         assert mixture_normalization(q) == pytest.approx(1.0, abs=1e-6)
+
+    @staticmethod
+    def _scipy_logpdf(q, x):
+        # Per-component rows in component order; the mixtures below list
+        # their components grouped by family, which is the order the
+        # mixture sums its rows in.
+        rows = [np.log(w) + c.logpdf(x) for w, c in zip(q.weights, q.components)]
+        return logsumexp(np.vstack(rows), axis=0)
+
+    def test_logpdf_equals_scipy_logsumexp_bitwise(self):
+        comps = (
+            N01,
+            Distribution(Family.NORMAL, (1.5, 0.3)),
+            Distribution(Family.LOGNORMAL, (0.2, 0.6)),
+            Distribution(Family.GAMMA, (2.0, 1.0)),
+            Distribution(Family.GAMMA, (0.7, 3.0)),
+            Distribution(Family.WEIBULL, (1.8, 2.0)),
+            Distribution(Family.UNIFORM, (-1.0, 4.0)),
+        )
+        q = MixtureDensity(comps, np.array([0.2, 0.1, 0.15, 0.15, 0.1, 0.2, 0.1]))
+        # More points than one evaluation chunk, from deep left tail to far right.
+        x = np.concatenate([np.linspace(-40.0, 60.0, 9001), [0.0, -0.0, 1e-300, 1e6]])
+        assert_array_equal(q.logpdf(x), self._scipy_logpdf(q, x))
+
+    def test_positive_support_mixture_at_nonpositive_points(self):
+        comps = (
+            Distribution(Family.LOGNORMAL, (0.0, 0.5)),
+            Distribution(Family.GAMMA, (2.0, 1.0)),
+            Distribution(Family.WEIBULL, (1.5, 2.0)),
+        )
+        q = MixtureDensity(comps, np.array([0.3, 0.3, 0.4]))
+        x = np.array([-5.0, -1e-12, -0.0, 0.0, 1e-3, 1.0, 7.5])
+        got = q.logpdf(x)
+        assert np.all(got[:4] == -np.inf)
+        assert np.all(np.isfinite(got[4:]))
+        assert_array_equal(got, self._scipy_logpdf(q, x))
+
+    def test_duplicate_components_tied_maxima(self):
+        q = MixtureDensity((N01, N01, N21, N21), np.array([0.25, 0.25, 0.25, 0.25]))
+        x = np.linspace(-6.0, 8.0, 1401)
+        assert_array_equal(q.logpdf(x), self._scipy_logpdf(q, x))
+
+    def test_logsumexp_columns_edge_cases_match_scipy(self):
+        inf, nan = np.inf, np.nan
+        cols = [
+            [-inf, -inf, -inf],  # all -inf
+            [inf, 0.0, -3.0],  # +inf
+            [inf, inf, 1.0],  # two +inf
+            [nan, 0.0, 1.0],  # NaN
+            [2.0, 2.0, -1.0],  # tied maxima
+            [5.0, 5.0, 5.0],  # all tied
+            [1e308, 1e308, 0.0],  # near overflow
+            [-1e308, -inf, -1e308],
+            [-745.0, -746.0, -800.0],  # exp underflow
+            [0.0, -0.0, -40.0],
+            [-inf, 3.0, -inf],
+        ]
+        a = np.array(cols, dtype=np.float64).T
+        assert_array_equal(_logsumexp_columns(a.copy()), logsumexp(a, axis=0))
+        gen = np.random.default_rng(4)
+        a = gen.normal(0.0, 30.0, (57, 500))
+        a[gen.random(a.shape) < 0.2] = -inf
+        assert_array_equal(_logsumexp_columns(a.copy()), logsumexp(a, axis=0))
 
     def test_bad_weights_rejected(self):
         with pytest.raises(InvalidParameterError):

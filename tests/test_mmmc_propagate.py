@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from uqmc.exceptions import EstimatorError
 from uqmc.mmmc import (
     CandidateModelSet,
     MixtureDensity,
+    PropagationSamples,
     build_candidate_set,
     draw_propagation_samples,
     is_estimate,
@@ -189,6 +191,74 @@ class TestPropagate:
         )
         with pytest.raises(EstimatorError, match="candidate 1 support"):
             reweight(samples, targets)
+
+    def test_reweight_pinned_mixed_families(self):
+        # Five families over a mixture with a normal component, so some
+        # draws are <= 0 and the positive-support candidates weight them 0.
+        # Digest and quantiles were recorded before the weight kernel was
+        # rewritten; any change in arithmetic order breaks them.
+        q = MixtureDensity(
+            (
+                Distribution(Family.NORMAL, (1.0, 1.5)),
+                Distribution(Family.LOGNORMAL, (0.2, 0.5)),
+                Distribution(Family.GAMMA, (3.0, 0.6)),
+                Distribution(Family.WEIBULL, (2.0, 1.8)),
+                Distribution(Family.UNIFORM, (0.5, 3.0)),
+            ),
+            np.array([0.4, 0.15, 0.15, 0.15, 0.15]),
+        )
+        entries = []
+        for j in range(5):
+            entries += [
+                Distribution(Family.NORMAL, (0.8 + 0.1 * j, 1.2 + 0.05 * j)),
+                Distribution(Family.LOGNORMAL, (0.1 + 0.05 * j, 0.4 + 0.03 * j)),
+                Distribution(Family.GAMMA, (2.5 + 0.3 * j, 0.5 + 0.05 * j)),
+                Distribution(Family.WEIBULL, (1.8 + 0.2 * j, 1.5 + 0.1 * j)),
+                Distribution(Family.UNIFORM, (0.2 * j, 2.5 + 0.2 * j)),
+            ]
+        targets = CandidateModelSet(entries=tuple(entries), source_pi=(1.0,), seed=0)
+        samples = draw_propagation_samples(SQUARE, q, 3000, RngStream(31))
+        assert int(np.sum(samples.x <= 0.0)) == 299
+        rep = reweight(samples, targets)
+        digest = hashlib.sha256(rep.estimates.tobytes() + rep.ess.tobytes()).hexdigest()
+        assert digest == "259427d729409b431180a67d17aa3b072f5f3f718d993042a860bcdb3e6cd8ba"
+        assert rep.quantiles == {
+            "5%": 1.955437813512995,
+            "25%": 2.3530096757964225,
+            "50%": 2.7902092472948623,
+            "75%": 3.348724944915974,
+            "95%": 5.668315899920205,
+        }
+        assert rep.diagnostics == {"n_candidates": 25, "min_ess": 1176.300318624696}
+
+    def test_reweight_runtime_weight_violation_identified(self):
+        # The proposal log density is -inf at drawn sample 7: the hull check
+        # passes, and the weight check must name both candidate and sample.
+        q = MixtureDensity((N01,), np.array([1.0]))
+        drawn = draw_propagation_samples(IDENT, q, 400, RngStream(18))
+        log_q = drawn.log_q.copy()
+        log_q[7] = -np.inf
+        samples = PropagationSamples(
+            x=drawn.x, y=drawn.y, log_q=log_q, proposal=q, seed=drawn.seed
+        )
+        targets = CandidateModelSet(
+            entries=(Distribution(Family.NORMAL, (0.1, 1.2)), N01), source_pi=(1.0,), seed=0
+        )
+        with pytest.raises(EstimatorError, match=r"candidate 0 at sample 7 \(x="):
+            reweight(samples, targets)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_reweight_finite_sum_overflow_does_not_raise(self):
+        # Huge but finite log-weights overflow their sum to +inf; that is
+        # not a weight violation, so reweighting carries on.
+        q = MixtureDensity((N01,), np.array([1.0]))
+        drawn = draw_propagation_samples(SQUARE, q, 500, RngStream(19))
+        samples = PropagationSamples(
+            x=drawn.x, y=drawn.y, log_q=np.full(500, -1e306), proposal=q, seed=drawn.seed
+        )
+        targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
+        rep = reweight(samples, targets)
+        assert rep.estimates[0] == np.inf
 
     def test_is_replication_mean_unbiased(self):
         # Fixed target, mixture proposal: the replication mean of the
