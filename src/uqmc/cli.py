@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import difflib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -33,7 +34,7 @@ from .exceptions import (
 from .mc import ControlVariateConfig, cv_estimate, draw_inputs, mc_estimate
 from .mfmc import mfmc_estimate
 from .mlmc import mlmc_estimate, two_level_estimate
-from .mmmc import McmcOptions, run_multimodel
+from .mmmc import RHAT_LIMIT, McmcOptions, run_multimodel
 from .models import CostLedger, builtin_problem, evaluate
 from .reports import _plain
 from .rng import RngStream
@@ -181,6 +182,12 @@ def validate_config(text: str) -> dict:
     return cfg
 
 
+def _finite_or_null(values: dict) -> dict:
+    """MCMC diagnostics for the report: NaN (chains too short to judge) and
+    an infinite R-hat (chains stuck apart) are not JSON, and become null."""
+    return {k: v if math.isfinite(v) else None for k, v in values.items()}
+
+
 def _bundle_for(cfg: dict):
     return builtin_problem(cfg["problem"]["name"], cfg["problem"]["params"])
 
@@ -308,9 +315,16 @@ def _run_estimator(cfg: dict):
             fam.value: {
                 "mean": np.mean(post.samples, axis=0).tolist(),
                 "acceptance_rate": post.acceptance_rate,
+                "rhat": _finite_or_null(post.diagnostics["rhat"]),
+                "ess_bulk": _finite_or_null(post.diagnostics["ess_bulk"]),
             }
             for fam, post in run.posteriors.items()
         }
+        flags = [
+            f"mcmc_rhat_high:{fam.value}"
+            for fam, post in run.posteriors.items()
+            if any(v > RHAT_LIMIT for v in post.diagnostics["rhat"].values())
+        ]
         extras["mixture"] = run.mixture.to_json()
         if cfg["dump_estimates"]:
             est = run.report.estimates

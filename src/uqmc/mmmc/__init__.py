@@ -4,7 +4,15 @@ with one importance-sampled loop."""
 
 from .ensemble import CandidateModelSet, build_candidate_set, candidate_set_from_posteriors
 from .inference import ModelProbabilities, aic_weights, bayes_weights, model_evidence
-from .mcmc import McmcOptions, ParameterPosterior, effective_sample_size, posterior_sample
+from .mcmc import (
+    RHAT_LIMIT,
+    McmcOptions,
+    ParameterPosterior,
+    bulk_ess,
+    effective_sample_size,
+    posterior_sample,
+    split_rhat,
+)
 from .mixture import MixtureDensity, emsd, mixture_normalization, optimal_mixture
 from .priors import (
     LogUniformPrior,
@@ -42,10 +50,12 @@ __all__ = [
     "ParameterPosterior",
     "PointMassPrior",
     "PropagationSamples",
+    "RHAT_LIMIT",
     "UniformPrior",
     "aic_weights",
     "bayes_weights",
     "build_candidate_set",
+    "bulk_ess",
     "candidate_set_from_posteriors",
     "default_priors",
     "draw_propagation_samples",
@@ -61,4 +71,5 @@ __all__ = [
     "quantify_input_uncertainty",
     "reweight",
     "run_multimodel",
+    "split_rhat",
 ]

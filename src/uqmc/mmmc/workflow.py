@@ -49,9 +49,15 @@ def quantify_input_uncertainty(
     n_ev: int = 10_000,
     mcmc: McmcOptions = McmcOptions(),
     rng: RngStream,
+    phase_seconds: dict[str, float] | None = None,
 ) -> tuple[ModelProbabilities, dict[Family, ParameterPosterior]]:
     """Model probabilities plus parameter posteriors for every family
-    with positive probability."""
+    with positive probability.
+
+    When ``phase_seconds`` is given, the wall seconds of the model
+    probabilities and of the MCMC go into its ``inference`` and ``mcmc``
+    entries."""
+    t0 = time.perf_counter()
     families = [Family(f) for f in families]
     if priors is None:
         priors = {
@@ -67,6 +73,7 @@ def quantify_input_uncertainty(
         )
     else:
         raise InvalidParameterError("inference must be 'aic' or 'bayes'")
+    t1 = time.perf_counter()
 
     posteriors: dict[Family, ParameterPosterior] = {}
     for i, (fam, p) in enumerate(zip(probabilities.families, probabilities.pi)):
@@ -74,6 +81,9 @@ def quantify_input_uncertainty(
             posteriors[fam] = posterior_sample(
                 fam, data, priors[fam], mcmc, rng.split(_MCMC_SPLIT + i)
             )
+    if phase_seconds is not None:
+        phase_seconds["inference"] = t1 - t0
+        phase_seconds["mcmc"] = time.perf_counter() - t1
     return probabilities, posteriors
 
 
@@ -96,7 +106,7 @@ def run_multimodel(
 ) -> MultimodelRun:
     """The full single-loop pipeline for one dataset and one model."""
     ledger = ledger if ledger is not None else CostLedger()
-    t0 = time.perf_counter()
+    phase_seconds: dict[str, float] = {}
     probabilities, posteriors = quantify_input_uncertainty(
         data,
         families,
@@ -106,6 +116,7 @@ def run_multimodel(
         n_ev=n_ev,
         mcmc=mcmc,
         rng=rng,
+        phase_seconds=phase_seconds,
     )
     t1 = time.perf_counter()
     candidates = build_candidate_set(
@@ -119,6 +130,7 @@ def run_multimodel(
     t3 = time.perf_counter()
     report = reweight(samples, candidates, ledger)
     t4 = time.perf_counter()
+    phase_seconds.update(candidates_mixture=t2 - t1, draw=t3 - t2, reweight=t4 - t3)
     return MultimodelRun(
         probabilities=probabilities,
         posteriors=posteriors,
@@ -126,10 +138,5 @@ def run_multimodel(
         mixture=mixture,
         report=report,
         samples=samples,
-        phase_seconds={
-            "inference_mcmc": t1 - t0,
-            "candidates_mixture": t2 - t1,
-            "draw": t3 - t2,
-            "reweight": t4 - t3,
-        },
+        phase_seconds=phase_seconds,
     )

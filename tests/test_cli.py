@@ -209,9 +209,44 @@ class TestRun:
         assert code == 0
         meta = json.loads((tmp_path / "out/run_meta.json").read_text())
         phases = meta["phase_s"]
-        assert set(phases) == {"inference_mcmc", "candidates_mixture", "draw", "reweight", "write"}
+        assert set(phases) == {
+            "inference", "mcmc", "candidates_mixture", "draw", "reweight", "write"
+        }
         assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
         assert meta["wall_time_s"] >= 0.0
+
+    @pytest.mark.parametrize("keep", [50, 4])
+    def test_mmmc_rhat_in_report_and_flags(self, tmp_path, keep):
+        cfg = {
+            "method": "mmmc",
+            "problem": "smalldata_demo",
+            "samples": 500,
+            "ensemble_size": 10,
+            "mcmc": {"burn_in": 200, "keep": keep, "thin": 2},
+            "seed": 3,
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"{token} in report.json")
+
+        text = (tmp_path / "out/report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        jsonschema.validate(report, SCHEMA)
+        summaries = report["diagnostics"]["posterior_summaries"]
+        high = set()
+        for fam, summary in summaries.items():
+            names = set(summary["rhat"])
+            assert names == set(summary["ess_bulk"]) and len(names) == 2
+            rhat = [v for v in summary["rhat"].values() if v is not None]
+            if keep == 4:  # one draw per chain: nothing to judge
+                assert rhat == [] and set(summary["ess_bulk"].values()) == {None}
+            elif max(rhat) > 1.01:
+                high.add(f"mcmc_rhat_high:{fam}")
+        assert set(report["diagnostics"]["flags"]) == high
+        if keep == 50:
+            assert high  # 13 draws per chain do not mix
 
     def test_mmmc_external_csv_data(self, tmp_path):
         data = tmp_path / "data.csv"

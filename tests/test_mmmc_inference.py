@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from uqmc import Dataset, Family, RngStream
 from uqmc.exceptions import EstimatorError, InvalidParameterError
 from uqmc.mmmc import (
+    RHAT_LIMIT,
     LogUniformPrior,
     McmcOptions,
     NormalPrior,
@@ -17,11 +19,14 @@ from uqmc.mmmc import (
     UniformPrior,
     aic_weights,
     bayes_weights,
+    bulk_ess,
     default_priors,
     effective_sample_size,
     model_evidence,
     posterior_sample,
+    split_rhat,
 )
+from uqmc.mmmc import mcmc
 from uqmc.mmmc.inference import _softmax
 
 POS_DATA = Dataset([1.73, 3.42, 0.88, 2.15, 4.61, 1.02, 2.94, 1.48, 3.07, 0.67])
@@ -196,7 +201,7 @@ class TestPosteriorSample:
         prior = default_priors(Family.NORMAL, MIXED_DATA)
         opts = McmcOptions(burn_in=500, keep=100, thin=3)
         post = posterior_sample(Family.NORMAL, MIXED_DATA, prior, opts, RngStream(10))
-        assert post.chain_length == 500 + 100 * 3
+        assert post.chain_length == 500 + 25 * 3  # steps per chain, 4 chains
         assert post.samples.shape == (100, 2)
 
     def test_tight_prior_dominates(self):
@@ -249,41 +254,60 @@ def _fingerprint(post):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _case(case_id, *values):
+    return pytest.param(*values, id=case_id)
+
+
 class TestPosteriorSamplePinned:
     """Exact draws, acceptance rates and diagnostics of the sampler.
 
     The fingerprint hashes ``samples.tobytes()`` and ``repr(diagnostics)``
-    (proposal scales, free coordinates, warnings).  A change that alters
-    any draw, the RNG order or the adaptation schedule breaks these.
+    (per-chain proposal scales, free coordinates, warnings, R-hat, bulk
+    ESS).  A change that alters any draw, the RNG layout or the adaptation
+    schedule breaks these.  Each case keeps the id it was first pinned
+    under, when one scalar chain ran per family; the id names the case,
+    the digest and rate after it are what is checked.
     """
 
     @pytest.mark.parametrize(
         "family, seed, digest, rate",
         [
-            (Family.NORMAL, 1, "129cb9aa9e6925b0", 0.39111111111111113),
-            (Family.NORMAL, 2, "01c07386fd6ef9b7", 0.3711111111111111),
-            (Family.LOGNORMAL, 1, "695dc3f9c65e07e0", 0.39111111111111113),
-            (Family.LOGNORMAL, 2, "4ece79119a82b6f2", 0.3711111111111111),
-            (Family.GAMMA, 1, "238f827c219acec0", 0.31777777777777777),
-            (Family.GAMMA, 2, "3d18c4afe1380bcc", 0.35555555555555557),
-            (Family.WEIBULL, 1, "c82d7d462cebef13", 0.4066666666666667),
-            (Family.WEIBULL, 2, "bc57fce3dddad61e", 0.38),
-            (Family.UNIFORM, 1, "01c41d23d480798f", 0.3422222222222222),
-            (Family.UNIFORM, 2, "bda7aaa174ec5549", 0.37777777777777777),
+            _case("normal-1-129cb9aa9e6925b0-0.39111111111111113",
+                  Family.NORMAL, 1, "384122c5f867156f", 0.3684210526315789),
+            _case("normal-2-01c07386fd6ef9b7-0.3711111111111111",
+                  Family.NORMAL, 2, "a4de752e8ba3dba5", 0.3815789473684211),
+            _case("lognormal-1-695dc3f9c65e07e0-0.39111111111111113",
+                  Family.LOGNORMAL, 1, "3b512926273c8e53", 0.3684210526315789),
+            _case("lognormal-2-4ece79119a82b6f2-0.3711111111111111",
+                  Family.LOGNORMAL, 2, "00cbc77ecaed3e5f", 0.3815789473684211),
+            _case("gamma-1-238f827c219acec0-0.31777777777777777",
+                  Family.GAMMA, 1, "0f6ae91b1df4283e", 0.33771929824561403),
+            _case("gamma-2-3d18c4afe1380bcc-0.35555555555555557",
+                  Family.GAMMA, 2, "7c7e65970063de59", 0.2982456140350877),
+            _case("weibull-1-c82d7d462cebef13-0.4066666666666667",
+                  Family.WEIBULL, 1, "d5c98e3354ff3382", 0.3574561403508772),
+            _case("weibull-2-bc57fce3dddad61e-0.38",
+                  Family.WEIBULL, 2, "b779bc2371b8bb09", 0.3815789473684211),
+            _case("uniform-1-01c41d23d480798f-0.3422222222222222",
+                  Family.UNIFORM, 1, "0813f9dbaceac209", 0.36403508771929827),
+            _case("uniform-2-bda7aaa174ec5549-0.37777777777777777",
+                  Family.UNIFORM, 2, "fdbb45bb5118bc36", 0.4144736842105263),
         ],
     )
     def test_default_priors_positive_data(self, family, seed, digest, rate):
         prior = default_priors(family, POS_DATA)
         post = posterior_sample(family, POS_DATA, prior, PIN_OPTS, RngStream(seed))
         assert (_fingerprint(post), post.acceptance_rate) == (digest, rate)
-        assert post.chain_length == 1150
+        assert post.chain_length == 700 + 38 * 3
         assert post.diagnostics["warnings"] == []
 
     @pytest.mark.parametrize(
         "family, digest, rate",
         [
-            (Family.NORMAL, "42021cec703f29aa", 0.38666666666666666),
-            (Family.UNIFORM, "71059203d734e351", 0.42),
+            _case("normal-42021cec703f29aa-0.38666666666666666",
+                  Family.NORMAL, "10654e4a64c3b7b0", 0.3706140350877193),
+            _case("uniform-71059203d734e351-0.42",
+                  Family.UNIFORM, "2dd24053a9d6cf32", 0.3881578947368421),
         ],
     )
     def test_default_priors_mixed_data(self, family, digest, rate):
@@ -294,14 +318,17 @@ class TestPosteriorSamplePinned:
     @pytest.mark.parametrize(
         "family, data, prior, seed, digest, rate",
         [
-            (Family.NORMAL, MIXED_DATA, [UniformPrior(-50.0, 50.0), PointMassPrior(1.0)],
-             1, "d203edcf641a68d8", 0.4444444444444444),
-            (Family.GAMMA, POS_DATA, [PointMassPrior(2.0), LogUniformPrior(0.01, 100.0)],
-             1, "69b6a164c95b2e4b", 0.38222222222222224),
+            _case("normal-data0-prior0-1-d203edcf641a68d8-0.4444444444444444",
+                  Family.NORMAL, MIXED_DATA, [UniformPrior(-50.0, 50.0), PointMassPrior(1.0)],
+                  1, "e75cb048ab167d63", 0.3684210526315789),
+            _case("gamma-data1-prior1-1-69b6a164c95b2e4b-0.38222222222222224",
+                  Family.GAMMA, POS_DATA, [PointMassPrior(2.0), LogUniformPrior(0.01, 100.0)],
+                  1, "1d4fcf5c46b21799", 0.3793859649122807),
             # The MLE shape overflows exp(shape * log(x / 1e-160)), so the
-            # chain starts from the prior medians instead.
-            (Family.WEIBULL, POS_DATA, [LogUniformPrior(1e-4, 2.5), PointMassPrior(1e-160)],
-             1, "01a712ddb1ed125e", 0.4911111111111111),
+            # chains start from the prior medians instead.
+            _case("weibull-data2-prior2-1-01a712ddb1ed125e-0.4911111111111111",
+                  Family.WEIBULL, POS_DATA, [LogUniformPrior(1e-4, 2.5), PointMassPrior(1e-160)],
+                  1, "bc4c6836f53959fd", 0.37719298245614036),
         ],
     )
     def test_fixed_coordinates(self, family, data, prior, seed, digest, rate):
@@ -314,8 +341,10 @@ class TestPosteriorSamplePinned:
     @pytest.mark.parametrize(
         "family, seed, digest, rate",
         [
-            (Family.NORMAL, 1, "725f660933b8abaf", 0.40444444444444444),
-            (Family.GAMMA, 2, "c82fcbf6e1f650c3", 0.35777777777777775),
+            _case("normal-1-725f660933b8abaf-0.40444444444444444",
+                  Family.NORMAL, 1, "6ffe75b1e36bb96f", 0.3442982456140351),
+            _case("gamma-2-c82fcbf6e1f650c3-0.35777777777777775",
+                  Family.GAMMA, 2, "3ec5ba3f836a07c5", 0.33114035087719296),
         ],
     )
     def test_burn_in_not_a_window_multiple(self, family, seed, digest, rate):
@@ -324,7 +353,7 @@ class TestPosteriorSamplePinned:
         post = posterior_sample(family, POS_DATA, default_priors(family, POS_DATA), opts,
                                 RngStream(seed))
         assert (_fingerprint(post), post.acceptance_rate) == (digest, rate)
-        assert post.chain_length == 1200
+        assert post.chain_length == 750 + 38 * 3
 
     def test_no_feasible_start(self):
         prior = default_priors(Family.GAMMA, MIXED_DATA)
@@ -332,19 +361,31 @@ class TestPosteriorSamplePinned:
             posterior_sample(Family.GAMMA, MIXED_DATA, prior, PIN_OPTS, RngStream(1))
 
     def test_never_accepted(self):
-        prior = [LogUniformPrior(5.0, 6.0), LogUniformPrior(0.01, 0.02)]
+        # Prior boxes 1e-9 wide in log space: no proposal of any chain lands
+        # inside them, whatever the seed.
+        prior = [LogUniformPrior(5.0, 5.0 * (1 + 1e-9)), LogUniformPrior(0.01, 0.01 * (1 + 1e-9))]
         with pytest.raises(EstimatorError, match="never accepted"):
             posterior_sample(Family.WEIBULL, POS_DATA, prior, PIN_OPTS, RngStream(1))
 
     @pytest.mark.parametrize(
         "family, data, prior, seed, digest, rate, warning",
         [
-            (Family.WEIBULL, POS_DATA, [LogUniformPrior(5.0, 6.0), LogUniformPrior(0.01, 0.02)],
-             2, "0df67f21c3743fc4", 0.006666666666666667, "0.007"),
-            (Family.NORMAL, MIXED_DATA, [NormalPrior(7.0, 1e-4), PointMassPrior(1.0)],
-             1, "fb72aa0e721c9896", 0.0044444444444444444, "0.004"),
-            (Family.NORMAL, MIXED_DATA, [NormalPrior(7.0, 1e-4), PointMassPrior(1.0)],
-             2, "57244e89d034ecfc", 0.006666666666666667, "0.007"),
+            _case("weibull-data0-prior0-2-0df67f21c3743fc4-0.006666666666666667-0.007",
+                  Family.WEIBULL, POS_DATA,
+                  [LogUniformPrior(5.0, 6.0), LogUniformPrior(0.01, 0.02)],
+                  2, "58ebdf3ec144ba4d", 0.013157894736842105, "0.013"),
+            _case("normal-data1-prior1-1-fb72aa0e721c9896-0.0044444444444444444-0.004",
+                  Family.NORMAL, MIXED_DATA, [NormalPrior(7.0, 1e-4), PointMassPrior(1.0)],
+                  1, "d126b33b8897df06", 0.0043859649122807015, "0.004"),
+            _case("normal-data2-prior2-2-57244e89d034ecfc-0.006666666666666667-0.007",
+                  Family.NORMAL, MIXED_DATA, [NormalPrior(7.0, 1e-4), PointMassPrior(1.0)],
+                  2, "7eb91d2847a1a8e2", 0.010964912280701754, "0.011"),
+            # One scalar chain never accepted here; pooled over four chains
+            # the count is 4, which warns and does not raise.
+            _case("weibull-pooled-1",
+                  Family.WEIBULL, POS_DATA,
+                  [LogUniformPrior(5.0, 6.0), LogUniformPrior(0.01, 0.02)],
+                  1, "da86bbf2687d730c", 0.008771929824561403, "0.009"),
         ],
     )
     def test_low_acceptance_warning(self, family, data, prior, seed, digest, rate, warning):
@@ -353,3 +394,87 @@ class TestPosteriorSamplePinned:
         assert post.diagnostics["warnings"] == [
             f"acceptance rate {warning} outside [0.05, 0.95]"
         ]
+
+
+class TestRandomnessLayout:
+    def test_block_size_does_not_change_draws(self, monkeypatch):
+        prior = default_priors(Family.GAMMA, POS_DATA)
+        ref = posterior_sample(Family.GAMMA, POS_DATA, prior, PIN_OPTS, RngStream(3))
+        monkeypatch.setattr(mcmc, "_BLOCK", 7)
+        post = posterior_sample(Family.GAMMA, POS_DATA, prior, PIN_OPTS, RngStream(3))
+        assert post.samples.tobytes() == ref.samples.tobytes()
+        assert post.acceptance_rate == ref.acceptance_rate
+        assert repr(post.diagnostics) == repr(ref.diagnostics)
+
+    def test_chain_zero_reads_only_split_zero(self):
+        class OtherSiblings:
+            """split(0) as RngStream(3), every other child from another seed."""
+
+            def split(self, child):
+                return RngStream(3 if child == 0 else 4).split(child)
+
+        prior = default_priors(Family.NORMAL, POS_DATA)
+        ref = posterior_sample(Family.NORMAL, POS_DATA, prior, PIN_OPTS, RngStream(3))
+        post = posterior_sample(Family.NORMAL, POS_DATA, prior, PIN_OPTS, OtherSiblings())
+        per_chain = -(-PIN_OPTS.keep // 4)
+        assert np.array_equal(post.samples[:per_chain], ref.samples[:per_chain])
+        assert not np.array_equal(post.samples[per_chain:], ref.samples[per_chain:])
+
+
+class TestConvergenceDiagnostics:
+    def test_iid_chains_pass(self):
+        chains = np.random.default_rng(0).standard_normal((4, 1000))
+        assert split_rhat(chains) < RHAT_LIMIT
+
+    def test_shifted_chain_fails(self):
+        chains = np.random.default_rng(0).standard_normal((4, 1000))
+        chains[2] += 1.0
+        assert split_rhat(chains) > RHAT_LIMIT
+
+    def test_ties_share_their_rank(self):
+        # Coin flips tie in every chain; ranks that broke ties by position
+        # would rank chain 0's zeros below chain 3's and inflate R-hat.
+        chains = np.random.default_rng(1).integers(0, 2, (4, 1000)).astype(float)
+        assert split_rhat(chains) < RHAT_LIMIT
+
+    def test_ess_of_autocorrelated_chains(self):
+        # AR(1) with coefficient 0.9 has ESS = S (1 - 0.9) / (1 + 0.9).
+        gen = np.random.default_rng(2)
+        chains = np.empty((4, 5000))
+        chains[:, 0] = gen.standard_normal(4)
+        eps = gen.standard_normal((4, 5000)) * math.sqrt(1 - 0.81)
+        for t in range(1, 5000):
+            chains[:, t] = 0.9 * chains[:, t - 1] + eps[:, t]
+        assert bulk_ess(chains) == pytest.approx(20000 * 0.1 / 1.9, rel=0.25)
+        assert bulk_ess(gen.standard_normal((4, 1000))) == pytest.approx(4000, rel=0.1)
+
+    def test_too_short_chains_give_nan(self):
+        chains = np.arange(12.0).reshape(4, 3)
+        assert math.isnan(split_rhat(chains))
+        assert math.isnan(bulk_ess(chains))
+
+    def test_constant_chains(self):
+        stuck_apart = np.repeat(np.arange(4.0)[:, None], 10, axis=1)
+        assert split_rhat(stuck_apart) == math.inf
+        assert math.isnan(split_rhat(np.ones((4, 10))))
+
+    def test_default_options_normal_posterior_not_flagged(self):
+        prior = default_priors(Family.NORMAL, POS_DATA)
+        post = posterior_sample(Family.NORMAL, POS_DATA, prior, McmcOptions(), RngStream(1))
+        assert set(post.diagnostics["rhat"]) == {"mu", "sigma"}
+        assert max(post.diagnostics["rhat"].values()) <= RHAT_LIMIT
+        assert min(post.diagnostics["ess_bulk"].values()) > 400
+
+    def test_fixed_coordinates_not_diagnosed(self):
+        prior = [UniformPrior(-50.0, 50.0), PointMassPrior(1.0)]
+        post = posterior_sample(Family.NORMAL, MIXED_DATA, prior, PIN_OPTS, RngStream(1))
+        assert set(post.diagnostics["rhat"]) == set(post.diagnostics["ess_bulk"]) == {"mu"}
+
+
+def test_no_overflow_warning_leaks():
+    # Scale pinned at 1e-160: per-datum log densities near -1e308 overflow
+    # the data sum to -inf, which must stay silent.
+    prior = [LogUniformPrior(1e-4, 2.5), PointMassPrior(1e-160)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        posterior_sample(Family.WEIBULL, POS_DATA, prior, PIN_OPTS, RngStream(1))
