@@ -205,7 +205,7 @@ def _run_estimator(cfg: dict):
     """Dispatch to the estimator; returns (result_dict, extras, flags)."""
     method = cfg["method"]
     rng = RngStream(cfg["seed"])
-    ledger = CostLedger()
+    ledger = CostLedger(track_wall_time=True)
     bundle = _bundle_for(cfg)
     extras: dict = {}
     flags: list[str] = []
@@ -337,7 +337,10 @@ def _run_estimator(cfg: dict):
     result_values = [v for v in result.values() if isinstance(v, float)]
     if any(not np.isfinite(v) for v in result_values):
         raise EvaluationError("report contains non-finite values")
-    extras["ledger"] = ledger.as_dict()
+    # Measured seconds go to run_meta.json only, so report.json stays
+    # byte-identical across reruns.
+    extras["ledger"] = {k: v for k, v in ledger.as_dict().items() if k != "wall_time_s"}
+    extras["model_s"] = dict(ledger.wall_time)
     return result, extras, flags
 
 
@@ -377,7 +380,12 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
                 p = out_dir / name
                 p.write_text(extras[name] + "\n")
                 written.append(p)
-        meta = {"wall_time_s": wall}
+        work = extras["ledger"]["work"]
+        meta = {
+            "wall_time_s": wall,
+            "model_s": extras["model_s"],
+            "s_per_unit": {k: v / work[k] for k, v in extras["model_s"].items()},
+        }
         if "phase_s" in extras:
             phases = extras["phase_s"]
             phases["write"] = time.perf_counter() - write_started

@@ -50,13 +50,17 @@ class LogUniformPrior:
     def __post_init__(self):
         if not 0.0 < self.lower < self.upper:
             raise InvalidParameterError("log-uniform prior needs 0 < lower < upper")
+        object.__setattr__(self, "_norm", math.log(math.log(self.upper / self.lower)))
 
     def logpdf(self, x):
+        # log(max(x, lower)) is log(x) wherever the result is kept, and never
+        # sees a non-positive argument, so no errstate is needed.
         x = np.asarray(x, dtype=np.float64)
-        norm = math.log(math.log(self.upper / self.lower))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -np.log(x) - norm
-        return np.where((x >= self.lower) & (x <= self.upper), out, -np.inf)
+        return np.where(
+            (x >= self.lower) & (x <= self.upper),
+            -np.log(np.maximum(x, self.lower)) - self._norm,
+            -np.inf,
+        )
 
     def ppf(self, u):
         ll = math.log(self.lower)

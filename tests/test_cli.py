@@ -55,6 +55,17 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
 
 
+def _check_model_seconds(meta, report):
+    """run_meta.json has measured seconds and seconds per declared work
+    unit for every model the ledger charged; report.json has neither."""
+    work = report["diagnostics"]["ledger"]["work"]
+    assert set(report["diagnostics"]["ledger"]) == {"counts", "work", "total"}
+    assert set(meta["model_s"]) == set(meta["s_per_unit"]) == set(work)
+    for model, seconds in meta["model_s"].items():
+        assert isinstance(seconds, float) and seconds > 0.0
+        assert meta["s_per_unit"][model] == pytest.approx(seconds / work[model], rel=1e-12)
+
+
 def run_cli(tmp_path, cfg, out="out", extra=()):
     p = write_cfg(tmp_path, cfg, f"{abs(hash(str(cfg))) % 99999}.json")
     code = main(["run", str(p), "--out", str(tmp_path / out), *extra])
@@ -205,7 +216,7 @@ class TestRun:
             "mcmc": {"burn_in": 200, "keep": 50, "thin": 2},
             "seed": 3,
         }
-        code, _ = run_cli(tmp_path, cfg)
+        code, report = run_cli(tmp_path, cfg)
         assert code == 0
         meta = json.loads((tmp_path / "out/run_meta.json").read_text())
         phases = meta["phase_s"]
@@ -214,6 +225,22 @@ class TestRun:
         }
         assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
         assert meta["wall_time_s"] >= 0.0
+        _check_model_seconds(meta, report)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"method": "mc", "problem": "quadratic", "n": 2000, "seed": 7},
+            {"method": "mlmc", "problem": "gbm_euler", "eps": 0.05, "seed": 2},
+        ],
+        ids=["mc", "mlmc"],
+    )
+    def test_run_meta_model_seconds(self, tmp_path, cfg):
+        code, report = run_cli(tmp_path, cfg)
+        assert code == 0
+        meta = json.loads((tmp_path / "out/run_meta.json").read_text())
+        assert "phase_s" not in meta
+        _check_model_seconds(meta, report)
 
     @pytest.mark.parametrize("keep", [50, 4])
     def test_mmmc_rhat_in_report_and_flags(self, tmp_path, keep):

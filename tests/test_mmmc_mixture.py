@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 from scipy.special import logsumexp
 
 from uqmc import Distribution, Family, RngStream
-from uqmc.exceptions import InvalidParameterError
+from uqmc.exceptions import InvalidParameterError, QuadratureError
 from uqmc.mmmc import (
     CandidateModelSet,
     MixtureDensity,
@@ -123,6 +123,26 @@ class TestMixtureDensity:
             np.array([0.3, 0.4, 0.3]),
         )
         assert mixture_normalization(q) == pytest.approx(1.0, abs=1e-6)
+
+    def test_mixed_family_normalization_closed_form(self):
+        q = MixtureDensity(
+            (
+                Distribution(Family.NORMAL, (1.0, 2.0)),
+                Distribution(Family.GAMMA, (2.5, 0.8)),
+                Distribution(Family.WEIBULL, (1.3, 3.0)),
+                Distribution(Family.UNIFORM, (-2.0, 5.0)),
+            ),
+            np.array([0.1, 0.4, 0.3, 0.2]),
+        )
+        assert mixture_normalization(q) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("family", [Family.GAMMA, Family.WEIBULL])
+    def test_unresolved_pole_raises(self, family):
+        # A shape-0.3 density has a x^-0.7 pole at 0, which the panels do
+        # not resolve to 1e-6: an error, not a wrong value.
+        q = MixtureDensity((Distribution(family, (0.3, 1.0)),), np.array([1.0]))
+        with pytest.raises(QuadratureError, match="differ by"):
+            mixture_normalization(q)
 
     @staticmethod
     def _scipy_logpdf(q, x):
@@ -267,3 +287,78 @@ class TestEmsd:
             if np.allclose(q_pert.weights, q_star.weights):
                 continue
             assert emsd(q_pert, targets) > base
+
+
+def _normal_overlap(a, b):
+    """Integral of p_a p_b for two normals: N(mu_a - mu_b; 0, s_a^2 + s_b^2)."""
+    (ma, sa), (mb, sb) = a.params, b.params
+    s2 = sa * sa + sb * sb
+    return math.exp(-0.5 * (ma - mb) ** 2 / s2) / math.sqrt(2.0 * math.pi * s2)
+
+
+def _lognormal_overlap(a, b):
+    """The same for two lognormals: in y = log x the product of the two
+    normals is the normal overlap times N(y; m, v), and the Jacobian e^-y
+    integrates against it to exp(-m + v / 2)."""
+    (ma, sa), (mb, sb) = a.params, b.params
+    s2 = sa * sa + sb * sb
+    m = (ma * sb * sb + mb * sa * sa) / s2
+    v = sa * sa * sb * sb / s2
+    return _normal_overlap(a, b) * math.exp(-m + 0.5 * v)
+
+
+class TestEmsdClosedForm:
+    """emsd against the expanded Gram form of one family's targets:
+    0.5 * mean_j (<p_j, p_j> - 2 sum_i w_i <p_j, q_i> + sum_ik w_i w_k <q_i, q_k>)."""
+
+    @staticmethod
+    def _gram_emsd(q, targets, overlap):
+        w, comps = q.weights, q.components
+        qq = sum(wi * wk * overlap(ci, ck) for wi, ci in zip(w, comps) for wk, ck in zip(w, comps))
+        per = [
+            overlap(t, t) - 2.0 * sum(wi * overlap(t, ci) for wi, ci in zip(w, comps)) + qq
+            for t in targets.entries
+        ]
+        return 0.5 * float(np.mean(per))
+
+    @pytest.mark.parametrize(
+        "family, overlap, comps, weights, targets",
+        [
+            (
+                Family.NORMAL, _normal_overlap,
+                [(0.0, 1.0), (1.5, 0.5), (-2.0, 2.0)], [0.5, 0.3, 0.2],
+                [(0.3, 0.8), (1.0, 1.2), (-1.0, 0.6)],
+            ),
+            (
+                Family.NORMAL, _normal_overlap,
+                [(5.0, 0.1), (5.2, 0.3)], [0.6, 0.4],
+                [(5.1, 0.2), (4.5, 1.0), (6.0, 0.05)],
+            ),
+            (
+                Family.LOGNORMAL, _lognormal_overlap,
+                [(0.0, 0.5), (0.8, 0.3), (-0.5, 0.6)], [0.2, 0.5, 0.3],
+                [(0.2, 0.4), (0.5, 0.6), (-0.3, 0.3)],
+            ),
+        ],
+        ids=["normal", "normal-narrow", "lognormal"],
+    )
+    def test_emsd_matches_gram_form(self, family, overlap, comps, weights, targets):
+        q = MixtureDensity(
+            tuple(Distribution(family, c) for c in comps), np.array(weights)
+        )
+        t = CandidateModelSet(
+            entries=tuple(Distribution(family, p) for p in targets),
+            source_pi=(1.0,),
+            seed=0,
+        )
+        assert emsd(q, t) == pytest.approx(self._gram_emsd(q, t, overlap), rel=1e-10)
+
+    def test_unresolved_pole_raises(self):
+        # A gamma target of shape 0.4 has p^2 ~ x^-1.2 at 0, which is not
+        # integrable there; the panels cannot resolve it.
+        q = MixtureDensity((Distribution(Family.GAMMA, (2.0, 1.0)),), np.array([1.0]))
+        t = CandidateModelSet(
+            entries=(Distribution(Family.GAMMA, (0.4, 1.0)),), source_pi=(1.0,), seed=0
+        )
+        with pytest.raises(QuadratureError, match="differ by"):
+            emsd(q, t)
