@@ -182,10 +182,13 @@ def validate_config(text: str) -> dict:
     return cfg
 
 
-def _finite_or_null(values: dict) -> dict:
-    """MCMC diagnostics for the report: NaN (chains too short to judge) and
-    an infinite R-hat (chains stuck apart) are not JSON, and become null."""
-    return {k: v if math.isfinite(v) else None for k, v in values.items()}
+def _finite_or_null(values):
+    """A dict or list of floats for the report, with NaN and +-inf (not
+    JSON) as null: MCMC diagnostics of chains too short to judge or stuck
+    apart, and mmmc estimates, ESS and quantiles whose weights overflowed."""
+    if isinstance(values, dict):
+        return {k: v if math.isfinite(v) else None for k, v in values.items()}
+    return [v if math.isfinite(v) else None for v in values]
 
 
 def _bundle_for(cfg: dict):
@@ -308,6 +311,7 @@ def _run_estimator(cfg: dict):
         )
         result = run.report.to_dict()
         extras["phase_s"] = dict(run.phase_seconds)
+        extras["distinct_candidates"] = len(set(run.candidates.entries))
         extras["model_probabilities"] = {
             f.value: p for f, p in run.probabilities.as_dict().items()
         }
@@ -325,6 +329,13 @@ def _run_estimator(cfg: dict):
             for fam, post in run.posteriors.items()
             if any(v > RHAT_LIMIT for v in post.diagnostics["rhat"].values())
         ]
+        # np.quantile gives NaN between two infinite order statistics.
+        values = [*result["estimates"], *result["ess"], *result["quantiles"].values()]
+        if not all(math.isfinite(v) for v in values):
+            flags.append("nonfinite_estimates")
+            for key in ("estimates", "ess", "quantiles"):
+                result[key] = _finite_or_null(result[key])
+            result["diagnostics"] = _finite_or_null(result["diagnostics"])
         extras["mixture"] = run.mixture.to_json()
         if cfg["dump_estimates"]:
             est = run.report.estimates
@@ -390,6 +401,7 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
             phases = extras["phase_s"]
             phases["write"] = time.perf_counter() - write_started
             meta["phase_s"] = phases
+            meta["distinct_candidates"] = extras["distinct_candidates"]
         (out_dir / "run_meta.json").write_text(json.dumps(meta) + "\n")
     except Exception:
         for p in written:
@@ -406,10 +418,10 @@ def _summary_line(report: dict) -> str:
             f"{report['method']}: estimate={r['estimate']:.6g} "
             f"ci95=[{lo:.6g}, {hi:.6g}] cost={r['total_cost']:.6g}"
         )
-    q = r["quantiles"]
+    q = {k: "nan" if v is None else f"{v:.6g}" for k, v in r["quantiles"].items()}
     return (
-        f"{report['method']}: median={q['50%']:.6g} "
-        f"band90=[{q['5%']:.6g}, {q['95%']:.6g}] cost={r['total_cost']:.6g}"
+        f"{report['method']}: median={q['50%']} "
+        f"band90=[{q['5%']}, {q['95%']}] cost={r['total_cost']:.6g}"
     )
 
 

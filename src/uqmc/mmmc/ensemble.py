@@ -49,7 +49,11 @@ def build_candidate_set(
 ) -> CandidateModelSet:
     """Draw ``size`` i.i.d. (family, theta) pairs: the family from the
     model probabilities, theta uniformly from that family's stored
-    posterior draws (with replacement)."""
+    posterior draws (with replacement).
+
+    Entries repeat: draws with replacement repeat, and so do the stored
+    Metropolis draws themselves, since a rejected proposal keeps the
+    previous state.  ``reweight`` weights each distinct entry once."""
     if size < 1:
         raise InvalidParameterError("candidate set size must be >= 1")
     for fam, p in zip(probabilities.families, probabilities.pi):

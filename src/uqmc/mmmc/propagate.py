@@ -12,8 +12,9 @@ from one kernel, ``_importance_weights``: the shared family log-density
 kernel ``distributions._logpdf_into`` minus the proposal log density,
 screened for NaN/+inf weights, then exponentiated, all in caller-supplied
 buffers.  ``reweight`` computes log x once and reuses two length-n buffers
-for all T candidates, so its cost is T passes over n points with no
-per-candidate allocation.
+for all T candidates, so its cost is one pass over n points per distinct
+candidate, with no per-candidate allocation: a repeated candidate (equal
+family and parameters) copies the estimate and ESS of its first occurrence.
 """
 
 from __future__ import annotations
@@ -202,7 +203,10 @@ def reweight(
     ledger: CostLedger | None = None,
 ) -> MultimodelReport:
     """Estimate E_p[model] for every candidate p by importance reweighting
-    of the cached outputs; performs zero model evaluations."""
+    of the cached outputs; performs zero model evaluations.
+
+    Each distinct candidate is weighted once, at its first index; repeats
+    get bit-identical copies, and errors name that first index."""
     T = targets.size
     estimates = np.empty(T)
     ess = np.empty(T)
@@ -210,7 +214,12 @@ def reweight(
     x, y = samples.x, samples.y
     arg = _log_argument(x)
     w, tmp = np.empty(samples.n), np.empty(samples.n)
+    first: dict[Distribution, int] = {}
     for j, target in enumerate(targets.entries):
+        i = first.setdefault(target, j)
+        if i != j:  # a repeat: the kernel is a pure function of the target
+            estimates[j], ess[j] = estimates[i], ess[i]
+            continue
         _check_support(target, q_support, j)
         _importance_weights(target, x, arg, samples.log_q, w, tmp, j)
         estimates[j] = float(np.mean(np.multiply(w, y, out=tmp)))

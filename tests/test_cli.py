@@ -2,10 +2,13 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from uqmc import cli
 from uqmc.cli import main, run_config, validate_config
 from uqmc.exceptions import ConfigError
+from uqmc.mmmc import propagate
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src/uqmc/schemas/report.schema.json").read_text()
@@ -207,7 +210,15 @@ class TestRun:
         est_lines = (tmp_path / "out/estimates.csv").read_text().strip().splitlines()
         assert len(est_lines) - 1 == 30
 
-    def test_mmmc_run_meta_phase_seconds(self, tmp_path):
+    def test_mmmc_run_meta_phase_seconds(self, tmp_path, monkeypatch):
+        kernel = propagate._importance_weights
+        passes = []
+
+        def counted(*args):
+            passes.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(propagate, "_importance_weights", counted)
         cfg = {
             "method": "mmmc",
             "problem": "smalldata_demo",
@@ -225,7 +236,53 @@ class TestRun:
         }
         assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
         assert meta["wall_time_s"] >= 0.0
+        # One kernel pass per distinct candidate, and the sidecar says how many.
+        assert meta["distinct_candidates"] == len(passes) == len(set(passes))
+        assert 1 <= len(passes) <= 10
+        assert "distinct_candidates" not in json.dumps(report)
         _check_model_seconds(meta, report)
+
+    def test_mmmc_nonfinite_estimates_null_and_flagged(self, tmp_path, monkeypatch, capsys):
+        # Overflowing weights give infinite estimates, NaN ESS, and NaN
+        # quantiles between two infinite order statistics: none is JSON.
+        real = cli.run_multimodel
+
+        def overflowing(*args, **kwargs):
+            run = real(*args, **kwargs)
+            rep = run.report
+            rep.estimates[[3, 7]] = np.inf
+            rep.ess[7] = np.nan
+            with np.errstate(invalid="ignore"):
+                qs = np.quantile(rep.estimates, [0.05, 0.25, 0.5, 0.75, 0.95])
+            rep.quantiles = dict(zip(rep.quantiles, qs.tolist()))
+            rep.diagnostics["min_ess"] = float(np.min(rep.ess))
+            return run
+
+        monkeypatch.setattr(cli, "run_multimodel", overflowing)
+        cfg = {
+            "method": "mmmc",
+            "problem": "smalldata_demo",
+            "samples": 500,
+            "ensemble_size": 10,
+            "mcmc": {"burn_in": 200, "keep": 50, "thin": 2},
+            "seed": 3,
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"{token} in report.json")
+
+        report = json.loads((tmp_path / "out/report.json").read_text(), parse_constant=reject)
+        jsonschema.validate(report, SCHEMA)
+        result = report["result"]
+        assert "nonfinite_estimates" in report["diagnostics"]["flags"]
+        assert [j for j, v in enumerate(result["estimates"]) if v is None] == [3, 7]
+        assert [j for j, v in enumerate(result["ess"]) if v is None] == [7]
+        assert result["quantiles"]["95%"] is None  # NaN: inf - inf
+        assert result["quantiles"]["5%"] is not None
+        assert result["diagnostics"]["min_ess"] is None
+        assert "median=" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "cfg",

@@ -13,6 +13,7 @@ from uqmc.mmmc import (
     build_candidate_set,
     draw_propagation_samples,
     is_estimate,
+    propagate,
     propagate_multimodel,
     reweight,
 )
@@ -114,6 +115,90 @@ class TestBuildCandidateSet:
         post = {Family.NORMAL: posterior_of(Family.NORMAL, [[0.0, 1.0]])}
         with pytest.raises(Exception):
             build_candidate_set(mp, post, 10, RngStream(9))
+
+
+class TestReweightRepeats:
+    """``reweight`` weights each distinct candidate once and copies the
+    result to its repeats; errors name the first occurrence."""
+
+    Q = MixtureDensity(
+        (
+            Distribution(Family.NORMAL, (1.0, 1.5)),
+            Distribution(Family.LOGNORMAL, (0.2, 0.5)),
+            Distribution(Family.GAMMA, (3.0, 0.6)),
+            Distribution(Family.WEIBULL, (2.0, 1.8)),
+            Distribution(Family.UNIFORM, (0.5, 3.0)),
+        ),
+        np.array([0.4, 0.15, 0.15, 0.15, 0.15]),
+    )
+    DISTINCT = (
+        Distribution(Family.NORMAL, (0.9, 1.3)),
+        Distribution(Family.NORMAL, (1.1, 1.2)),
+        Distribution(Family.LOGNORMAL, (0.15, 0.45)),
+        Distribution(Family.GAMMA, (2.8, 0.55)),
+        Distribution(Family.WEIBULL, (1.9, 1.6)),
+        Distribution(Family.UNIFORM, (0.2, 2.7)),
+    )
+
+    def repeated(self):
+        order = np.random.default_rng(4).permutation(5 * len(self.DISTINCT))
+        entries = tuple(self.DISTINCT[k % len(self.DISTINCT)] for k in order)
+        return CandidateModelSet(entries=entries, source_pi=(1.0,), seed=0)
+
+    def test_repeats_equal_each_entry_alone(self):
+        samples = draw_propagation_samples(SQUARE, self.Q, 3000, RngStream(32))
+        targets = self.repeated()
+        rep = reweight(samples, targets)
+        alone = [
+            reweight(samples, CandidateModelSet(entries=(e,), source_pi=(1.0,), seed=0))
+            for e in targets.entries
+        ]
+        assert np.array_equal(rep.estimates, [r.estimates[0] for r in alone])
+        assert np.array_equal(rep.ess, [r.ess[0] for r in alone])
+        assert len(set(rep.estimates.tolist())) == len(self.DISTINCT)
+
+    def test_one_kernel_pass_per_distinct_candidate(self, monkeypatch):
+        kernel = propagate._importance_weights
+        passes = []
+
+        def counted(*args):
+            passes.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(propagate, "_importance_weights", counted)
+        samples = draw_propagation_samples(SQUARE, self.Q, 500, RngStream(33))
+        targets = self.repeated()
+        reweight(samples, targets)
+        first = [targets.entries.index(d) for d in self.DISTINCT]
+        assert passes == sorted(first)
+
+    def test_support_violation_names_first_index(self):
+        q = MixtureDensity(
+            (Distribution(Family.LOGNORMAL, (0.0, 0.5)), Distribution(Family.GAMMA, (2.0, 1.0))),
+            np.array([0.5, 0.5]),
+        )
+        samples = draw_propagation_samples(IDENT, q, 500, RngStream(17))
+        ln = Distribution(Family.LOGNORMAL, (0.1, 0.6))
+        targets = CandidateModelSet(entries=(ln, ln, N01, ln, N01), source_pi=(1.0,), seed=0)
+        with pytest.raises(EstimatorError, match="candidate 2 support"):
+            reweight(samples, targets)
+
+    def test_runtime_weight_violation_names_first_index(self):
+        # At x = +inf a shape-2 gamma log density is inf - inf = NaN, while a
+        # normal one is -inf (weight 0 against the finite log_q set there):
+        # only the gamma candidate fails, at its first index.
+        q = MixtureDensity((N01,), np.array([1.0]))
+        drawn = draw_propagation_samples(IDENT, q, 400, RngStream(18))
+        x, log_q = drawn.x.copy(), drawn.log_q.copy()
+        x[7], log_q[7] = np.inf, 0.0
+        samples = PropagationSamples(x=x, y=drawn.y, log_q=log_q, proposal=q, seed=drawn.seed)
+        gamma = Distribution(Family.GAMMA, (2.0, 1.0))
+        normal = Distribution(Family.NORMAL, (0.1, 1.2))
+        targets = CandidateModelSet(
+            entries=(normal, normal, gamma, normal, gamma), source_pi=(1.0,), seed=0
+        )
+        with pytest.raises(EstimatorError, match=r"candidate 2 at sample 7 \(x="):
+            reweight(samples, targets)
 
 
 class TestPropagate:
