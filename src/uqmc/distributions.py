@@ -3,7 +3,10 @@
 Five scalar families (normal, lognormal, gamma, weibull, uniform) with a
 common two-parameter interface.  Gamma and Weibull use the shape/scale
 parameterization.  Sampling is inverse-CDF on counter-based uniform
-draws, so sample i of a stream is reproducible in isolation.
+draws, so sample i of a stream is reproducible in isolation.  ``draw_into``
+draws in blocks of ``_EVAL_CHUNK`` draw indices and runs the ppf in place
+into the output, so no full-size uniform array exists; results do not
+depend on the block size.
 
 The ``family_logpdf`` / ``family_ppf`` kernels broadcast over parameter
 arrays as well as argument arrays; mixtures and evidence integrals reuse
@@ -31,6 +34,10 @@ from .exceptions import (
 from .rng import RngStream
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# Draw indices per inverse-CDF block here, and rows per model call in
+# ``models.evaluate`` and the streamed estimators of ``mc``.
+_EVAL_CHUNK = 65536
 
 # Newton tolerance on the per-datum profile score for gamma/weibull fits.
 _SCORE_TOL = 1e-10
@@ -168,19 +175,37 @@ def family_cdf(family: Family, a, b, x) -> np.ndarray:
     return np.where(x > 0.0, out, 0.0)
 
 
-def family_ppf(family: Family, a, b, u) -> np.ndarray:
+def family_ppf(family: Family, a, b, u, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse CDF with broadcasting over parameters and argument.
+
+    Computed in place in ``out`` (a float64 array of the broadcast shape,
+    which may be ``u`` itself) when given, else in a new array; the values
+    do not depend on which.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    if family is Family.NORMAL:
-        return a + b * ndtri(u)
-    if family is Family.LOGNORMAL:
-        return np.exp(a + b * ndtri(u))
-    if family is Family.GAMMA:
-        return b * gammaincinv(a, u)
-    if family is Family.WEIBULL:
-        return b * (-np.log1p(-u)) ** (1.0 / a)
-    return a + u * (b - a)
+    if out is None:
+        out = np.empty(np.broadcast(a, b, u).shape)
+    if family is Family.NORMAL or family is Family.LOGNORMAL:
+        ndtri(u, out=out)
+        out *= b
+        out += a
+        if family is Family.LOGNORMAL:
+            np.exp(out, out=out)
+    elif family is Family.GAMMA:
+        gammaincinv(a, u, out=out)
+        out *= b
+    elif family is Family.WEIBULL:
+        np.negative(u, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        np.power(out, 1.0 / a, out=out)
+        out *= b
+    else:  # UNIFORM
+        np.multiply(u, b - a, out=out)
+        out += a
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -250,8 +275,8 @@ class Distribution:
     def cdf(self, x) -> np.ndarray:
         return family_cdf(self.family, self.params[0], self.params[1], x)
 
-    def ppf(self, u) -> np.ndarray:
-        return family_ppf(self.family, self.params[0], self.params[1], u)
+    def ppf(self, u, out: np.ndarray | None = None) -> np.ndarray:
+        return family_ppf(self.family, self.params[0], self.params[1], u, out)
 
     def to_json(self) -> dict:
         return {"family": self.family.value, "params": list(self.params)}
@@ -279,7 +304,29 @@ def sample(dist: Distribution, rng: RngStream, n: int) -> np.ndarray:
     """n i.i.d. inverse-CDF draws; draw i depends only on (stream, counter+i)."""
     if n < 1:
         raise InvalidParameterError("sample size must be >= 1")
-    return dist.ppf(rng.uniforms(n))
+    return draw_into(dist, rng, np.empty(n))
+
+
+def draw_into(dist, rng: RngStream, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float64 array ``out`` with inverse-CDF draws,
+    in flat order, at draw indices [counter, counter + out.size), and
+    return it.
+
+    Blocks of ``_EVAL_CHUNK`` draw indices are drawn one at a time, each
+    ``Distribution`` block through its ppf straight into ``out``, so only
+    one block of uniforms exists at a time.  Draws are counter-based, so
+    the values do not depend on the block size.  ``dist`` may be any
+    object with a ``ppf(u)``.
+    """
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _EVAL_CHUNK):
+        block = flat[lo : lo + _EVAL_CHUNK]
+        u = rng.advance(lo).uniforms(block.size)
+        if isinstance(dist, Distribution):
+            dist.ppf(u, out=block)
+        else:
+            block[:] = dist.ppf(u)
+    return out
 
 
 def log_likelihood(dist: Distribution, data: Dataset) -> float:

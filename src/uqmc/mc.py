@@ -1,20 +1,27 @@
-"""Standard Monte Carlo and control variates.
+"""Standard Monte Carlo and control variates, and the streamed input
+layer that they and MFMC share.
 
 Substream layout shared by both estimators: split(0) draws the main
 sample and split(1) the control-variate pilot, so a control-variate run
 draws the same main sample as ``mc_estimate`` on the same stream.  The
 two-level estimator is MLMC with one correction and lives in ``mlmc``.
+
+Estimators that need only model outputs go through ``draw_evaluate``: it
+draws and evaluates the input matrix in blocks of ``_EVAL_CHUNK`` rows,
+so the full matrix never exists.  Row i always consumes the same draw
+indices, so every result is independent of the block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
-from .distributions import Distribution
-from .exceptions import EstimatorError, InvalidParameterError
-from .models import CostLedger, Model, evaluate
+from .distributions import _EVAL_CHUNK, Distribution, draw_into
+from .exceptions import EstimatorError, EvaluationError, InvalidParameterError
+from .models import CostLedger, Model, evaluate, nonfinite_output
 from .reports import EstimateReport
 from .rng import RngStream
 
@@ -24,7 +31,52 @@ _MAIN, _PILOT = 0, 1
 def draw_inputs(dist: Distribution, rng: RngStream, n: int, dim: int = 1) -> np.ndarray:
     """(n, dim) i.i.d. input matrix; row i consumes draw indices
     [i*dim, (i+1)*dim), so each row is reproducible in isolation."""
-    return dist.ppf(rng.uniforms(n * dim)).reshape(n, dim)
+    return draw_into(dist, rng, np.empty((n, dim)))
+
+
+def draw_evaluate(
+    models, counts, dist: Distribution, rng: RngStream, ledger: CostLedger | None = None
+) -> list[np.ndarray]:
+    """Outputs of ``models[j]`` on the first ``counts[j]`` rows of
+    ``draw_inputs(dist, rng, max(counts), dim)``, without building it.
+
+    Each block of ``_EVAL_CHUNK`` rows is drawn once and evaluated by every
+    model that still needs rows.  The ledger is charged once per model with
+    its full count and the summed seconds of its evaluations, so its work
+    sums match one ``evaluate`` call per model.  Errors match them too: the
+    first model in order that fails raises the error of its first failing
+    block, with the global sample index, and only the models before it
+    are charged.
+    """
+    dim = models[0].input_dim
+    ys = [np.empty(c) for c in counts]
+    seconds = [0.0] * len(models)
+    errors: list[EvaluationError | None] = [None] * len(models)
+    stop = len(models)  # models from the first failing one on are done
+    for lo in range(0, max(counts), _EVAL_CHUNK):
+        live = [j for j in range(stop) if counts[j] > lo]
+        if not live:
+            break
+        hi = min(lo + _EVAL_CHUNK, max(counts[j] for j in live))
+        x = draw_inputs(dist, rng.advance(lo * dim), hi - lo, dim)
+        for j in live:
+            if j >= stop:
+                break
+            m = min(counts[j], hi) - lo
+            started = perf_counter()
+            try:
+                ys[j][lo : lo + m] = evaluate(models[j], x[:m])
+            except EvaluationError as exc:
+                if exc.index is not None:  # a non-finite output: index it globally
+                    exc = nonfinite_output(models[j], lo + exc.index, exc.x)
+                errors[j], stop = exc, j
+            seconds[j] += perf_counter() - started
+    for model, n, error, s in zip(models, counts, errors, seconds):
+        if error is not None:
+            raise error
+        if ledger is not None:
+            ledger.charge(model, n, s)
+    return ys
 
 
 def mc_estimate(
@@ -42,8 +94,7 @@ def mc_estimate(
     if n < 2:
         raise InvalidParameterError("mc_estimate needs n >= 2 for a variance estimate")
     ledger = ledger if ledger is not None else CostLedger()
-    x = draw_inputs(input, rng.split(_MAIN), n, model.input_dim)
-    y = evaluate(model, x, ledger)
+    (y,) = draw_evaluate([model], [n], input, rng.split(_MAIN), ledger)
     s_hat = float(np.mean(y))
     zeta_sq = float(np.var(y, ddof=1))
     return EstimateReport(
@@ -100,9 +151,9 @@ def cv_estimate(
     lam = cfg.coef
     rho_hat = None
     if lam == "auto":
-        xp = draw_inputs(input, rng.split(_PILOT), cfg.pilot_n, model.input_dim)
-        yp = evaluate(model, xp, ledger)
-        gp = evaluate(cfg.control, xp, ledger)
+        yp, gp = draw_evaluate(
+            [model, cfg.control], [cfg.pilot_n] * 2, input, rng.split(_PILOT), ledger
+        )
         var_g = float(np.var(gp, ddof=1))
         if var_g == 0.0:
             raise EstimatorError("control variate is constant on the pilot sample")
@@ -112,9 +163,7 @@ def cv_estimate(
         rho_hat = cov / np.sqrt(var_y * var_g) if var_y > 0.0 else 0.0
     lam = float(lam)
 
-    x = draw_inputs(input, rng.split(_MAIN), n, model.input_dim)
-    y = evaluate(model, x, ledger)
-    g = evaluate(cfg.control, x, ledger)
+    y, g = draw_evaluate([model, cfg.control], [n, n], input, rng.split(_MAIN), ledger)
     adjusted = y - lam * (g - cfg.control_mean)
     s_hat = float(np.mean(adjusted))
     zeta_sq = float(np.var(adjusted, ddof=1))

@@ -12,8 +12,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .exceptions import BudgetError, EstimatorError, InvalidParameterError
-from .mc import draw_inputs, mc_estimate
-from .models import CostLedger, FidelityEnsemble, evaluate
+from .mc import draw_evaluate, mc_estimate
+from .models import CostLedger, FidelityEnsemble
 from .reports import EstimateReport
 from .rng import RngStream
 
@@ -70,14 +70,13 @@ def pilot_statistics(
     output."""
     if n_pilot < 10:
         raise InvalidParameterError("pilot needs n_pilot >= 10")
-    x = draw_inputs(input, rng, n_pilot, ensemble.high.input_dim)
-    y_hi = evaluate(ensemble.high, x, ledger)
+    models = ensemble.all_models
+    y_hi, *y_lows = draw_evaluate(models, [n_pilot] * len(models), input, rng, ledger)
     var_hi = float(np.var(y_hi, ddof=1))
     if var_hi == 0.0:
         raise EstimatorError("high-fidelity model is constant on the pilot sample")
     sig_lo, rho = [], []
-    for m in ensemble.lows:
-        y = evaluate(m, x, ledger)
+    for m, y in zip(ensemble.lows, y_lows):
         v = float(np.var(y, ddof=1))
         if v == 0.0:
             raise EstimatorError(f"model '{m.id}' is constant on the pilot sample")
@@ -324,9 +323,9 @@ def mfmc_estimate(
 
     models = {m.id: m for m in ensemble.all_models}
     lows = [models[i] for i in stats.low_ids]
-    x = draw_inputs(input, rng.split(_MAIN), plan.n[-1], ensemble.high.input_dim)
-    y_hi = evaluate(ensemble.high, x[: plan.n[0]], ledger)
-    y_lows = [evaluate(m, x[: plan.n[i + 1]], ledger) for i, m in enumerate(lows)]
+    y_hi, *y_lows = draw_evaluate(
+        [ensemble.high] + lows, plan.n, input, rng.split(_MAIN), ledger
+    )
     estimate = combine_multifidelity(y_hi, y_lows, plan.n, beta)
     est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(beta))
 

@@ -166,27 +166,29 @@ def mlmc_convergence_test(stats: list[LevelStats], eps: float) -> tuple[bool, fl
 @dataclass
 class _LevelAccumulator:
     """Stored correction samples for one level (kept raw so means and
-    variances are computed over the full array, independent of batching)."""
+    variances are computed over the full array, independent of batching).
+
+    ``stats`` is computed once per ``add``: it joins the batches into one
+    array and caches the result until the next ``add``."""
 
     level: int
     cost: float
     dim: int
     batches: list = field(default_factory=list)
     n: int = 0
-    _cache: np.ndarray | None = None
+    _stats: LevelStats | None = None
 
     def add(self, y: np.ndarray) -> None:
         self.batches.append(y)
         self.n += y.size
-        self._cache = None
-
-    def values(self) -> np.ndarray:
-        if self._cache is None:
-            self._cache = np.concatenate(self.batches) if self.batches else np.empty(0)
-        return self._cache
+        self._stats = None
 
     def stats(self) -> LevelStats:
-        return _level_stats(self.level, self.values(), self.cost)
+        if self._stats is None:
+            if len(self.batches) != 1:
+                self.batches = [np.concatenate(self.batches) if self.batches else np.empty(0)]
+            self._stats = _level_stats(self.level, self.batches[0], self.cost)
+        return self._stats
 
 
 def mlmc_estimate(

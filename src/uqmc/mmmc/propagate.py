@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributions import Distribution, _log_argument, _logpdf_into
+from ..distributions import Distribution, _log_argument, _logpdf_into, sample
 from ..exceptions import EstimatorError, InvalidParameterError
 from ..models import CostLedger, Model, evaluate
 from ..reports import EstimateReport
@@ -115,7 +115,7 @@ def is_estimate(
     if isinstance(proposal, MixtureDensity):
         x = proposal.sample(rng.split(_MAIN), n)
     else:
-        x = proposal.ppf(rng.split(_MAIN).uniforms(n))
+        x = sample(proposal, rng.split(_MAIN), n)
     y = evaluate(model, x[:, None], ledger)
     log_q = np.asarray(proposal.logpdf(x))
     w = _importance_weights(target, x, _log_argument(x), log_q, np.empty(n), np.empty(n))
@@ -224,7 +224,8 @@ def reweight(
         _importance_weights(target, x, arg, samples.log_q, w, tmp, j)
         estimates[j] = float(np.mean(np.multiply(w, y, out=tmp)))
         ess[j] = _ess(float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp))))
-    qs = np.quantile(estimates, _QUANTILES)
+    with np.errstate(invalid="ignore"):  # inf - inf between two infinite estimates: NaN
+        qs = np.quantile(estimates, _QUANTILES)
     return MultimodelReport(
         estimates=estimates,
         quantiles={f"{int(100 * q)}%": float(v) for q, v in zip(_QUANTILES, qs)},

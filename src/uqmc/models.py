@@ -14,10 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Dataset, Distribution, Family
+from .distributions import _EVAL_CHUNK, Dataset, Distribution, Family
 from .exceptions import EvaluationError, InvalidParameterError
-
-_EVAL_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -113,16 +111,20 @@ def evaluate(
 
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        i = int(bad[0])
-        raise EvaluationError(
-            f"model '{model.id}' produced non-finite output at sample {i}",
-            index=i,
-            x=x[i].copy(),
-        )
+        raise nonfinite_output(model, int(bad[0]), x[bad[0]].copy())
     if ledger is not None:
         elapsed = time.perf_counter() - started if ledger.track_wall_time else 0.0
         ledger.charge(model, n, elapsed)
     return out
+
+
+def nonfinite_output(model: Model, index: int, x_row: np.ndarray) -> EvaluationError:
+    """The error for a non-finite output of ``model`` at sample ``index``."""
+    return EvaluationError(
+        f"model '{model.id}' produced non-finite output at sample {index}",
+        index=index,
+        x=x_row,
+    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 
@@ -68,10 +67,6 @@ class RngStream:
         """n doubles in (0, 1), one per draw index."""
         raw = self._raw(n)
         return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-    def normals(self, n: int) -> np.ndarray:
-        """n standard-normal doubles via the inverse CDF."""
-        return ndtri(self.uniforms(n))
 
     def generator(self) -> Generator:
         """numpy Generator positioned at this stream state.

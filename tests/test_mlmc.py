@@ -231,3 +231,44 @@ class TestMlmcEstimate:
         assert res.report.estimator_variance == pytest.approx(
             sum(s.variance / s.n for s in res.levels)
         )
+
+
+class TestLevelStatsCache:
+    """Each level's statistics are computed once per batch added."""
+
+    def test_one_stats_pass_per_batch(self, monkeypatch):
+        import uqmc.mlmc
+
+        calls = {"requests": 0, "passes": 0, "batches": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        acc = uqmc.mlmc._LevelAccumulator
+        monkeypatch.setattr(acc, "stats", counting("requests", acc.stats))
+        monkeypatch.setattr(uqmc.mlmc, "_level_stats", counting("passes", uqmc.mlmc._level_stats))
+        monkeypatch.setattr(
+            uqmc.mlmc, "coupled_sample", counting("batches", uqmc.mlmc.coupled_sample)
+        )
+        mlmc_estimate(GBM.hierarchy, 0.01, RngStream(29))
+        assert calls["requests"] > 2 * calls["batches"]  # every round re-reads every level
+        assert calls["passes"] == calls["batches"]
+
+    def test_cached_stats_bit_identical(self, monkeypatch):
+        import uqmc.mlmc
+
+        cached = mlmc_estimate(GBM.hierarchy, 0.01, RngStream(29))
+
+        def uncached(acc):
+            y = np.concatenate(acc.batches)
+            return uqmc.mlmc._level_stats(acc.level, y, acc.cost)
+
+        monkeypatch.setattr(uqmc.mlmc._LevelAccumulator, "stats", uncached)
+        fresh = mlmc_estimate(GBM.hierarchy, 0.01, RngStream(29))
+        assert cached.levels == fresh.levels
+        assert cached.plan == fresh.plan
+        assert cached.report.to_dict() == fresh.report.to_dict()

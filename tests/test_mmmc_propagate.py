@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,27 @@ class TestPropagate:
         targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
         rep = reweight(samples, targets)
         assert rep.estimates[0] == np.inf
+
+    def test_reweight_two_infinite_estimates_warn_nothing(self):
+        # np.quantile interpolates inf - inf between the two infinite
+        # estimates; the NaN quantiles are kept (the CLI writes them as
+        # null and flags them) but no RuntimeWarning escapes.
+        q = MixtureDensity((N01,), np.array([1.0]))
+        drawn = draw_propagation_samples(SQUARE, q, 500, RngStream(19))
+        samples = PropagationSamples(
+            x=drawn.x, y=drawn.y, log_q=np.full(500, -1e306), proposal=q, seed=drawn.seed
+        )
+        targets = CandidateModelSet(
+            entries=(N01, Distribution(Family.NORMAL, (0.1, 1.0))), source_pi=(1.0,), seed=0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = reweight(samples, targets)
+        assert np.array_equal(rep.estimates, [np.inf, np.inf])
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(rep.estimates, (0.05, 0.25, 0.5, 0.75, 0.95))
+        assert np.all(np.isnan(want))
+        assert np.array_equal(list(rep.quantiles.values()), want, equal_nan=True)
 
     def test_is_replication_mean_unbiased(self):
         # Fixed target, mixture proposal: the replication mean of the
