@@ -31,11 +31,11 @@ from .exceptions import (
     QuadratureError,
     UqmcError,
 )
-from .mc import ControlVariateConfig, cv_estimate, draw_inputs, mc_estimate
+from .mc import ControlVariateConfig, _mc_run, cv_estimate, draw_inputs
 from .mfmc import mfmc_estimate
 from .mlmc import mlmc_estimate, two_level_estimate
 from .mmmc import RHAT_LIMIT, McmcOptions, run_multimodel
-from .models import CostLedger, builtin_problem, evaluate
+from .models import CostLedger, builtin_problem
 from .reports import _plain
 from .rng import RngStream
 
@@ -208,18 +208,17 @@ def _run_estimator(cfg: dict):
     """Dispatch to the estimator; returns (result_dict, extras, flags)."""
     method = cfg["method"]
     rng = RngStream(cfg["seed"])
-    ledger = CostLedger(track_wall_time=True)
+    ledger = CostLedger()
     bundle = _bundle_for(cfg)
     extras: dict = {}
     flags: list[str] = []
 
     if method == "mc":
         model = _require(bundle, "model", method)
-        report = mc_estimate(model, bundle.input, cfg["n"], rng, ledger)
+        report, y = _mc_run(model, bundle.input, cfg["n"], rng, ledger)
         result = report.to_dict()
         if cfg["dump_samples"]:
             x = draw_inputs(bundle.input, rng.split(0), cfg["n"], model.input_dim)
-            y = evaluate(model, x)
             extras["samples.csv"] = "\n".join(
                 ["index,input,output,weight"]
                 + [f"{i},{float(x[i, 0])!r},{float(y[i])!r},1.0" for i in range(cfg["n"])]
@@ -261,7 +260,6 @@ def _run_estimator(cfg: dict):
             ledger=ledger,
         )
         result = res.report.to_dict()
-        flags = list(res.report.diagnostics.get("flags", []))
         extras["plan"] = {
             "eps": res.plan.eps,
             "n_per_level": list(res.plan.n_per_level),
@@ -279,7 +277,6 @@ def _run_estimator(cfg: dict):
             n_pilot=cfg["pilot"], ledger=ledger,
         )
         result = report.to_dict()
-        flags = list(report.diagnostics.get("flags", []))
         extras["plan"] = {
             "beta": list(plan.beta),
             "t": list(plan.t),
@@ -348,9 +345,10 @@ def _run_estimator(cfg: dict):
     result_values = [v for v in result.values() if isinstance(v, float)]
     if any(not np.isfinite(v) for v in result_values):
         raise EvaluationError("report contains non-finite values")
+    flags = [*result["diagnostics"].get("flags", []), *flags]
     # Measured seconds go to run_meta.json only, so report.json stays
     # byte-identical across reruns.
-    extras["ledger"] = {k: v for k, v in ledger.as_dict().items() if k != "wall_time_s"}
+    extras["ledger"] = ledger.as_dict()
     extras["model_s"] = dict(ledger.wall_time)
     return result, extras, flags
 
@@ -414,15 +412,18 @@ def _summary_line(report: dict) -> str:
     r = report["result"]
     if "estimate" in r:
         lo, hi = r["ci_95"]
-        return (
+        line = (
             f"{report['method']}: estimate={r['estimate']:.6g} "
             f"ci95=[{lo:.6g}, {hi:.6g}] cost={r['total_cost']:.6g}"
         )
-    q = {k: "nan" if v is None else f"{v:.6g}" for k, v in r["quantiles"].items()}
-    return (
-        f"{report['method']}: median={q['50%']} "
-        f"band90=[{q['5%']}, {q['95%']}] cost={r['total_cost']:.6g}"
-    )
+    else:
+        q = {k: "nan" if v is None else f"{v:.6g}" for k, v in r["quantiles"].items()}
+        line = (
+            f"{report['method']}: median={q['50%']} "
+            f"band90=[{q['5%']}, {q['95%']}] cost={r['total_cost']:.6g}"
+        )
+    flags = report["diagnostics"]["flags"]
+    return f"{line} flags={','.join(flags)}" if flags else line
 
 
 def main(argv=None) -> int:

@@ -91,13 +91,25 @@ def mc_estimate(
     The sampling-variance estimate uses the unbiased 1/(n-1) form; the
     biased 1/n variant is reported as a diagnostic.
     """
+    return _mc_run(model, input, n, rng, ledger)[0]
+
+
+def _mc_run(
+    model: Model,
+    input: Distribution,
+    n: int,
+    rng: RngStream,
+    ledger: CostLedger | None = None,
+) -> tuple[EstimateReport, np.ndarray]:
+    """``mc_estimate`` and the n model outputs it averages, row i of them
+    on row i of ``draw_inputs(input, rng.split(0), n, model.input_dim)``."""
     if n < 2:
         raise InvalidParameterError("mc_estimate needs n >= 2 for a variance estimate")
     ledger = ledger if ledger is not None else CostLedger()
     (y,) = draw_evaluate([model], [n], input, rng.split(_MAIN), ledger)
     s_hat = float(np.mean(y))
     zeta_sq = float(np.var(y, ddof=1))
-    return EstimateReport(
+    report = EstimateReport(
         estimate=s_hat,
         estimator_variance=zeta_sq / n,
         n_per_model={model.id: n},
@@ -109,6 +121,7 @@ def mc_estimate(
             "zeta_sq_biased": float(np.var(y)),
         },
     )
+    return report, y
 
 
 @dataclass(frozen=True)

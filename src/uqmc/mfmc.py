@@ -12,7 +12,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .exceptions import BudgetError, EstimatorError, InvalidParameterError
-from .mc import draw_evaluate, mc_estimate
+from .mc import draw_evaluate
 from .models import CostLedger, FidelityEnsemble
 from .reports import EstimateReport
 from .rng import RngStream
@@ -115,7 +115,8 @@ def _ordering_violations(rho_sq: np.ndarray, costs: np.ndarray) -> list[int]:
 def validate_ordering(stats: PilotStats) -> PilotStats:
     """Reorder surrogates by descending rho^2 and drop any that violate
     the cost/correlation-gap conditions required by the closed-form
-    optimum (cheapest violator first); drops are recorded in flags."""
+    optimum (cheapest violator first); drops are recorded in flags, plus
+    ``all_surrogates_dropped`` when none is left."""
     order = sorted(range(stats.k), key=lambda i: -stats.rho[i] ** 2)
     sig = [stats.sigma_lo[i] for i in order]
     rho = [stats.rho[i] for i in order]
@@ -138,6 +139,8 @@ def validate_ordering(stats: PilotStats) -> PilotStats:
         flags.append(f"dropped:{ids[drop]}")
         for seq in (sig, rho, cost, ids):
             del seq[drop]
+    if stats.k and not ids:
+        flags.append("all_surrogates_dropped")
 
     return replace(
         stats,
@@ -291,9 +294,10 @@ def mfmc_estimate(
     main sample with prefix reuse.
 
     The pilot is charged against the budget and the coefficients are
-    frozen before the main draws, keeping the estimator unbiased.  If
-    validation drops every surrogate, the run degrades to plain MC on
-    the high-fidelity model (flagged).
+    frozen before the main draws, keeping the estimator unbiased.  With
+    no surrogate, or none left after validation (flagged), the plan spends
+    the rest of the budget on the high-fidelity model alone, and the
+    estimate is the plain MC mean of those draws.
     """
     ledger = ledger if ledger is not None else CostLedger()
     pilot_cost = n_pilot * sum(m.cost_per_eval for m in ensemble.all_models)
@@ -303,18 +307,6 @@ def mfmc_estimate(
     stats = pilot_statistics(ensemble, input, n_pilot, rng.split(_PILOT), ledger)
     stats = validate_ordering(stats)
     remaining = budget - pilot_cost
-
-    if stats.k == 0 and ensemble.lows:
-        n_mc = max(2, int(remaining // ensemble.high.cost_per_eval))
-        report = mc_estimate(ensemble.high, input, n_mc, rng, ledger)
-        report.method = "mfmc"
-        report.diagnostics["flags"] = list(stats.flags) + ["all_surrogates_dropped"]
-        report.total_cost = ledger.total()
-        plan = MfmcPlan(
-            beta=(), t=(1.0,), n=(n_mc,), n_real=(float(n_mc),), chi=1.0,
-            budget=budget, flags=stats.flags + ("all_surrogates_dropped",),
-        )
-        return report, plan
 
     plan = mfmc_plan(stats, remaining)
     beta = tuple(float(b) for b in beta_override) if beta_override is not None else plan.beta

@@ -284,6 +284,7 @@ def mlmc_estimate(
     else:
         flags.append("round_limit_reached")
 
+    flags += plan.flags
     stats = [acc.stats() for acc in accs]
     estimate = float(sum(s.mean for s in stats))
     est_var = float(sum(s.variance / s.n for s in stats))

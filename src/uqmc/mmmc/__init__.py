@@ -9,7 +9,6 @@ from .mcmc import (
     McmcOptions,
     ParameterPosterior,
     bulk_ess,
-    effective_sample_size,
     posterior_sample,
     split_rhat,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "default_priors",
     "draw_propagation_samples",
     "effective_sample_count",
-    "effective_sample_size",
     "emsd",
     "is_estimate",
     "mixture_normalization",

@@ -76,23 +76,6 @@ class ParameterPosterior:
         return self.samples.shape[0]
 
 
-def effective_sample_size(x: np.ndarray) -> float:
-    """ESS from the initial positive sequence of autocorrelations."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    x = x - np.mean(x)
-    denom = float(np.dot(x, x))
-    if denom == 0.0:
-        return float(n)
-    acf_sum = 0.0
-    for lag in range(1, n // 2):
-        r = float(np.dot(x[:-lag], x[lag:])) / denom
-        if r <= 0.0:
-            break
-        acf_sum += r
-    return float(n / (1.0 + 2.0 * acf_sum))
-
-
 def _split_chains(chains: np.ndarray) -> np.ndarray:
     """(M, N) chains -> (2M, N // 2) half-chains; an odd middle draw is dropped."""
     chains = np.asarray(chains, dtype=np.float64)

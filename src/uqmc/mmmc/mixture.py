@@ -93,11 +93,6 @@ class MixtureDensity:
     def n_components(self) -> int:
         return len(self.components)
 
-    @property
-    def normalized(self) -> bool:
-        """Weights are renormalized at construction, so this always holds."""
-        return bool(abs(float(np.sum(self.weights)) - 1.0) <= 1e-12)
-
     def support(self) -> tuple[float, float]:
         """Hull of the component supports, computed at construction."""
         return self._support

@@ -7,11 +7,12 @@ evaluation count is n regardless of how many candidates there are.
 Cached samples also let new candidate sets (e.g. after more data
 arrives) be propagated with zero new model evaluations.
 
-Every importance weight, in ``is_estimate`` and ``reweight`` alike, comes
-from one kernel, ``_importance_weights``: the shared family log-density
-kernel ``distributions._logpdf_into`` minus the proposal log density,
-screened for NaN/+inf weights, then exponentiated, all in caller-supplied
-buffers.  ``reweight`` computes log x once and reuses two length-n buffers
+``is_estimate`` and ``propagate_multimodel`` draw, evaluate and take the
+proposal log density on one path, ``draw_propagation_samples``.  Every
+importance weight, in ``is_estimate`` and ``reweight`` alike, comes from
+one kernel, ``_importance_weights``: the shared family log-density kernel
+``distributions._logpdf_into`` minus the proposal log density, screened
+for NaN/+inf weights, then exponentiated, all in caller-supplied buffers.  ``reweight`` computes log x once and reuses two length-n buffers
 for all T candidates, so its cost is one pass over n points per distinct
 candidate, with no per-candidate allocation: a repeated candidate (equal
 family and parameters) copies the estimate and ESS of its first occurrence.
@@ -98,27 +99,22 @@ def is_estimate(
 
     ``target`` is a parametric ``Distribution``; ``proposal`` is a
     ``MixtureDensity`` or any object with ``support``, ``logpdf`` and
-    ``ppf``.  Both densities are normalized by construction, so the plain
-    density ratio is used (no self-normalization) and the estimator stays
-    unbiased.  The effective sample count is reported to expose weight
-    degeneracy.
+    ``ppf``, drawn from by ``draw_propagation_samples`` as in multimodel
+    propagation.  Both densities are normalized by construction, so the
+    plain density ratio is used (no self-normalization) and the estimator
+    stays unbiased.  The effective sample count is reported to expose
+    weight degeneracy.
 
     The zero-variance proposal proportional to |model| * target exists in
     theory but requires the very expectation being estimated, so it is
     never constructible in practice; mixture proposals built from the
     candidate ensemble are the workable choice here.
     """
-    if n < 2:
-        raise InvalidParameterError("is_estimate needs n >= 2")
     _check_support(target, proposal.support())
     ledger = ledger if ledger is not None else CostLedger()
-    if isinstance(proposal, MixtureDensity):
-        x = proposal.sample(rng.split(_MAIN), n)
-    else:
-        x = sample(proposal, rng.split(_MAIN), n)
-    y = evaluate(model, x[:, None], ledger)
-    log_q = np.asarray(proposal.logpdf(x))
-    w = _importance_weights(target, x, _log_argument(x), log_q, np.empty(n), np.empty(n))
+    samples = draw_propagation_samples(model, proposal, n, rng, ledger)
+    x, y = samples.x, samples.y
+    w = _importance_weights(target, x, _log_argument(x), samples.log_q, np.empty(n), np.empty(n))
     wy = w * y
     s_hat = float(np.mean(wy))
     sigma_sq = float(np.mean((wy - s_hat) ** 2))
@@ -144,7 +140,7 @@ class PropagationSamples:
     x: np.ndarray
     y: np.ndarray
     log_q: np.ndarray
-    proposal: MixtureDensity
+    proposal: MixtureDensity | Distribution
     seed: int
 
     @property
@@ -181,16 +177,22 @@ _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 def draw_propagation_samples(
     model: Model,
-    proposal: MixtureDensity,
+    proposal,
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
 ) -> PropagationSamples:
-    """Draw the single shared sample set and evaluate the model once."""
+    """Draw the single shared sample set and evaluate the model once.
+
+    ``proposal`` is a ``MixtureDensity``, or any object that ``sample``
+    can draw from by inverse CDF and that has ``logpdf``."""
     if n < 2:
         raise InvalidParameterError("propagation needs n >= 2")
     ledger = ledger if ledger is not None else CostLedger()
-    x = proposal.sample(rng.split(_MAIN), n)
+    if isinstance(proposal, MixtureDensity):
+        x = proposal.sample(rng.split(_MAIN), n)
+    else:
+        x = sample(proposal, rng.split(_MAIN), n)
     y = evaluate(model, x[:, None], ledger)
     return PropagationSamples(
         x=x, y=y, log_q=np.asarray(proposal.logpdf(x)), proposal=proposal, seed=rng.seed

@@ -39,24 +39,23 @@ class Model:
 
 
 class CostLedger:
-    """Per-model evaluation counts and accumulated work units.
+    """Per-model evaluation counts, accumulated work units and measured
+    evaluation seconds.
 
-    With ``track_wall_time`` the ledger also records measured evaluation
-    seconds per model as a diagnostic; allocation decisions only ever read
-    declared work units, so reports stay exactly reproducible.
+    Allocation decisions only ever read declared work units, and
+    ``as_dict`` holds only counts and work, so reports stay exactly
+    reproducible; the seconds in ``wall_time`` are a diagnostic.
     """
 
-    def __init__(self, track_wall_time: bool = False):
+    def __init__(self):
         self.counts: dict[str, int] = {}
         self.work: dict[str, float] = {}
-        self.track_wall_time = track_wall_time
         self.wall_time: dict[str, float] = {}
 
     def charge(self, model: Model, n: int, elapsed: float = 0.0) -> None:
         self.counts[model.id] = self.counts.get(model.id, 0) + n
         self.work[model.id] = self.work.get(model.id, 0.0) + n * model.cost_per_eval
-        if self.track_wall_time:
-            self.wall_time[model.id] = self.wall_time.get(model.id, 0.0) + elapsed
+        self.wall_time[model.id] = self.wall_time.get(model.id, 0.0) + elapsed
 
     def count(self, model_id: str) -> int:
         return self.counts.get(model_id, 0)
@@ -65,14 +64,11 @@ class CostLedger:
         return float(sum(self.work.values()))
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "counts": dict(self.counts),
             "work": {k: float(v) for k, v in self.work.items()},
             "total": self.total(),
         }
-        if self.track_wall_time:
-            out["wall_time_s"] = {k: float(v) for k, v in self.wall_time.items()}
-        return out
 
 
 def evaluate(
@@ -97,7 +93,7 @@ def evaluate(
             f"model '{model.id}' expects input_dim={model.input_dim}, got shape {x.shape}"
         )
     n = x.shape[0]
-    started = time.perf_counter() if ledger is not None and ledger.track_wall_time else 0.0
+    started = time.perf_counter()
     out = np.empty(n, dtype=np.float64)
 
     for lo in range(0, n, _EVAL_CHUNK):
@@ -113,8 +109,7 @@ def evaluate(
     if bad.size:
         raise nonfinite_output(model, int(bad[0]), x[bad[0]].copy())
     if ledger is not None:
-        elapsed = time.perf_counter() - started if ledger.track_wall_time else 0.0
-        ledger.charge(model, n, elapsed)
+        ledger.charge(model, n, time.perf_counter() - started)
     return out
 
 

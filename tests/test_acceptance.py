@@ -35,7 +35,6 @@ from uqmc.mmmc import (
     optimal_mixture,
     PointMassPrior,
     UniformPrior,
-    effective_sample_size,
     posterior_sample,
     McmcOptions,
     run_multimodel,
@@ -360,7 +359,7 @@ def test_10_mcmc_conjugate_check():
     prior = [UniformPrior(-50.0, 50.0), PointMassPrior(1.0)]
     post = posterior_sample(Family.NORMAL, data, prior, McmcOptions(), RngStream(55))
     mu = post.samples[:, 0]
-    ess = effective_sample_size(mu)
+    ess = post.diagnostics["ess_bulk"]["mu"]
     se = 1.0 / math.sqrt(data.n * ess)
     dev = abs(float(mu.mean()) - float(np.mean(data_values)))
     acc_ok = 0.2 <= post.acceptance_rate <= 0.5

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -362,6 +364,66 @@ class TestRun:
         assert len(lines) - 1 == 50
         idx, x, y, w = lines[1].split(",")
         assert float(y) == pytest.approx(float(x) ** 2)
+
+    def test_mc_dump_samples_evaluates_model_once(self, tmp_path, monkeypatch):
+        rows = []
+        real = cli.builtin_problem
+
+        def counting(name, params):
+            bundle = real(name, params)
+            fn = bundle.model.fn
+
+            def fn_counted(x):
+                rows.append(x.shape[0])
+                return fn(x)
+
+            model = dataclasses.replace(bundle.model, fn=fn_counted)
+            return dataclasses.replace(bundle, model=model)
+
+        monkeypatch.setattr(cli, "builtin_problem", counting)
+        code, _ = run_cli(
+            tmp_path,
+            {"method": "mc", "problem": "quadratic", "n": 50, "dump_samples": True, "seed": 9},
+        )
+        assert code == 0
+        assert sum(rows) == 50
+
+        def digest(name):
+            return hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+
+        # The bytes of the run that evaluated the model a second time for the dump.
+        assert digest("report.json") == (
+            "1c2aad58c029ba3c3c2fc515761c49c812009f9fad367b55db1e7d7d73f6cab7"
+        )
+        assert digest("samples.csv") == (
+            "7195923e78db98b144ab19e8e72b2af572e0b4efd9b0cd81d516a8f685ad852c"
+        )
+
+    @pytest.mark.parametrize(
+        "cfg, flag",
+        [
+            ({"method": "two_level", "budget": 1000}, "zero_correction_variance"),
+            ({"method": "mlmc", "eps": 0.01}, "all_level_variances_zero"),
+        ],
+        ids=["two_level", "mlmc"],
+    )
+    def test_estimator_flags_reach_report(self, tmp_path, cfg, flag):
+        # Zero volatility makes every level deterministic.
+        problem = {"name": "gbm_euler", "params": {"sigma": 0}}
+        code, report = run_cli(tmp_path, {**cfg, "problem": problem})
+        assert code == 0
+        assert flag in report["result"]["diagnostics"]["flags"]
+        assert report["diagnostics"]["flags"] == report["result"]["diagnostics"]["flags"]
+
+    def test_summary_line_lists_flags(self, tmp_path, capsys):
+        demo = Path(__file__).parent.parent / "demos/configs/mmmc_smalldata.json"
+        assert main(["run", str(demo), "--out", str(tmp_path / "mmmc")]) == 0
+        report = json.loads((tmp_path / "mmmc/report.json").read_text())
+        flags = report["diagnostics"]["flags"]  # today mcmc_rhat_high on every family
+        line = capsys.readouterr().out.strip()
+        assert line.split(" flags=")[1:] == ([",".join(flags)] if flags else [])
+        run_cli(tmp_path, {"method": "mc", "problem": "quadratic", "n": 100, "seed": 1})
+        assert "flags=" not in capsys.readouterr().out
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = {"method": "mc", "problem": "quadratic", "n": 1000, "seed": 1}

@@ -282,3 +282,22 @@ class TestMfmcEstimate:
         # Whatever survives, the report is well-formed and within budget.
         assert report.total_cost <= 500.0
         assert report.method == "mfmc"
+
+    def test_all_dropped_counts_match_ledger(self):
+        # An uncorrelated surrogate is dropped; the pilot it was evaluated on
+        # still counts, and the estimate is the plain mean of the main draws.
+        from uqmc import CostLedger
+
+        hi = Model("hi", lambda x: x[:, 0], 1.0)
+        lo = Model("lo", lambda x: np.cos(40.0 * x[:, 0]), 0.5)
+        ledger = CostLedger()
+        report, plan = mfmc_estimate(
+            FidelityEnsemble(hi, (lo,)), POLY.input, 1000.0, RngStream(1),
+            n_pilot=50, ledger=ledger,
+        )
+        assert plan.flags == ("dropped:lo", "all_surrogates_dropped")
+        assert report.diagnostics["flags"] == list(plan.flags)
+        assert plan.n == (925,)
+        assert report.n_per_model == ledger.counts == {"hi": 975, "lo": 50}
+        assert report.total_cost == ledger.total() == 1000.0
+        assert report.estimate.hex() == "-0x1.1a92cc8aaa85bp-5"

@@ -21,7 +21,6 @@ from uqmc.mmmc import (
     bayes_weights,
     bulk_ess,
     default_priors,
-    effective_sample_size,
     model_evidence,
     posterior_sample,
     split_rhat,
@@ -192,7 +191,7 @@ class TestPosteriorSample:
         )
         mu = post.samples[:, 0]
         assert np.all(post.samples[:, 1] == 1.0)
-        ess = effective_sample_size(mu)
+        ess = post.diagnostics["ess_bulk"]["mu"]
         se = 1.0 / math.sqrt(d.n * ess)
         assert abs(mu.mean() - d.values.mean()) < 3 * se
         assert 0.2 <= post.acceptance_rate <= 0.5

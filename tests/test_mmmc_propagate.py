@@ -82,6 +82,35 @@ class TestIsEstimate:
             is_estimate(IDENT, N01, UnderflowProposal(), 500, RngStream(5))
         assert "sample" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "proposal, target, seed, bits",
+        [
+            (
+                Distribution(Family.NORMAL, (0.5, 1.5)), N01, 61,
+                ("0x1.0321caabc0328p+0", "0x1.fbf9c86a00180p-13",
+                 "0x1.251a5e042f590p+11", "0x1.01b127e904a75p+0", "0x1.a862b4e2665aap+0"),
+            ),
+            (
+                MixtureDensity(
+                    (Distribution(Family.NORMAL, (-1.0, 1.0)),
+                     Distribution(Family.NORMAL, (1.5, 2.0))),
+                    np.array([0.3, 0.7]),
+                ),
+                Distribution(Family.NORMAL, (0.2, 1.2)), 62,
+                ("0x1.8251151d6e8a5p+0", "0x1.8c8837fa2d944p-12",
+                 "0x1.04ec449d044c8p+11", "0x1.f355721e70b1bp-1", "0x1.fd6a25d7cfdc8p+0"),
+            ),
+        ],
+        ids=["distribution", "mixture"],
+    )
+    def test_pinned_bits(self, proposal, target, seed, bits):
+        ledger = CostLedger()
+        r = is_estimate(SQUARE, target, proposal, 3000, RngStream(seed), ledger)
+        d = r.diagnostics
+        got = (r.estimate, r.estimator_variance, d["ess"], d["mean_weight"], d["max_weight"])
+        assert tuple(v.hex() for v in got) == bits
+        assert ledger.counts == r.n_per_model == {"sq": 3000}
+
 
 class TestBuildCandidateSet:
     def test_single_family_single_draw_identical_entries(self):

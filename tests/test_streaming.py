@@ -176,7 +176,7 @@ class TestStreamedEstimators:
         assert got_ledger.as_dict() == ref_ledger.as_dict()
 
     def test_wall_time_summed_per_model(self, small_chunks):
-        ledger = CostLedger(track_wall_time=True)
+        ledger = CostLedger()
         mfmc_estimate(POLY.ensemble, POLY.input, 300.0, RngStream(45), n_pilot=20, ledger=ledger)
         assert set(ledger.wall_time) == set(ledger.counts)
         assert all(s > 0.0 for s in ledger.wall_time.values())
