@@ -260,8 +260,9 @@ def _run_estimator(cfg: dict):
             ledger=ledger,
         )
         result = res.report.to_dict()
+        extras["phase_s"] = dict(res.phase_seconds)
         extras["plan"] = {
-            "eps": res.plan.eps,
+            "se_target": res.plan.se_target,
             "n_per_level": list(res.plan.n_per_level),
             "xi": res.plan.xi,
             "predicted_cost": res.plan.predicted_cost,
@@ -272,9 +273,10 @@ def _run_estimator(cfg: dict):
         )
     elif method == "mfmc":
         ens = _require(bundle, "ensemble", method)
+        extras["phase_s"] = {}
         report, plan = mfmc_estimate(
             ens, bundle.input, cfg["budget"], rng,
-            n_pilot=cfg["pilot"], ledger=ledger,
+            n_pilot=cfg["pilot"], ledger=ledger, phase_seconds=extras["phase_s"],
         )
         result = report.to_dict()
         extras["plan"] = {
@@ -399,6 +401,7 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
             phases = extras["phase_s"]
             phases["write"] = time.perf_counter() - write_started
             meta["phase_s"] = phases
+        if "distinct_candidates" in extras:
             meta["distinct_candidates"] = extras["distinct_candidates"]
         (out_dir / "run_meta.json").write_text(json.dumps(meta) + "\n")
     except Exception:

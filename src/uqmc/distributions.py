@@ -91,7 +91,8 @@ def family_logpdf(family: Family, a, b, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     shape = np.broadcast(a, b, x).shape
     lx, outside = _log_argument(x) if family.positive_support else (None, None)
-    return _logpdf_into(family, a, b, x, lx, outside, np.empty(shape), np.empty(shape))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _logpdf_into(family, a, b, x, lx, outside, np.empty(shape), np.empty(shape))
 
 
 def _log_argument(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,50 +110,52 @@ def _logpdf_into(family: Family, a, b, x, lx, outside, out, tmp) -> np.ndarray:
     buffers of the broadcast shape of (a, b, x); ``lx`` and ``outside`` come
     from ``_log_argument(x)`` and are read only by the positive-support
     families, so callers evaluating many parameter pairs at the same points
-    compute them once.
+    compute them once.  Invalid parameters and arguments make divide,
+    invalid and overflow float errors on the way to their -inf or NaN;
+    callers hold ``np.errstate`` ignoring them, once around however many
+    calls they make.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family is Family.UNIFORM:
-            width = b - a
-            np.copyto(out, -np.log(np.where(width > 0.0, width, 1.0)))
-            np.copyto(out, -np.inf, where=~((width > 0.0) & (x >= a) & (x <= b)))
-            return out
-        if family is Family.NORMAL:
-            np.subtract(x, a, out=tmp)
-            tmp /= b  # z
-            np.multiply(tmp, -0.5, out=out)
-            out *= tmp
-            out -= np.log(b)
-            out -= _HALF_LOG_2PI
-            bad = np.logical_not(b > 0.0)
-        elif family is Family.LOGNORMAL:
-            np.subtract(lx, a, out=tmp)
-            tmp /= b  # z
-            np.multiply(tmp, -0.5, out=out)
-            out *= tmp
-            out -= lx
-            out -= np.log(b)
-            out -= _HALF_LOG_2PI
-            bad = np.logical_not(b > 0.0)
-        elif family is Family.GAMMA:
-            np.multiply(a - 1.0, lx, out=out)
-            np.divide(x, b, out=tmp)
-            out -= tmp
-            out -= gammaln(a)
-            out -= a * np.log(b)
-            bad = np.logical_not((a > 0.0) & (b > 0.0))
-        else:  # WEIBULL
-            np.subtract(lx, np.log(b), out=tmp)  # log(x / scale)
-            np.multiply(a - 1.0, tmp, out=out)
-            out += np.log(a / b)
-            tmp *= a
-            np.exp(tmp, out=tmp)
-            out -= tmp
-            bad = np.logical_not((a > 0.0) & (b > 0.0))
-        if bad.shape or bad:  # skip the pass for one valid parameter pair
-            np.copyto(out, -np.inf, where=bad)
-        if family.positive_support:
-            np.copyto(out, -np.inf, where=outside)
+    if family is Family.UNIFORM:
+        width = b - a
+        np.copyto(out, -np.log(np.where(width > 0.0, width, 1.0)))
+        np.copyto(out, -np.inf, where=~((width > 0.0) & (x >= a) & (x <= b)))
+        return out
+    if family is Family.NORMAL:
+        np.subtract(x, a, out=tmp)
+        tmp /= b  # z
+        np.multiply(tmp, -0.5, out=out)
+        out *= tmp
+        out -= np.log(b)
+        out -= _HALF_LOG_2PI
+        bad = np.logical_not(b > 0.0)
+    elif family is Family.LOGNORMAL:
+        np.subtract(lx, a, out=tmp)
+        tmp /= b  # z
+        np.multiply(tmp, -0.5, out=out)
+        out *= tmp
+        out -= lx
+        out -= np.log(b)
+        out -= _HALF_LOG_2PI
+        bad = np.logical_not(b > 0.0)
+    elif family is Family.GAMMA:
+        np.multiply(a - 1.0, lx, out=out)
+        np.divide(x, b, out=tmp)
+        out -= tmp
+        out -= gammaln(a)
+        out -= a * np.log(b)
+        bad = np.logical_not((a > 0.0) & (b > 0.0))
+    else:  # WEIBULL
+        np.subtract(lx, np.log(b), out=tmp)  # log(x / scale)
+        np.multiply(a - 1.0, tmp, out=out)
+        out += np.log(a / b)
+        tmp *= a
+        np.exp(tmp, out=tmp)
+        out -= tmp
+        bad = np.logical_not((a > 0.0) & (b > 0.0))
+    if bad.shape or bad:  # skip the pass for one valid parameter pair
+        np.copyto(out, -np.inf, where=bad)
+    if family.positive_support:
+        np.copyto(out, -np.inf, where=outside)
     return out
 
 

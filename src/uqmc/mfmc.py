@@ -6,6 +6,7 @@ estimator with exact prefix reuse of low-fidelity outputs.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -289,6 +290,7 @@ def mfmc_estimate(
     n_pilot: int = 50,
     beta_override=None,
     ledger: CostLedger | None = None,
+    phase_seconds: dict[str, float] | None = None,
 ) -> tuple[EstimateReport, MfmcPlan]:
     """Full multifidelity run: pilot, ordering validation, plan, fresh
     main sample with prefix reuse.
@@ -298,14 +300,20 @@ def mfmc_estimate(
     no surrogate, or none left after validation (flagged), the plan spends
     the rest of the budget on the high-fidelity model alone, and the
     estimate is the plain MC mean of those draws.
+
+    When ``phase_seconds`` is given, the wall seconds of the pilot (with
+    the ordering validation) and of the main sample (plan, draws and
+    estimate) go into its ``pilot`` and ``main`` entries.
     """
     ledger = ledger if ledger is not None else CostLedger()
     pilot_cost = n_pilot * sum(m.cost_per_eval for m in ensemble.all_models)
     if budget < pilot_cost + 2.0 * ensemble.high.cost_per_eval:
         raise BudgetError("budget cannot cover the pilot plus two high-fidelity samples")
 
+    t0 = time.perf_counter()
     stats = pilot_statistics(ensemble, input, n_pilot, rng.split(_PILOT), ledger)
     stats = validate_ordering(stats)
+    t1 = time.perf_counter()
     remaining = budget - pilot_cost
 
     plan = mfmc_plan(stats, remaining)
@@ -343,4 +351,7 @@ def mfmc_estimate(
             "flags": list(plan.flags),
         },
     )
+    if phase_seconds is not None:
+        phase_seconds["pilot"] = t1 - t0
+        phase_seconds["main"] = time.perf_counter() - t1
     return report, plan

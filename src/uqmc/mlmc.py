@@ -15,7 +15,8 @@ Y_l = M(l) - M(l-1), drawn by ``coupled_sample``.  Substream layout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,9 +45,9 @@ class LevelStats:
 
 @dataclass(frozen=True)
 class MlmcPlan:
-    """Per-level sample counts for a target standard error."""
+    """Per-level sample counts for a target standard error ``se_target``."""
 
-    eps: float
+    se_target: float
     n_per_level: tuple[int, ...]
     max_level: int
     xi: float
@@ -59,6 +60,9 @@ class MlmcResult:
     report: EstimateReport
     plan: MlmcPlan
     levels: list[LevelStats]
+    # Wall seconds of the first pilot and of the rounds after it; not part
+    # of any deterministic report.
+    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def _coupled_outputs(h: LevelHierarchy, level: int, n: int, rng: RngStream, ledger):
@@ -132,7 +136,7 @@ def mlmc_allocation(stats: list[LevelStats], eps: float) -> MlmcPlan:
         xi = float(np.sum(np.sqrt(v * c)) / eps**2)
         n = np.maximum(np.ceil(xi * np.sqrt(v / c)).astype(int), 2)
     return MlmcPlan(
-        eps=eps,
+        se_target=eps,
         n_per_level=tuple(int(k) for k in n),
         max_level=len(stats) - 1,
         xi=xi,
@@ -248,14 +252,17 @@ def mlmc_estimate(
         stream = rng.split(acc.level).advance(acc.n * acc.dim)
         acc.add(coupled_sample(h, acc.level, need, stream, ledger))
 
+    t0 = time.perf_counter()
     for lv in range(top + 1):
         add_level(lv)
+        top_up(accs[-1], initial_samples)
+    t1 = time.perf_counter()
 
     plan = None
     alpha_hat = None
     converged = not adaptive
     for _round in range(_MAX_ROUNDS):
-        for acc in accs:
+        for acc in accs:  # the pilot of a level added in the last round
             top_up(acc, initial_samples)
         stats = [acc.stats() for acc in accs]
         plan = mlmc_allocation(stats, eps_alloc)
@@ -286,6 +293,14 @@ def mlmc_estimate(
 
     flags += plan.flags
     stats = [acc.stats() for acc in accs]
+    if "all_level_variances_zero" in plan.flags:
+        # Any sample count meets the target, so the plan is the samples drawn.
+        plan = replace(
+            plan,
+            n_per_level=tuple(s.n for s in stats),
+            predicted_cost=float(np.dot([s.n for s in stats], [s.cost for s in stats])),
+        )
+    phase_seconds = {"pilot": t1 - t0, "rounds": time.perf_counter() - t1}
     estimate = float(sum(s.mean for s in stats))
     est_var = float(sum(s.variance / s.n for s in stats))
 
@@ -311,7 +326,7 @@ def mlmc_estimate(
             "levels_used": len(stats),
         },
     )
-    return MlmcResult(report=report, plan=plan, levels=stats)
+    return MlmcResult(report=report, plan=plan, levels=stats, phase_seconds=phase_seconds)
 
 
 def two_level_estimate(

@@ -10,6 +10,7 @@ from .mcmc import (
     ParameterPosterior,
     bulk_ess,
     posterior_sample,
+    sample_posteriors,
     split_rhat,
 )
 from .mixture import MixtureDensity, emsd, mixture_normalization, optimal_mixture
@@ -69,5 +70,6 @@ __all__ = [
     "quantify_input_uncertainty",
     "reweight",
     "run_multimodel",
+    "sample_posteriors",
     "split_rhat",
 ]

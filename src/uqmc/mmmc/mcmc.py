@@ -1,8 +1,13 @@
 """Random-walk Metropolis sampling of distribution parameters.
 
-``_CHAINS`` (4) chains per family advance in lockstep: one array step
-proposes, evaluates and accepts for every chain at once, so four chains
-cost about what one scalar chain did.  Every chain starts at the same
+``_CHAINS`` (4) chains per family, and the chains of every family sampled
+in one ``sample_posteriors`` call, advance in one lockstep loop: one array
+step proposes, evaluates and accepts for every chain at once.  Within the
+step each family evaluates its log density on its own rows, and the
+coordinate priors are evaluated once per prior class across families (an
+object of any other class through its own ``logpdf``).  What each chain
+draws is unchanged by this: a family's draws are the ones it gets alone,
+as ``posterior_sample`` samples it.  Every chain starts at the same
 point, runs the full ``burn_in`` and then keeps ``ceil(keep / 4)`` draws,
 one every ``thin`` steps; ``samples`` holds chain 0's draws, then chain
 1's, and so on, truncated to ``keep`` rows.
@@ -40,6 +45,7 @@ from scipy.special import ndtri
 from ..distributions import Dataset, Family, _log_argument, _logpdf_into, mle_fit
 from ..exceptions import EstimatorError, InvalidParameterError, UqmcError
 from ..rng import RngStream
+from .priors import LogUniformPrior, NormalPrior, UniformPrior
 
 _CHAINS = 4
 _BLOCK = 512  # steps of pre-drawn randomness per fetch
@@ -48,6 +54,10 @@ _ACCEPT_LOW = 0.2
 _ACCEPT_HIGH = 0.5
 # Vehtari et al. recommend using draws only when R-hat is below 1.01.
 RHAT_LIMIT = 1.01
+# Prior classes whose log densities the sampler evaluates in one call per
+# class (their ``_formula`` on stacked ``_params``); any other prior object
+# is called through its own ``logpdf``.
+_BATCHED_PRIORS = (UniformPrior, LogUniformPrior, NormalPrior)
 
 
 @dataclass(frozen=True)
@@ -197,109 +207,201 @@ def posterior_sample(
     options: McmcOptions = McmcOptions(),
     rng: RngStream | None = None,
 ) -> ParameterPosterior:
-    """Random-walk Metropolis on the parameter posterior, ``_CHAINS``
-    chains in lockstep.
-
-    Coordinates with point-mass priors stay fixed at their value.  The
-    proposal is an independent Gaussian step per free coordinate; each
-    chain's scale factor adapts in burn-in windows and is then frozen.
-    """
-    family = Family(family)
+    """The parameter posterior of one family: ``sample_posteriors`` with a
+    single entry."""
     if rng is None:
         raise InvalidParameterError("posterior_sample requires an RngStream")
-    if len(prior) != family.param_count:
-        raise InvalidParameterError("one prior per parameter required")
-    positive = family.positive_params
-    fixed = [getattr(pr, "fixed", False) for pr in prior]
-    free = [j for j, fx in enumerate(fixed) if not fx]
-    pinned = [j for j, fx in enumerate(fixed) if fx]
-    if not free:
-        raise InvalidParameterError("all parameters fixed; nothing to sample")
+    return sample_posteriors([family], data, [prior], options, [rng])[0]
 
-    k, p = _CHAINS, len(free)
+
+@dataclass
+class _FamilyChains:
+    """One family's ``_CHAINS`` rows of the lockstep state."""
+
+    family: Family
+    rows: slice
+    free: list[int]
+    scales: np.ndarray  # initial proposal scale per free coordinate
+    streams: list[RngStream]
+    # (parameters, walk coordinates) at the MLE, then at the prior medians;
+    # None where a log-walk coordinate is not positive and finite there.
+    starts: list
+
+
+def sample_posteriors(
+    families,
+    data: Dataset,
+    priors: list,
+    options: McmcOptions,
+    rngs: list,
+) -> list[ParameterPosterior]:
+    """Random-walk Metropolis on the parameter posterior of each family,
+    ``_CHAINS`` chains per family, every chain of every family in one
+    lockstep loop.
+
+    ``priors[f]`` and ``rngs[f]`` belong to ``families[f]``, and each
+    family's draws are the ones it gets when sampled alone.  Coordinates
+    with point-mass priors stay fixed at their value.  The proposal is an
+    independent Gaussian step per free coordinate; each chain's scale
+    factor adapts in burn-in windows and is then frozen.
+    """
+    families = [Family(f) for f in families]
+    if not len(priors) == len(rngs) == len(families):
+        raise InvalidParameterError("one prior list and one RngStream per family required")
+    k = _CHAINS
+    n_rows = k * len(families)
     x = data.values
-    lx, outside = _log_argument(x) if family.positive_support else (None, None)
-    out = np.empty((k, x.size))
-    tmp = np.empty((k, x.size))
-    # One row per chain: walk coordinates, the two parameters, log target.
-    # ``new`` holds the proposal, ``cur`` the chain state; accepting copies
-    # whole rows.
-    cur = np.empty((k, p + 3))
-    new = np.empty_like(cur)
-    phi_new, theta_new, lp_new = new[:, :p], new[:, p : p + 2], new[:, p + 2]
-    coords = [(phi_new[:, i], theta_new[:, j], positive[j], prior[j].logpdf)
-              for i, j in enumerate(free)]
+    lx, outside = _log_argument(x)
+    out = np.empty((n_rows, x.size))
+    tmp = np.empty((n_rows, x.size))
+    # One row per chain: the walk coordinates and parameters of the two
+    # parameters every family has, then the log target.  ``new`` holds the
+    # proposal, ``cur`` the chain state; accepting copies whole rows.  A
+    # pinned coordinate walks nowhere (walk 0, scale 0) and its parameter
+    # column keeps the pinned value.
+    cur = np.zeros((n_rows, 5))
+    new = np.zeros_like(cur)
+    phi_new, theta_new, lp_new = new[:, :2], new[:, 2:4], new[:, 4]
+    log_walk = np.zeros((n_rows, 2), dtype=bool)  # free, walked in log space
+    plain_walk = np.zeros((n_rows, 2), dtype=bool)  # free, walked as is
+    scales = np.zeros((n_rows, 2))
+    pinned_value = np.zeros((n_rows, 2))
+    lp_fixed = np.zeros(n_rows)  # log prior of the pinned coordinates
+    jac = np.zeros((n_rows, 2))  # Jacobian of the log walk, 0 elsewhere
+    log_prior = np.zeros((n_rows, 2))  # coordinate log priors, 0 if pinned
 
-    def log_target(lp_fixed: float) -> None:
+    chains: list[_FamilyChains] = []
+    kernels = []
+    batched: dict[type, tuple[list, list, list]] = {}
+    singles = []
+    for f, (family, prior, rng) in enumerate(zip(families, priors, rngs)):
+        if len(prior) != family.param_count:
+            raise InvalidParameterError("one prior per parameter required")
+        free = [j for j, pr in enumerate(prior) if not getattr(pr, "fixed", False)]
+        pinned = [j for j in range(family.param_count) if j not in free]
+        if not free:
+            raise InvalidParameterError("all parameters fixed; nothing to sample")
+        rows = slice(k * f, k * (f + 1))
+        positive = family.positive_params
+        for j in free:
+            (log_walk if positive[j] else plain_walk)[rows, j] = True
+            pr = prior[j]
+            if type(pr) in _BATCHED_PRIORS:
+                src, dst, params = batched.setdefault(type(pr), ([], [], []))
+                for r in range(rows.start, rows.stop):
+                    src.append(r * new.shape[1] + 2 + j)  # theta_new[r, j] in new
+                    dst.append(r * 2 + j)  # log_prior[r, j]
+                    params.append(pr._params)
+            else:  # any other prior object: its own logpdf on its rows
+                singles.append((rows, j, theta_new[rows, j], pr.logpdf))
+        fam_scales = _initial_scales(family, data, free)
+        scales[rows, free] = fam_scales
+        values = [prior[j].value for j in pinned]
+        pinned_value[rows, pinned] = values
+        lp_fixed[rows] = sum((float(prior[j].logpdf(v)) for j, v in zip(pinned, values)), 0.0)
+        kernels.append((family, theta_new[rows, :1], theta_new[rows, 1:], out[rows], tmp[rows]))
+        starts = []
+        for start in (_initial_point(family, data, prior), _prior_medians(prior)):
+            start[pinned] = values
+            if not all(0.0 < start[j] < math.inf for j in free if positive[j]):
+                starts.append(None)
+                continue
+            phi = np.zeros(2)
+            for j in free:
+                phi[j] = math.log(start[j]) if positive[j] else start[j]
+            starts.append((start, phi))
+        streams = [rng.split(c) for c in range(k)]
+        chains.append(_FamilyChains(family, rows, free, fam_scales, streams, starts))
+    batched = [
+        (cls._formula, np.array(src), np.array(dst), [np.array(v) for v in zip(*params)])
+        for cls, (src, dst, params) in batched.items()
+    ]
+    terms = [jac[:, 0], log_prior[:, 0], jac[:, 1], log_prior[:, 1]]
+    # ``exp`` runs on whole columns of ``new``, and the other coordinates
+    # are put back after it.  A masked call would save the put-back but may
+    # take numpy's SIMD exp loop, whose results differ from the strided
+    # loop's in the last bit now and then, which changes draws.
+    columns = [(phi_new[:, j], theta_new[:, j]) for j in range(2)]
+    is_pinned = ~(log_walk | plain_walk)
+
+    def log_target() -> None:
         """Log posterior of each chain at the walk coordinates ``phi_new``.
 
         Writes the parameters they map to into the free columns of
-        ``theta_new`` and the target into ``lp_new``.  The fixed columns
-        are left alone and contribute ``lp_fixed``.  Invalid parameters
-        make the kernel return -inf or NaN; every non-finite target counts
-        as -inf.  Callers ignore overflow and invalid float errors: huge
-        log-walk coordinates overflow ``exp`` and huge negative log
+        ``theta_new`` and the target into ``lp_new``: the data log
+        likelihood, the pinned coordinates' log prior, then per coordinate
+        the Jacobian of its log walk and its log prior (0 where pinned).
+        Invalid parameters make the kernel return -inf or NaN; every
+        non-finite target counts as -inf.  Callers ignore divide, overflow
+        and invalid float errors: the kernel takes logs of zero parameters,
+        huge log-walk coordinates overflow ``exp`` and huge negative log
         densities overflow the data sum, to infinities the last line
         handles.
         """
-        for phi_j, theta_j, pos, _ in coords:
-            if pos:
-                np.exp(phi_j, out=theta_j)
-            else:
-                theta_j[:] = phi_j
-        ll = _logpdf_into(family, theta_new[:, :1], theta_new[:, 1:], x, lx, outside, out, tmp)
-        lp = np.sum(ll, axis=1, out=lp_new)
+        for phi_j, theta_j in columns:
+            np.exp(phi_j, out=theta_j)
+        np.copyto(theta_new, phi_new, where=plain_walk)
+        np.copyto(theta_new, pinned_value, where=is_pinned)
+        for family, a, b, out_f, tmp_f in kernels:
+            _logpdf_into(family, a, b, x, lx, outside, out_f, tmp_f)
+        lp = np.sum(out, axis=1, out=lp_new)
         lp += lp_fixed
-        for phi_j, theta_j, pos, logpdf in coords:
-            if pos:
-                lp += phi_j  # Jacobian of the log walk
-            lp += logpdf(theta_j)
+        np.copyto(jac, phi_new, where=log_walk)
+        for formula, src, dst, params in batched:
+            log_prior.put(dst, formula(new.take(src), *params))
+        for rows, j, theta_j, logpdf in singles:
+            log_prior[rows, j] = logpdf(theta_j)
+        for term in terms:
+            lp += term
         np.copyto(lp, -np.inf, where=~np.isfinite(lp))
 
     # Start at the MLE; fall back to prior medians when that is infeasible.
-    # A log-walk coordinate must start positive and finite.
-    for start in (_initial_point(family, data, prior), _prior_medians(prior)):
-        for j in pinned:
-            start[j] = prior[j].value
-        if not all(0.0 < start[j] < math.inf for j in free if positive[j]):
-            continue
-        lp_fixed = sum((float(prior[j].logpdf(start[j])) for j in pinned), 0.0)
-        theta_new[:] = start
-        phi_new[:] = [math.log(start[j]) if positive[j] else start[j] for j in free]
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_target(lp_fixed)
-        if np.isfinite(lp_new[0]):
-            break
-    else:
+    pending = chains
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for attempt in range(2):
+            for ch in pending:
+                if ch.starts[attempt] is not None:
+                    theta_new[ch.rows], phi_new[ch.rows] = ch.starts[attempt]
+            log_target()
+            pending = [
+                ch for ch in pending
+                if ch.starts[attempt] is None or not np.isfinite(lp_new[ch.rows.start])
+            ]
+    if pending:
         raise EstimatorError("no feasible starting point for the chain")
     cur[:] = new
-    phi_cur, theta_cur, lp_cur = cur[:, :p], cur[:, p : p + 2], cur[:, p + 2]
+    phi_cur, theta_cur, lp_cur = cur[:, :2], cur[:, 2:4], cur[:, 4]
 
-    scales = _initial_scales(family, data, free)
-    factor = np.ones(k)
+    factor = np.ones(n_rows)
     step_scale = factor[:, None] * scales
 
     burn_in, thin = options.burn_in, options.thin
     per_chain = -(-options.keep // k)
     steps = burn_in + per_chain * thin
-    streams = [rng.split(c) for c in range(k)]
-    kept = np.empty((k, per_chain, family.param_count))
-    window = np.zeros(k, dtype=np.int64)  # accepts in the current adaptation window
-    accepted = np.zeros(k, dtype=np.int64)  # accepts after burn-in
-    with np.errstate(over="ignore", invalid="ignore"):
+    kept = np.empty((n_rows, per_chain, 2))
+    window = np.zeros(n_rows, dtype=np.int64)  # accepts in the current adaptation window
+    accepted = np.zeros(n_rows, dtype=np.int64)  # accepts after burn-in
+    z = np.zeros((_BLOCK, n_rows, 2))  # normal increments, 0 on pinned coordinates
+    log_u = np.empty((_BLOCK, n_rows))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for s0 in range(0, steps, _BLOCK):
             b = min(_BLOCK, steps - s0)
-            u = np.stack(
-                [st.advance(s0 * (p + 1)).uniforms(b * (p + 1)).reshape(b, p + 1) for st in streams],
-                axis=1,
-            )  # (b, K, P+1)
-            z = ndtri(u[:, :, :p])
-            log_u = np.log(u[:, :, p])
+            for ch in chains:
+                p = len(ch.free)
+                u = np.stack(
+                    [
+                        st.advance(s0 * (p + 1)).uniforms(b * (p + 1)).reshape(b, p + 1)
+                        for st in ch.streams
+                    ],
+                    axis=1,
+                )  # (b, K, P+1)
+                z[:b, ch.rows, ch.free] = ndtri(u[:, :, :p])
+                log_u[:b, ch.rows] = np.log(u[:, :, p])
             for i in range(b):
                 step = s0 + i + 1
                 np.multiply(step_scale, z[i], out=phi_new)
                 phi_new += phi_cur
-                log_target(lp_fixed)
+                log_target()
                 acc = log_u[i] < lp_new - lp_cur
                 np.copyto(cur, new, where=acc[:, None])
                 if step <= burn_in:
@@ -315,25 +417,30 @@ def posterior_sample(
                     if (step - burn_in) % thin == 0:
                         kept[:, (step - burn_in) // thin - 1] = theta_cur
 
-    total = int(accepted.sum())
-    if total == 0:
-        raise EstimatorError("chain never accepted a proposal; posterior degenerate")
-    rate = total / (k * per_chain * thin)
-    warnings = []
-    if not 0.05 <= rate <= 0.95:
-        warnings.append(f"acceptance rate {rate:.3f} outside [0.05, 0.95]")
-    names = family.param_names
-
-    return ParameterPosterior(
-        family=family,
-        samples=kept.reshape(k * per_chain, family.param_count)[: options.keep],
-        acceptance_rate=rate,
-        chain_length=steps,
-        diagnostics={
-            "proposal_scales": (factor[:, None] * scales).tolist(),
-            "free_parameters": free,
-            "warnings": warnings,
-            "rhat": {names[j]: split_rhat(kept[:, :, j]) for j in free},
-            "ess_bulk": {names[j]: bulk_ess(kept[:, :, j]) for j in free},
-        },
-    )
+    posteriors = []
+    for ch in chains:
+        total = int(accepted[ch.rows].sum())
+        if total == 0:
+            raise EstimatorError("chain never accepted a proposal; posterior degenerate")
+        rate = total / (k * per_chain * thin)
+        warnings = []
+        if not 0.05 <= rate <= 0.95:
+            warnings.append(f"acceptance rate {rate:.3f} outside [0.05, 0.95]")
+        names = ch.family.param_names
+        fam_kept = kept[ch.rows]
+        posteriors.append(
+            ParameterPosterior(
+                family=ch.family,
+                samples=fam_kept.reshape(k * per_chain, 2)[: options.keep],
+                acceptance_rate=rate,
+                chain_length=steps,
+                diagnostics={
+                    "proposal_scales": (factor[ch.rows, None] * ch.scales).tolist(),
+                    "free_parameters": ch.free,
+                    "warnings": warnings,
+                    "rhat": {names[j]: split_rhat(fam_kept[:, :, j]) for j in ch.free},
+                    "ess_bulk": {names[j]: bulk_ess(fam_kept[:, :, j]) for j in ch.free},
+                },
+            )
+        )
+    return posteriors

@@ -112,7 +112,8 @@ class MixtureDensity:
             r = 0
             for fam, a, b, log_w in self._groups:
                 block = rows[r : r + a.shape[0]]
-                _logpdf_into(fam, a, b, xs, *arg, block, tmp[: a.shape[0]])
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    _logpdf_into(fam, a, b, xs, *arg, block, tmp[: a.shape[0]])
                 block += log_w
                 r += a.shape[0]
             out[lo : lo + _CHUNK] = _logsumexp_columns(rows)

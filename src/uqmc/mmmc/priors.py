@@ -4,6 +4,12 @@ A coordinate prior exposes logpdf(x) and ppf(u); evidence integrals draw
 prior samples through ppf on counter-based uniforms.  Point-mass priors
 mark a coordinate as fixed, which the MCMC sampler excludes from the
 walk (that is how "known sigma" setups are expressed).
+
+The uniform, log-uniform and normal priors keep their log density as a
+static ``_formula(x, *params)`` that broadcasts over arrays of parameters,
+with ``_params`` the instance's values (constants precomputed), so the
+sampler evaluates every coordinate prior of one class in one call; for a
+single prior ``logpdf`` calls the same formula.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributions import Dataset, Family
+from ..distributions import _HALF_LOG_2PI, Dataset, Family
 from ..exceptions import InvalidParameterError
 
 
@@ -26,14 +32,15 @@ class UniformPrior:
     def __post_init__(self):
         if not self.lower < self.upper:
             raise InvalidParameterError("uniform prior needs lower < upper")
+        log_density = -math.log(self.upper - self.lower)
+        object.__setattr__(self, "_params", (self.lower, self.upper, log_density))
+
+    @staticmethod
+    def _formula(x, lower, upper, log_density):
+        return np.where((x >= lower) & (x <= upper), log_density, -np.inf)
 
     def logpdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(
-            (x >= self.lower) & (x <= self.upper),
-            -math.log(self.upper - self.lower),
-            -np.inf,
-        )
+        return self._formula(np.asarray(x, dtype=np.float64), *self._params)
 
     def ppf(self, u):
         return self.lower + np.asarray(u) * (self.upper - self.lower)
@@ -50,17 +57,19 @@ class LogUniformPrior:
     def __post_init__(self):
         if not 0.0 < self.lower < self.upper:
             raise InvalidParameterError("log-uniform prior needs 0 < lower < upper")
-        object.__setattr__(self, "_norm", math.log(math.log(self.upper / self.lower)))
+        norm = math.log(math.log(self.upper / self.lower))
+        object.__setattr__(self, "_params", (self.lower, self.upper, norm))
 
-    def logpdf(self, x):
+    @staticmethod
+    def _formula(x, lower, upper, norm):
         # log(max(x, lower)) is log(x) wherever the result is kept, and never
         # sees a non-positive argument, so no errstate is needed.
-        x = np.asarray(x, dtype=np.float64)
         return np.where(
-            (x >= self.lower) & (x <= self.upper),
-            -np.log(np.maximum(x, self.lower)) - self._norm,
-            -np.inf,
+            (x >= lower) & (x <= upper), -np.log(np.maximum(x, lower)) - norm, -np.inf
         )
+
+    def logpdf(self, x):
+        return self._formula(np.asarray(x, dtype=np.float64), *self._params)
 
     def ppf(self, u):
         ll = math.log(self.lower)
@@ -76,10 +85,15 @@ class NormalPrior:
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise InvalidParameterError("normal prior needs sigma > 0")
+        object.__setattr__(self, "_params", (self.mu, self.sigma, math.log(self.sigma)))
+
+    @staticmethod
+    def _formula(x, mu, sigma, log_sigma):
+        z = (x - mu) / sigma
+        return -0.5 * z * z - log_sigma - _HALF_LOG_2PI
 
     def logpdf(self, x):
-        z = (np.asarray(x, dtype=np.float64) - self.mu) / self.sigma
-        return -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2.0 * math.pi)
+        return self._formula(np.asarray(x, dtype=np.float64), *self._params)
 
     def ppf(self, u):
         from scipy.special import ndtri

@@ -64,7 +64,7 @@ def _importance_weights(
     offending sample (and the candidate, if given).  A sum that overflows
     from finite terms runs that check and passes it.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _logpdf_into(target.family, *target.params, x, *arg, out, tmp)
         out -= log_q
         if not out.sum() < math.inf:

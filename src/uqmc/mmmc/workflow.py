@@ -14,7 +14,7 @@ from ..models import CostLedger, Model
 from ..rng import RngStream
 from .ensemble import CandidateModelSet, build_candidate_set
 from .inference import ModelProbabilities, aic_weights, bayes_weights
-from .mcmc import McmcOptions, ParameterPosterior, posterior_sample
+from .mcmc import McmcOptions, ParameterPosterior, sample_posteriors
 from .mixture import MixtureDensity, optimal_mixture
 from .priors import default_priors
 from .propagate import MultimodelReport, PropagationSamples, draw_propagation_samples, reweight
@@ -75,12 +75,15 @@ def quantify_input_uncertainty(
         raise InvalidParameterError("inference must be 'aic' or 'bayes'")
     t1 = time.perf_counter()
 
-    posteriors: dict[Family, ParameterPosterior] = {}
-    for i, (fam, p) in enumerate(zip(probabilities.families, probabilities.pi)):
-        if p > 0.0:
-            posteriors[fam] = posterior_sample(
-                fam, data, priors[fam], mcmc, rng.split(_MCMC_SPLIT + i)
-            )
+    # Family i, if its probability is positive, samples on
+    # rng.split(_MCMC_SPLIT + i); all of them in one lockstep loop.
+    active = [i for i, p in enumerate(probabilities.pi) if p > 0.0]
+    fams = [probabilities.families[i] for i in active]
+    samples = sample_posteriors(
+        fams, data, [priors[f] for f in fams], mcmc,
+        [rng.split(_MCMC_SPLIT + i) for i in active],
+    )
+    posteriors: dict[Family, ParameterPosterior] = dict(zip(fams, samples))
     if phase_seconds is not None:
         phase_seconds["inference"] = t1 - t0
         phase_seconds["mcmc"] = time.perf_counter() - t1

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -106,6 +107,30 @@ class TestRun:
         lines = (tmp_path / "out/levels.csv").read_text().strip().splitlines()
         assert lines[0] == "level,mean,variance,cost,n"
         assert len(lines) - 1 == report["result"]["diagnostics"]["levels_used"]
+
+    @pytest.mark.parametrize(
+        "extra, divisor",
+        [({}, math.sqrt(2.0)), ({"fixed_level": 2}, 1.0)],
+        ids=["adaptive", "fixed_level"],
+    )
+    def test_mlmc_plan_se_target(self, tmp_path, extra, divisor):
+        # The adaptive run spends half of eps^2 on variance, so its
+        # allocation targets a standard error of eps/sqrt(2).
+        cfg = {"method": "mlmc", "problem": "gbm_euler", "eps": 0.05, "seed": 2, **extra}
+        code, report = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert "eps" not in report["plan"]
+        assert report["plan"]["se_target"] == 0.05 / divisor
+
+    def test_mlmc_zero_variance_plan_is_what_was_drawn(self, tmp_path):
+        problem = {"name": "gbm_euler", "params": {"sigma": 0}}
+        code, report = run_cli(tmp_path, {"method": "mlmc", "problem": problem, "eps": 0.01})
+        assert code == 0
+        assert "all_level_variances_zero" in report["diagnostics"]["flags"]
+        rows = (tmp_path / "out/levels.csv").read_text().strip().splitlines()[1:]
+        drawn = [int(row.split(",")[-1]) for row in rows]
+        assert report["plan"]["n_per_level"] == drawn == [100, 100, 100]
+        assert report["plan"]["predicted_cost"] == report["result"]["total_cost"] == 1000
 
     def test_mlmc_bias_unmet_exit_3_with_report(self, tmp_path):
         code, report = run_cli(
@@ -298,8 +323,27 @@ class TestRun:
         code, report = run_cli(tmp_path, cfg)
         assert code == 0
         meta = json.loads((tmp_path / "out/run_meta.json").read_text())
-        assert "phase_s" not in meta
+        assert ("phase_s" in meta) == (cfg["method"] == "mlmc")  # mc has no phases
         _check_model_seconds(meta, report)
+
+    @pytest.mark.parametrize(
+        "cfg, phases",
+        [
+            ({"method": "mlmc", "problem": "gbm_euler", "eps": 0.05}, {"pilot", "rounds"}),
+            ({"method": "mfmc", "problem": "poly_fidelity", "budget": 5000}, {"pilot", "main"}),
+        ],
+        ids=["mlmc", "mfmc"],
+    )
+    def test_run_meta_phase_seconds(self, tmp_path, cfg, phases):
+        code, report = run_cli(tmp_path, {**cfg, "seed": 2})
+        assert code == 0
+        meta = json.loads((tmp_path / "out/run_meta.json").read_text())
+        assert set(meta["phase_s"]) == phases | {"write"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in meta["phase_s"].values())
+        # wall_time_s is the estimator's time; the write comes after it.
+        assert sum(meta["phase_s"][k] for k in phases) <= meta["wall_time_s"]
+        assert "distinct_candidates" not in meta
+        assert "phase_s" not in json.dumps(report)
 
     @pytest.mark.parametrize("keep", [50, 4])
     def test_mmmc_rhat_in_report_and_flags(self, tmp_path, keep):

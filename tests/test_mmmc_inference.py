@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from uqmc import Dataset, Family, RngStream
+from uqmc import Dataset, Family, RngStream, builtin_problem
 from uqmc.exceptions import EstimatorError, InvalidParameterError
 from uqmc.mmmc import (
     RHAT_LIMIT,
@@ -23,9 +23,11 @@ from uqmc.mmmc import (
     default_priors,
     model_evidence,
     posterior_sample,
+    run_multimodel,
+    sample_posteriors,
     split_rhat,
 )
-from uqmc.mmmc import mcmc
+from uqmc.mmmc import mcmc, workflow
 from uqmc.mmmc.inference import _softmax
 
 POS_DATA = Dataset([1.73, 3.42, 0.88, 2.15, 4.61, 1.02, 2.94, 1.48, 3.07, 0.67])
@@ -418,6 +420,75 @@ class TestRandomnessLayout:
         per_chain = -(-PIN_OPTS.keep // 4)
         assert np.array_equal(post.samples[:per_chain], ref.samples[:per_chain])
         assert not np.array_equal(post.samples[per_chain:], ref.samples[per_chain:])
+
+
+class HalfCauchyScale:
+    """A prior of a class the sampler does not batch: only logpdf and ppf."""
+
+    def logpdf(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.where(x > 0.0, math.log(2.0 / math.pi) - np.log1p(x * x), -np.inf)
+
+    def ppf(self, u):
+        return np.tan(0.5 * math.pi * np.asarray(u))
+
+
+def _fused_case():
+    """All five families; gamma has a pinned shape, so the free counts
+    differ; lognormal has a normal prior on mu and a duck-typed one on
+    sigma."""
+    priors = {f: default_priors(f, POS_DATA) for f in Family}
+    priors[Family.GAMMA] = [PointMassPrior(2.0), LogUniformPrior(0.01, 100.0)]
+    priors[Family.LOGNORMAL] = [NormalPrior(0.7, 1.0), HalfCauchyScale()]
+    return priors
+
+
+class TestFusedChains:
+    """One lockstep loop over several families gives each family the draws
+    it gets alone."""
+
+    @pytest.mark.parametrize("order", [list(Family), list(Family)[::-1]],
+                             ids=["forward", "reversed"])
+    def test_matches_one_family_at_a_time(self, order):
+        priors = _fused_case()
+        rngs = {f: RngStream(11).split(i) for i, f in enumerate(Family)}
+        fused = sample_posteriors(
+            order, POS_DATA, [priors[f] for f in order], PIN_OPTS, [rngs[f] for f in order]
+        )
+        assert [post.family for post in fused] == order
+        for post in fused:
+            ref = posterior_sample(post.family, POS_DATA, priors[post.family], PIN_OPTS,
+                                   rngs[post.family])
+            assert post.samples.tobytes() == ref.samples.tobytes()
+            assert post.acceptance_rate == ref.acceptance_rate
+            assert post.chain_length == ref.chain_length
+            assert repr(post.diagnostics) == repr(ref.diagnostics)
+        assert fused[order.index(Family.GAMMA)].diagnostics["free_parameters"] == [1]
+
+    def test_infeasible_family_fails_the_call(self):
+        # Gamma has no feasible start on data with negative values.
+        fams = [Family.NORMAL, Family.GAMMA]
+        priors = [default_priors(f, MIXED_DATA) for f in fams]
+        with pytest.raises(EstimatorError, match="no feasible starting point"):
+            sample_posteriors(fams, MIXED_DATA, priors, PIN_OPTS, [RngStream(1), RngStream(2)])
+
+    def test_run_multimodel_posteriors_match_per_family_calls(self):
+        bundle = builtin_problem("smalldata_demo")
+        opts = McmcOptions(burn_in=200, keep=50, thin=2)
+        rng = RngStream(5)
+        run = run_multimodel(bundle.model, bundle.dataset, inference="bayes", ensemble_size=10,
+                             n=500, n_ev=1000, mcmc=opts, rng=rng)
+        probs = run.probabilities
+        assert len(run.posteriors) == int(np.count_nonzero(probs.pi)) >= 2
+        for i, fam in enumerate(probs.families):
+            if probs.pi[i] == 0.0:
+                continue
+            ref = posterior_sample(fam, bundle.dataset, default_priors(fam, bundle.dataset),
+                                   opts, rng.split(workflow._MCMC_SPLIT + i))
+            post = run.posteriors[fam]
+            assert post.samples.tobytes() == ref.samples.tobytes()
+            assert post.acceptance_rate == ref.acceptance_rate
+            assert repr(post.diagnostics) == repr(ref.diagnostics)
 
 
 class TestConvergenceDiagnostics:
