@@ -36,7 +36,8 @@ from .rng import RngStream
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Draw indices per inverse-CDF block here, and rows per model call in
-# ``models.evaluate`` and the streamed estimators of ``mc``.
+# ``models.evaluate`` and in ``mc.draw_evaluate``, through which every
+# estimator with a ``Distribution`` input draws.
 _EVAL_CHUNK = 65536
 
 # Newton tolerance on the per-datum profile score for gamma/weibull fits.

@@ -1,15 +1,16 @@
 """Standard Monte Carlo and control variates, and the streamed input
-layer that they and MFMC share.
+layer that they, MFMC and MLMC share.
 
 Substream layout shared by both estimators: split(0) draws the main
 sample and split(1) the control-variate pilot, so a control-variate run
 draws the same main sample as ``mc_estimate`` on the same stream.  The
 two-level estimator is MLMC with one correction and lives in ``mlmc``.
 
-Estimators that need only model outputs go through ``draw_evaluate``: it
-draws and evaluates the input matrix in blocks of ``_EVAL_CHUNK`` rows,
-so the full matrix never exists.  Row i always consumes the same draw
-indices, so every result is independent of the block size.
+Every estimator with a ``Distribution`` input (MC, CV, MFMC, MLMC and
+two-level) goes through ``draw_evaluate``: it draws and evaluates the
+input matrix in blocks of ``_EVAL_CHUNK`` rows, so the full matrix never
+exists.  Row i always consumes the same draw indices, so every result is
+independent of the block size.
 """
 
 from __future__ import annotations

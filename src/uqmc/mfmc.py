@@ -171,7 +171,7 @@ def estimator_variance(
 def variance_ratio(stats: PilotStats) -> float:
     """Predicted variance of the planned estimator relative to plain MC
     at equal budget."""
-    acc = math.sqrt(1.0 - stats.rho[0] ** 2) if stats.k else 1.0
+    acc = math.sqrt(1.0 - stats.rho[0] ** 2)
     for i in range(stats.k):
         acc += math.sqrt(
             stats.cost_lo[i] / stats.cost_hi * (stats.rho[i] ** 2 - stats.rho[i + 1] ** 2)
@@ -193,18 +193,6 @@ def mfmc_plan(stats: PilotStats, budget: float) -> MfmcPlan:
     flags = list(stats.flags)
     k = stats.k
     costs = np.array([stats.cost_hi] + list(stats.cost_lo))
-
-    if k == 0:
-        n0 = max(2, int(budget // stats.cost_hi))
-        return MfmcPlan(
-            beta=(),
-            t=(1.0,),
-            n=(n0,),
-            n_real=(budget / stats.cost_hi,),
-            chi=1.0,
-            budget=budget,
-            flags=tuple(flags),
-        )
 
     beta = tuple(
         stats.rho[i] * stats.sigma_hi / stats.sigma_lo[i] for i in range(k)

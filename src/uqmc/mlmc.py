@@ -3,7 +3,11 @@ sample allocation, the adaptive estimator loop, and the two-level
 estimator (MLMC with one correction, under a work budget).
 
 Both estimators assemble the telescoping sum of coupled corrections
-Y_l = M(l) - M(l-1), drawn by ``coupled_sample``.  Substream layout:
+Y_l = M(l) - M(l-1), drawn by ``coupled_sample``: the models of
+``LevelHierarchy.coupled_models(l)`` go through ``mc.draw_evaluate``, the
+draw-and-evaluate walk of every estimator with a ``Distribution`` input,
+so a batch's input matrix is drawn and coarsened block by block and never
+held whole.  Substream layout:
 
 - ``mlmc_estimate`` draws level l on split(l), its counter continuing
   across top-up rounds, so adding samples or levels never perturbs draws
@@ -22,8 +26,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .exceptions import BudgetError, InvalidParameterError
-from .mc import draw_inputs
-from .models import CostLedger, LevelHierarchy, Model, evaluate
+from .mc import draw_evaluate
+from .models import CostLedger, LevelHierarchy, Model
 from .reports import EstimateReport
 from .rng import RngStream
 
@@ -65,19 +69,6 @@ class MlmcResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _coupled_outputs(h: LevelHierarchy, level: int, n: int, rng: RngStream, ledger):
-    """Outputs of levels l and l-1 (None at level 0) on n shared inputs,
-    coarsened for level l-1 only when the input dimensions differ."""
-    fine = h.levels[level]
-    x = draw_inputs(h.input, rng, n, fine.input_dim)
-    y = evaluate(fine, x, ledger)
-    if level == 0:
-        return y, None
-    coarse = h.levels[level - 1]
-    xc = x if coarse.input_dim == fine.input_dim else h.coarsen(x)
-    return y, evaluate(coarse, xc, ledger)
-
-
 def coupled_sample(
     h: LevelHierarchy,
     level: int,
@@ -87,8 +78,9 @@ def coupled_sample(
 ) -> np.ndarray:
     """n draws of the level correction Y_l, both models evaluated on the
     same underlying inputs."""
-    y, yc = _coupled_outputs(h, level, n, rng, ledger)
-    return y if yc is None else y - yc
+    models = h.coupled_models(level)
+    y, *yc = draw_evaluate(models, [n] * len(models), h.input, rng, ledger)
+    return y - yc[0] if yc else y
 
 
 def _level_stats(level: int, y: np.ndarray, cost: float) -> LevelStats:
@@ -170,29 +162,21 @@ def mlmc_convergence_test(stats: list[LevelStats], eps: float) -> tuple[bool, fl
 @dataclass
 class _LevelAccumulator:
     """Stored correction samples for one level (kept raw so means and
-    variances are computed over the full array, independent of batching).
-
-    ``stats`` is computed once per ``add``: it joins the batches into one
-    array and caches the result until the next ``add``."""
+    variances are computed over the full array, independent of batching)
+    and their statistics, recomputed once per ``add``."""
 
     level: int
     cost: float
-    dim: int
-    batches: list = field(default_factory=list)
-    n: int = 0
-    _stats: LevelStats | None = None
+    y: np.ndarray = field(default_factory=lambda: np.empty(0))
+    stats: LevelStats | None = None
+
+    @property
+    def n(self) -> int:
+        return self.y.size
 
     def add(self, y: np.ndarray) -> None:
-        self.batches.append(y)
-        self.n += y.size
-        self._stats = None
-
-    def stats(self) -> LevelStats:
-        if self._stats is None:
-            if len(self.batches) != 1:
-                self.batches = [np.concatenate(self.batches) if self.batches else np.empty(0)]
-            self._stats = _level_stats(self.level, self.batches[0], self.cost)
-        return self._stats
+        self.y = np.concatenate((self.y, y))
+        self.stats = _level_stats(self.level, self.y, self.cost)
 
 
 def mlmc_estimate(
@@ -239,9 +223,7 @@ def mlmc_estimate(
     accs: list[_LevelAccumulator] = []
 
     def add_level(lv: int) -> None:
-        accs.append(
-            _LevelAccumulator(level=lv, cost=h.coupled_cost(lv), dim=h.levels[lv].input_dim)
-        )
+        accs.append(_LevelAccumulator(level=lv, cost=h.coupled_cost(lv)))
 
     def top_up(acc: _LevelAccumulator, want: int) -> None:
         need = want - acc.n
@@ -249,7 +231,7 @@ def mlmc_estimate(
             return
         if max_cost is not None and ledger.total() + need * acc.cost > max_cost:
             raise BudgetError(f"mlmc would exceed max_cost={max_cost}")
-        stream = rng.split(acc.level).advance(acc.n * acc.dim)
+        stream = rng.split(acc.level).advance(acc.n * h.levels[acc.level].input_dim)
         acc.add(coupled_sample(h, acc.level, need, stream, ledger))
 
     t0 = time.perf_counter()
@@ -264,7 +246,7 @@ def mlmc_estimate(
     for _round in range(_MAX_ROUNDS):
         for acc in accs:  # the pilot of a level added in the last round
             top_up(acc, initial_samples)
-        stats = [acc.stats() for acc in accs]
+        stats = [acc.stats for acc in accs]
         plan = mlmc_allocation(stats, eps_alloc)
         needed = [
             max(want - acc.n, 0) for want, acc in zip(plan.n_per_level, accs)
@@ -275,7 +257,7 @@ def mlmc_estimate(
             continue
         if not adaptive:
             break
-        stats = [acc.stats() for acc in accs]
+        stats = [acc.stats for acc in accs]
         if len(stats) >= 3:
             converged, alpha_hat = mlmc_convergence_test(stats, eps)
         else:
@@ -292,7 +274,7 @@ def mlmc_estimate(
         flags.append("round_limit_reached")
 
     flags += plan.flags
-    stats = [acc.stats() for acc in accs]
+    stats = [acc.stats for acc in accs]
     if "all_level_variances_zero" in plan.flags:
         # Any sample count meets the target, so the plan is the samples drawn.
         plan = replace(
@@ -306,10 +288,8 @@ def mlmc_estimate(
 
     n_per_model: dict[str, int] = {}
     for s in stats:
-        n_per_model[h.levels[s.level].id] = n_per_model.get(h.levels[s.level].id, 0) + s.n
-        if s.level > 0:
-            mid = h.levels[s.level - 1].id
-            n_per_model[mid] = n_per_model.get(mid, 0) + s.n
+        for m in h.coupled_models(s.level):
+            n_per_model[m.id] = n_per_model.get(m.id, 0) + s.n
 
     report = EstimateReport(
         estimate=estimate,
@@ -359,7 +339,9 @@ def two_level_estimate(
         raise BudgetError(
             f"budget {budget} cannot cover a {pilot_n}-sample pilot plus 2 samples per term"
         )
-    y, yc = _coupled_outputs(h, 1, pilot_n, rng.split(_PILOT_STREAM), ledger)
+    y, yc = draw_evaluate(
+        h.coupled_models(1), [pilot_n] * 2, h.input, rng.split(_PILOT_STREAM), ledger
+    )
     v0 = float(np.var(yc, ddof=1))
     v1 = float(np.var(y - yc, ddof=1))
     remaining = budget - pilot_cost

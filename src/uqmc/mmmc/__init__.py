@@ -25,7 +25,6 @@ from .propagate import (
     MultimodelReport,
     PropagationSamples,
     draw_propagation_samples,
-    effective_sample_count,
     is_estimate,
     propagate_multimodel,
     reweight,
@@ -59,7 +58,6 @@ __all__ = [
     "candidate_set_from_posteriors",
     "default_priors",
     "draw_propagation_samples",
-    "effective_sample_count",
     "emsd",
     "is_estimate",
     "mixture_normalization",

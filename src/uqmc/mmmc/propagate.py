@@ -83,10 +83,6 @@ def _ess(s: float, ss: float) -> float:
     return s * s / ss if ss > 0.0 else 0.0
 
 
-def effective_sample_count(w: np.ndarray) -> float:
-    return _ess(float(np.sum(w)), float(np.sum(w * w)))
-
-
 def is_estimate(
     model: Model,
     target: Distribution,
@@ -126,7 +122,7 @@ def is_estimate(
         seed=rng.seed,
         method="is",
         diagnostics={
-            "ess": effective_sample_count(w),
+            "ess": _ess(float(np.sum(w)), float(np.sum(w * w))),
             "mean_weight": float(np.mean(w)),
             "max_weight": float(np.max(w)),
         },

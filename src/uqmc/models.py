@@ -85,13 +85,7 @@ def evaluate(
     its temporaries; outputs land in a preallocated array by index, so the
     chunking never changes results.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise InvalidParameterError(
-            f"model '{model.id}' expects input_dim={model.input_dim}, got shape {x.shape}"
-        )
+    x = _as_inputs(model, inputs)
     n = x.shape[0]
     started = time.perf_counter()
     out = np.empty(n, dtype=np.float64)
@@ -113,6 +107,18 @@ def evaluate(
     return out
 
 
+def _as_inputs(model: Model, inputs) -> np.ndarray:
+    """``inputs`` as the float (n, input_dim) array ``model.fn`` takes."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise InvalidParameterError(
+            f"model '{model.id}' expects input_dim={model.input_dim}, got shape {x.shape}"
+        )
+    return x
+
+
 def nonfinite_output(model: Model, index: int, x_row: np.ndarray) -> EvaluationError:
     """The error for a non-finite output of ``model`` at sample ``index``."""
     return EvaluationError(
@@ -130,7 +136,9 @@ class LevelHierarchy:
     are i.i.d. across a model's input_dim).  When dimensions differ across
     levels, ``coarsen`` maps a level-l input batch to the level-(l-1)
     batch driven by the same underlying randomness, which is what makes
-    coupled corrections contract.
+    coupled corrections contract.  ``coarsen`` must be row-wise (row i of
+    its output depends on row i of its input only), so coupled samples
+    can be drawn and evaluated in blocks of rows.
     """
 
     levels: tuple[Model, ...]
@@ -153,12 +161,28 @@ class LevelHierarchy:
     def max_level(self) -> int:
         return len(self.levels) - 1
 
+    def coupled_models(self, level: int) -> tuple[Model, ...]:
+        """The models of one coupled sample at ``level``, all taking level
+        ``level``'s inputs: ``(fine,)`` at level 0, else ``(fine, coarse)``.
+        When the input dimensions differ, ``coarse`` keeps the coarse
+        level's id and cost and evaluates it on ``coarsen(x)``, checked as
+        ``evaluate`` checks its inputs."""
+        fine = self.levels[level]
+        if level == 0:
+            return (fine,)
+        coarse = self.levels[level - 1]
+        if coarse.input_dim != fine.input_dim:
+            coarse = Model(
+                coarse.id,
+                lambda x, m=coarse: m.fn(_as_inputs(m, self.coarsen(x))),
+                coarse.cost_per_eval,
+                fine.input_dim,
+            )
+        return (fine, coarse)
+
     def coupled_cost(self, level: int) -> float:
         """Work units for one coupled sample at the given level."""
-        c = self.levels[level].cost_per_eval
-        if level > 0:
-            c += self.levels[level - 1].cost_per_eval
-        return c
+        return sum(m.cost_per_eval for m in self.coupled_models(level))
 
 
 @dataclass(frozen=True)

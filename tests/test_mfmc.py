@@ -108,6 +108,12 @@ class TestMfmcPlan:
         assert plan.n == (100,)
         assert plan.chi == 1.0
 
+    def test_no_lows_count_is_floored_real_count(self):
+        # 1.0 // 0.1 is 9.0, but 1.0 / 0.1 is 10.0 and 10 evaluations fit.
+        plan = mfmc_plan(make_stats([], [], cost_hi=0.1), 1.0)
+        assert plan.n_real == (10.0,) and plan.n == (10,)
+        assert plan.n[0] * 0.1 <= 1.0
+
     def test_worked_example_closed_form(self):
         plan = mfmc_plan(make_stats([0.9], [0.01]), 100.0)
         assert plan.t[1] == pytest.approx(20.6474160483505589, rel=1e-12)

@@ -234,12 +234,13 @@ class TestMlmcEstimate:
 
 
 class TestLevelStatsCache:
-    """Each level's statistics are computed once per batch added."""
+    """Each level's statistics are computed once per batch added, over
+    the level's whole sample so far."""
 
     def test_one_stats_pass_per_batch(self, monkeypatch):
         import uqmc.mlmc
 
-        calls = {"requests": 0, "passes": 0, "batches": 0}
+        calls = {"passes": 0, "batches": 0}
 
         def counting(key, fn):
             def wrapped(*args):
@@ -248,27 +249,34 @@ class TestLevelStatsCache:
 
             return wrapped
 
-        acc = uqmc.mlmc._LevelAccumulator
-        monkeypatch.setattr(acc, "stats", counting("requests", acc.stats))
         monkeypatch.setattr(uqmc.mlmc, "_level_stats", counting("passes", uqmc.mlmc._level_stats))
         monkeypatch.setattr(
             uqmc.mlmc, "coupled_sample", counting("batches", uqmc.mlmc.coupled_sample)
         )
         mlmc_estimate(GBM.hierarchy, 0.01, RngStream(29))
-        assert calls["requests"] > 2 * calls["batches"]  # every round re-reads every level
+        assert calls["batches"] > 3  # top-ups after the pilots
         assert calls["passes"] == calls["batches"]
 
     def test_cached_stats_bit_identical(self, monkeypatch):
         import uqmc.mlmc
 
-        cached = mlmc_estimate(GBM.hierarchy, 0.01, RngStream(29))
+        batches: dict[int, list] = {}
+        draw = uqmc.mlmc.coupled_sample
 
-        def uncached(acc):
-            y = np.concatenate(acc.batches)
-            return uqmc.mlmc._level_stats(acc.level, y, acc.cost)
+        def recording(h, level, n, rng, ledger=None):
+            y = draw(h, level, n, rng, ledger)
+            batches.setdefault(level, []).append(y)
+            return y
 
-        monkeypatch.setattr(uqmc.mlmc._LevelAccumulator, "stats", uncached)
-        fresh = mlmc_estimate(GBM.hierarchy, 0.01, RngStream(29))
-        assert cached.levels == fresh.levels
-        assert cached.plan == fresh.plan
-        assert cached.report.to_dict() == fresh.report.to_dict()
+        monkeypatch.setattr(uqmc.mlmc, "coupled_sample", recording)
+        eps = 0.01
+        res = mlmc_estimate(GBM.hierarchy, eps, RngStream(29))
+        whole = [
+            uqmc.mlmc._level_stats(lv, np.concatenate(ys), GBM.hierarchy.coupled_cost(lv))
+            for lv, ys in sorted(batches.items())
+        ]
+        assert any(len(ys) > 1 for ys in batches.values())
+        assert res.levels == whole
+        assert res.plan == mlmc_allocation(whole, eps / math.sqrt(2.0))
+        assert res.report.estimate == float(sum(s.mean for s in whole))
+        assert res.report.estimator_variance == float(sum(s.variance / s.n for s in whole))

@@ -111,6 +111,19 @@ class TestBuiltinProblems:
         assert var_corr[0] < var_fine
         assert all(b < a for a, b in zip(var_corr, var_corr[1:]))
 
+    def test_coupled_models_take_fine_inputs(self):
+        h = builtin_problem("gbm_euler").hierarchy
+        assert h.coupled_models(0) == (h.levels[0],)
+        fine, coarse = h.coupled_models(3)
+        assert fine is h.levels[3]
+        assert (coarse.id, coarse.cost_per_eval, coarse.input_dim) == ("gbm_l2", 4.0, 8)
+        x = draw_inputs(h.input, RngStream(18), 50, 8)
+        assert np.array_equal(coarse.fn(x), h.levels[2].fn(h.coarsen(x)))
+        # A coarsen of the wrong width fails the coarse model's input check.
+        wrong = LevelHierarchy(h.levels[:3], h.input, lambda z: z)
+        with pytest.raises(InvalidParameterError, match="'gbm_l1' expects input_dim=2"):
+            evaluate(wrong.coupled_models(2)[1], draw_inputs(h.input, RngStream(18), 5, 4))
+
     def test_gbm_euler_mean_matches_analytic(self):
         p = builtin_problem("gbm_euler", {"max_level": 6})
         m = p.hierarchy.levels[6]

@@ -1,6 +1,7 @@
 """The streamed input layer: chunked inverse-CDF draws and the chunked
-draw-and-evaluate walk behind MC, CV and MFMC give the results of drawing
-the whole input matrix first and evaluating it model by model."""
+draw-and-evaluate walk behind MC, CV, MFMC, MLMC and two-level give the
+results of drawing the whole input matrix first and evaluating it model
+by model."""
 
 import tracemalloc
 
@@ -11,6 +12,7 @@ from scipy.special import gammaincinv, ndtri
 import uqmc.distributions
 import uqmc.mc
 import uqmc.mfmc
+import uqmc.mlmc
 import uqmc.models
 from uqmc import (
     ControlVariateConfig,
@@ -18,20 +20,25 @@ from uqmc import (
     Distribution,
     Family,
     FidelityEnsemble,
+    LevelHierarchy,
     Model,
     RngStream,
     builtin_problem,
     cv_estimate,
     mc_estimate,
     mfmc_estimate,
+    mlmc_estimate,
+    two_level_estimate,
 )
 from uqmc.distributions import _EVAL_CHUNK, family_ppf, sample
 from uqmc.exceptions import EvaluationError
 from uqmc.mc import draw_evaluate, draw_inputs
+from uqmc.mlmc import coupled_sample
 from uqmc.models import evaluate
 
 CHUNK = 7
 POLY = builtin_problem("poly_fidelity")
+GBM = builtin_problem("gbm_euler", {"max_level": 5})
 DISTS = (
     Distribution(Family.NORMAL, (0.3, 1.7)),
     Distribution(Family.LOGNORMAL, (-0.2, 0.6)),
@@ -66,7 +73,7 @@ def run_both(monkeypatch, fn):
         streamed_ledger = CostLedger()
         streamed = fn(streamed_ledger)
     with monkeypatch.context() as mp:
-        for mod in (uqmc.mc, uqmc.mfmc):
+        for mod in (uqmc.mc, uqmc.mfmc, uqmc.mlmc):
             mp.setattr(mod, "draw_evaluate", reference_draw_evaluate)
         ref_ledger = CostLedger()
         ref = fn(ref_ledger)
@@ -175,6 +182,34 @@ class TestStreamedEstimators:
         assert got.to_dict() == ref.to_dict()
         assert got_ledger.as_dict() == ref_ledger.as_dict()
 
+    def test_mlmc_matches_reference(self, monkeypatch):
+        def run(ledger):
+            return mlmc_estimate(
+                GBM.hierarchy, 0.01, RngStream(46), initial_samples=20, ledger=ledger
+            )
+
+        got, got_ledger, ref, ref_ledger = run_both(monkeypatch, run)
+        # Top-ups start mid-block: some level holds a count off the block grid.
+        assert any(s.n % CHUNK for s in got.levels) and len(got.levels) == 5
+        assert got.levels == ref.levels
+        assert got.plan == ref.plan
+        assert got.report.to_dict() == ref.report.to_dict()
+        assert got_ledger.as_dict() == ref_ledger.as_dict()
+
+    def test_two_level_matches_reference(self, monkeypatch):
+        coarse, fine = GBM.hierarchy.levels[1:3]
+
+        def run(ledger):
+            return two_level_estimate(
+                coarse, fine, GBM.input, 2000.0, RngStream(47), ledger,
+                pilot_n=20, coarsen=GBM.hierarchy.coarsen,
+            )
+
+        got, got_ledger, ref, ref_ledger = run_both(monkeypatch, run)
+        assert got.diagnostics["n0"] > CHUNK and got.diagnostics["n1"] > CHUNK
+        assert got.to_dict() == ref.to_dict()
+        assert got_ledger.as_dict() == ref_ledger.as_dict()
+
     def test_wall_time_summed_per_model(self, small_chunks):
         ledger = CostLedger()
         mfmc_estimate(POLY.ensemble, POLY.input, 300.0, RngStream(45), n_pilot=20, ledger=ledger)
@@ -232,6 +267,20 @@ class TestStreamedErrors:
         assert (msg, idx, led) == ref[:2] + ref[3:]
         assert idx == 25 and np.array_equal(xr, x[25])
         assert led["counts"] == {"a": 9}
+
+    def test_coarse_level_error_names_coarse_model(self, small_chunks):
+        rng, n, bad = RngStream(55), 40, 17
+        coarsen = GBM.hierarchy.coarsen
+        x = draw_inputs(DISTS[0], rng, n, 2)
+        fine = square_model("fine", cost=2.0, dim=2)
+        h = LevelHierarchy((failing_at(coarsen(x)[bad], "coarse"), fine), DISTS[0], coarsen)
+        ledger = CostLedger()
+        with pytest.raises(EvaluationError) as exc:
+            coupled_sample(h, 1, n, rng, ledger)
+        assert str(exc.value) == f"model 'coarse' produced non-finite output at sample {bad}"
+        assert exc.value.index == bad
+        assert np.array_equal(exc.value.x, x[bad])  # the fine row it was coarsened from
+        assert ledger.as_dict()["counts"] == {"fine": n}
 
     def test_shape_error_matches_reference(self, small_chunks):
         rng = RngStream(54)
