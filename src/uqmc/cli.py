@@ -112,14 +112,23 @@ def _check_type(path: str, value, expected):
         raise _fail(path, f"expected {name}, got {type(value).__name__}")
 
 
+def _finite_number(token: str) -> float:
+    """A JSON float literal or NaN/+-Infinity token; a ConfigError unless finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {token} is not finite")
+    return value
+
+
 def validate_config(text: str) -> dict:
     """Parse and validate configuration text into a fully defaulted dict.
 
     Unknown keys are rejected with a nearest-key suggestion; missing
-    required keys and type mismatches name the offending field.
+    required keys and type mismatches name the offending field; NaN,
+    +-Infinity and float literals that overflow are rejected.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -155,6 +164,8 @@ def validate_config(text: str) -> dict:
         if unknown:
             raise _fail("problem", f"unknown keys {sorted(unknown)}")
         problem = {"name": problem.get("name"), "params": problem.get("params") or {}}
+        if not isinstance(problem["params"], dict):
+            raise _fail("problem.params", "expected object")
     if problem["name"] not in _PROBLEM_NAMES:
         raise _fail("problem.name", f"must be one of {_PROBLEM_NAMES}")
     cfg["problem"] = problem
@@ -205,7 +216,8 @@ def _require(bundle, kind: str, method: str):
 
 
 def _run_estimator(cfg: dict):
-    """Dispatch to the estimator; returns (result_dict, extras, flags)."""
+    """Dispatch to the estimator; returns (result_dict, extras, flags,
+    ledger), the ledger holding the run's counts, work and seconds."""
     method = cfg["method"]
     rng = RngStream(cfg["seed"])
     ledger = CostLedger()
@@ -260,7 +272,6 @@ def _run_estimator(cfg: dict):
             ledger=ledger,
         )
         result = res.report.to_dict()
-        extras["phase_s"] = dict(res.phase_seconds)
         extras["plan"] = {
             "se_target": res.plan.se_target,
             "n_per_level": list(res.plan.n_per_level),
@@ -273,10 +284,8 @@ def _run_estimator(cfg: dict):
         )
     elif method == "mfmc":
         ens = _require(bundle, "ensemble", method)
-        extras["phase_s"] = {}
         report, plan = mfmc_estimate(
-            ens, bundle.input, cfg["budget"], rng,
-            n_pilot=cfg["pilot"], ledger=ledger, phase_seconds=extras["phase_s"],
+            ens, bundle.input, cfg["budget"], rng, n_pilot=cfg["pilot"], ledger=ledger
         )
         result = report.to_dict()
         extras["plan"] = {
@@ -309,7 +318,6 @@ def _run_estimator(cfg: dict):
             ledger=ledger,
         )
         result = run.report.to_dict()
-        extras["phase_s"] = dict(run.phase_seconds)
         extras["distinct_candidates"] = len(set(run.candidates.entries))
         extras["model_probabilities"] = {
             f.value: p for f, p in run.probabilities.as_dict().items()
@@ -348,17 +356,13 @@ def _run_estimator(cfg: dict):
     if any(not np.isfinite(v) for v in result_values):
         raise EvaluationError("report contains non-finite values")
     flags = [*result["diagnostics"].get("flags", []), *flags]
-    # Measured seconds go to run_meta.json only, so report.json stays
-    # byte-identical across reruns.
-    extras["ledger"] = ledger.as_dict()
-    extras["model_s"] = dict(ledger.wall_time)
-    return result, extras, flags
+    return result, extras, flags, ledger
 
 
 def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     """Execute a validated config, write outputs, return (report, exit code)."""
     started = time.perf_counter()
-    result, extras, flags = _run_estimator(cfg)
+    result, extras, flags, ledger = _run_estimator(cfg)
     wall = time.perf_counter() - started
 
     report = {
@@ -368,7 +372,7 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
         "result": result,
         "plan": extras.get("plan"),
         "diagnostics": {
-            "ledger": extras["ledger"],
+            "ledger": ledger.as_dict(),
             "flags": flags,
             **{
                 k: extras[k]
@@ -391,16 +395,15 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
                 p = out_dir / name
                 p.write_text(extras[name] + "\n")
                 written.append(p)
-        work = extras["ledger"]["work"]
+        # Measured seconds go to run_meta.json only, so report.json stays
+        # byte-identical across reruns.
         meta = {
             "wall_time_s": wall,
-            "model_s": extras["model_s"],
-            "s_per_unit": {k: v / work[k] for k, v in extras["model_s"].items()},
+            "model_s": dict(ledger.wall_time),
+            "s_per_unit": {k: v / ledger.work[k] for k, v in ledger.wall_time.items()},
         }
-        if "phase_s" in extras:
-            phases = extras["phase_s"]
-            phases["write"] = time.perf_counter() - write_started
-            meta["phase_s"] = phases
+        if ledger.phase_s:
+            meta["phase_s"] = ledger.phase_s | {"write": time.perf_counter() - write_started}
         if "distinct_candidates" in extras:
             meta["distinct_candidates"] = extras["distinct_candidates"]
         (out_dir / "run_meta.json").write_text(json.dumps(meta) + "\n")

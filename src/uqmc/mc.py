@@ -113,7 +113,7 @@ def _mc_run(
     report = EstimateReport(
         estimate=s_hat,
         estimator_variance=zeta_sq / n,
-        n_per_model={model.id: n},
+        n_per_model=dict(ledger.counts),
         total_cost=ledger.total(),
         seed=rng.seed,
         method="mc",
@@ -181,14 +181,10 @@ def cv_estimate(
     adjusted = y - lam * (g - cfg.control_mean)
     s_hat = float(np.mean(adjusted))
     zeta_sq = float(np.var(adjusted, ddof=1))
-    per_model = n + (cfg.pilot_n if cfg.coef == "auto" else 0)
-    n_per_model: dict[str, int] = {}
-    for m in (model, cfg.control):
-        n_per_model[m.id] = n_per_model.get(m.id, 0) + per_model
     return EstimateReport(
         estimate=s_hat,
         estimator_variance=zeta_sq / n,
-        n_per_model=n_per_model,
+        n_per_model=dict(ledger.counts),
         total_cost=ledger.total(),
         seed=rng.seed,
         method="cv",

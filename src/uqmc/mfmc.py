@@ -6,7 +6,6 @@ estimator with exact prefix reuse of low-fidelity outputs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -278,7 +277,6 @@ def mfmc_estimate(
     n_pilot: int = 50,
     beta_override=None,
     ledger: CostLedger | None = None,
-    phase_seconds: dict[str, float] | None = None,
 ) -> tuple[EstimateReport, MfmcPlan]:
     """Full multifidelity run: pilot, ordering validation, plan, fresh
     main sample with prefix reuse.
@@ -289,44 +287,35 @@ def mfmc_estimate(
     the rest of the budget on the high-fidelity model alone, and the
     estimate is the plain MC mean of those draws.
 
-    When ``phase_seconds`` is given, the wall seconds of the pilot (with
-    the ordering validation) and of the main sample (plan, draws and
-    estimate) go into its ``pilot`` and ``main`` entries.
+    The report's ``n_per_model`` and ``total_cost`` are the ledger's counts
+    and total.  The ledger's ``pilot`` phase times the pilot with the
+    ordering validation, its ``main`` phase the plan, draws and estimate.
     """
     ledger = ledger if ledger is not None else CostLedger()
     pilot_cost = n_pilot * sum(m.cost_per_eval for m in ensemble.all_models)
     if budget < pilot_cost + 2.0 * ensemble.high.cost_per_eval:
         raise BudgetError("budget cannot cover the pilot plus two high-fidelity samples")
 
-    t0 = time.perf_counter()
-    stats = pilot_statistics(ensemble, input, n_pilot, rng.split(_PILOT), ledger)
-    stats = validate_ordering(stats)
-    t1 = time.perf_counter()
-    remaining = budget - pilot_cost
+    with ledger.phase("pilot"):
+        stats = pilot_statistics(ensemble, input, n_pilot, rng.split(_PILOT), ledger)
+        stats = validate_ordering(stats)
 
-    plan = mfmc_plan(stats, remaining)
-    beta = tuple(float(b) for b in beta_override) if beta_override is not None else plan.beta
-    if len(beta) != stats.k:
-        raise InvalidParameterError("beta_override length must match surviving surrogates")
+    with ledger.phase("main"):
+        plan = mfmc_plan(stats, budget - pilot_cost)
+        beta = tuple(float(b) for b in beta_override) if beta_override is not None else plan.beta
+        if len(beta) != stats.k:
+            raise InvalidParameterError("beta_override length must match surviving surrogates")
 
-    models = {m.id: m for m in ensemble.all_models}
-    lows = [models[i] for i in stats.low_ids]
-    y_hi, *y_lows = draw_evaluate(
-        [ensemble.high] + lows, plan.n, input, rng.split(_MAIN), ledger
-    )
-    estimate = combine_multifidelity(y_hi, y_lows, plan.n, beta)
-    est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(beta))
-
-    n_per_model = {ensemble.high.id: plan.n[0] + n_pilot}
-    for i, m in enumerate(lows):
-        n_per_model[m.id] = plan.n[i + 1] + n_pilot
-    for m in ensemble.lows:
-        n_per_model.setdefault(m.id, n_pilot)
+        models = {m.id: m for m in ensemble.all_models}
+        kept = [ensemble.high] + [models[i] for i in stats.low_ids]
+        y_hi, *y_lows = draw_evaluate(kept, plan.n, input, rng.split(_MAIN), ledger)
+        estimate = combine_multifidelity(y_hi, y_lows, plan.n, beta)
+        est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(beta))
 
     report = EstimateReport(
         estimate=estimate,
         estimator_variance=est_var,
-        n_per_model=n_per_model,
+        n_per_model=dict(ledger.counts),
         total_cost=ledger.total(),
         seed=rng.seed,
         method="mfmc",
@@ -339,7 +328,4 @@ def mfmc_estimate(
             "flags": list(plan.flags),
         },
     )
-    if phase_seconds is not None:
-        phase_seconds["pilot"] = t1 - t0
-        phase_seconds["main"] = time.perf_counter() - t1
     return report, plan

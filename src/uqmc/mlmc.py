@@ -19,7 +19,6 @@ held whole.  Substream layout:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,9 +63,6 @@ class MlmcResult:
     report: EstimateReport
     plan: MlmcPlan
     levels: list[LevelStats]
-    # Wall seconds of the first pilot and of the rounds after it; not part
-    # of any deterministic report.
-    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def coupled_sample(
@@ -199,7 +195,9 @@ def mlmc_estimate(
     ``fixed_level`` set, the level set is frozen and the full eps^2
     variance budget is used with no bias test.  ``max_cost`` is checked
     before every batch, pilots included: a batch that would take the
-    ledger past it raises ``BudgetError`` instead of being drawn.
+    ledger past it raises ``BudgetError`` instead of being drawn.  The
+    ledger's ``pilot`` phase times the first pilot, its ``rounds`` phase
+    the rounds after it.
     """
     if eps <= 0.0:
         raise InvalidParameterError("eps must be positive")
@@ -234,44 +232,44 @@ def mlmc_estimate(
         stream = rng.split(acc.level).advance(acc.n * h.levels[acc.level].input_dim)
         acc.add(coupled_sample(h, acc.level, need, stream, ledger))
 
-    t0 = time.perf_counter()
-    for lv in range(top + 1):
-        add_level(lv)
-        top_up(accs[-1], initial_samples)
-    t1 = time.perf_counter()
+    with ledger.phase("pilot"):
+        for lv in range(top + 1):
+            add_level(lv)
+            top_up(accs[-1], initial_samples)
 
     plan = None
     alpha_hat = None
     converged = not adaptive
-    for _round in range(_MAX_ROUNDS):
-        for acc in accs:  # the pilot of a level added in the last round
-            top_up(acc, initial_samples)
-        stats = [acc.stats for acc in accs]
-        plan = mlmc_allocation(stats, eps_alloc)
-        needed = [
-            max(want - acc.n, 0) for want, acc in zip(plan.n_per_level, accs)
-        ]
-        if any(needed):
-            for acc, want in zip(accs, plan.n_per_level):
-                top_up(acc, want)
-            continue
-        if not adaptive:
-            break
-        stats = [acc.stats for acc in accs]
-        if len(stats) >= 3:
-            converged, alpha_hat = mlmc_convergence_test(stats, eps)
+    with ledger.phase("rounds"):
+        for _round in range(_MAX_ROUNDS):
+            for acc in accs:  # the pilot of a level added in the last round
+                top_up(acc, initial_samples)
+            stats = [acc.stats for acc in accs]
+            plan = mlmc_allocation(stats, eps_alloc)
+            needed = [
+                max(want - acc.n, 0) for want, acc in zip(plan.n_per_level, accs)
+            ]
+            if any(needed):
+                for acc, want in zip(accs, plan.n_per_level):
+                    top_up(acc, want)
+                continue
+            if not adaptive:
+                break
+            stats = [acc.stats for acc in accs]
+            if len(stats) >= 3:
+                converged, alpha_hat = mlmc_convergence_test(stats, eps)
+            else:
+                converged = False
+                flags.append("bias_untested")
+                break
+            if converged:
+                break
+            if len(accs) - 1 >= avail:
+                flags.append("bias_target_unmet")
+                break
+            add_level(len(accs))
         else:
-            converged = False
-            flags.append("bias_untested")
-            break
-        if converged:
-            break
-        if len(accs) - 1 >= avail:
-            flags.append("bias_target_unmet")
-            break
-        add_level(len(accs))
-    else:
-        flags.append("round_limit_reached")
+            flags.append("round_limit_reached")
 
     flags += plan.flags
     stats = [acc.stats for acc in accs]
@@ -282,19 +280,12 @@ def mlmc_estimate(
             n_per_level=tuple(s.n for s in stats),
             predicted_cost=float(np.dot([s.n for s in stats], [s.cost for s in stats])),
         )
-    phase_seconds = {"pilot": t1 - t0, "rounds": time.perf_counter() - t1}
     estimate = float(sum(s.mean for s in stats))
     est_var = float(sum(s.variance / s.n for s in stats))
-
-    n_per_model: dict[str, int] = {}
-    for s in stats:
-        for m in h.coupled_models(s.level):
-            n_per_model[m.id] = n_per_model.get(m.id, 0) + s.n
-
     report = EstimateReport(
         estimate=estimate,
         estimator_variance=est_var,
-        n_per_model=n_per_model,
+        n_per_model=dict(ledger.counts),
         total_cost=ledger.total(),
         seed=rng.seed,
         method="mlmc",
@@ -306,7 +297,7 @@ def mlmc_estimate(
             "levels_used": len(stats),
         },
     )
-    return MlmcResult(report=report, plan=plan, levels=stats, phase_seconds=phase_seconds)
+    return MlmcResult(report=report, plan=plan, levels=stats)
 
 
 def two_level_estimate(
@@ -372,7 +363,7 @@ def two_level_estimate(
     return EstimateReport(
         estimate=float(sum(s.mean for s in stats)),
         estimator_variance=float(sum(s.variance / s.n for s in stats)),
-        n_per_model={coarse.id: pilot_n + n0 + n1, fine.id: pilot_n + n1},
+        n_per_model=dict(ledger.counts),
         total_cost=ledger.total(),
         seed=rng.seed,
         method="two_level",

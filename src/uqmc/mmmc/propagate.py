@@ -12,10 +12,11 @@ proposal log density on one path, ``draw_propagation_samples``.  Every
 importance weight, in ``is_estimate`` and ``reweight`` alike, comes from
 one kernel, ``_importance_weights``: the shared family log-density kernel
 ``distributions._logpdf_into`` minus the proposal log density, screened
-for NaN/+inf weights, then exponentiated, all in caller-supplied buffers.  ``reweight`` computes log x once and reuses two length-n buffers
-for all T candidates, so its cost is one pass over n points per distinct
-candidate, with no per-candidate allocation: a repeated candidate (equal
-family and parameters) copies the estimate and ESS of its first occurrence.
+for NaN/+inf weights, then exponentiated, all in caller-supplied buffers.
+``reweight`` computes log x once and reuses two length-n buffers for all T
+candidates, so its cost is one pass over n points per distinct candidate,
+with no per-candidate allocation: a repeated candidate (equal family and
+parameters) copies the estimate and ESS of its first occurrence.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def is_estimate(
     return EstimateReport(
         estimate=s_hat,
         estimator_variance=sigma_sq / n,
-        n_per_model={model.id: n},
+        n_per_model=dict(ledger.counts),
         total_cost=ledger.total(),
         seed=rng.seed,
         method="is",
@@ -203,8 +204,12 @@ def reweight(
     """Estimate E_p[model] for every candidate p by importance reweighting
     of the cached outputs; performs zero model evaluations.
 
-    Each distinct candidate is weighted once, at its first index; repeats
-    get bit-identical copies, and errors name that first index."""
+    ``total_cost`` is ``ledger.total()``: pass the ledger that drew
+    ``samples`` to report their cost, since reweighting adds none; with no
+    ledger it is 0.0.  Each distinct candidate is weighted once, at its
+    first index; repeats get bit-identical copies, and errors name that
+    first index."""
+    ledger = ledger if ledger is not None else CostLedger()
     T = targets.size
     estimates = np.empty(T)
     ess = np.empty(T)
@@ -230,7 +235,7 @@ def reweight(
         ess=ess,
         n=samples.n,
         seed=samples.seed,
-        total_cost=ledger.total() if ledger is not None else float(samples.n),
+        total_cost=ledger.total(),
         diagnostics={
             "n_candidates": T,
             "min_ess": float(np.min(ess)),

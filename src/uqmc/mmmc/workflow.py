@@ -5,8 +5,7 @@ propagate the whole candidate ensemble through a model in one loop.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..distributions import Dataset, Family
 from ..exceptions import InvalidParameterError
@@ -35,8 +34,6 @@ class MultimodelRun:
     mixture: MixtureDensity
     report: MultimodelReport
     samples: PropagationSamples
-    # Wall seconds per pipeline phase; not part of any deterministic report.
-    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def quantify_input_uncertainty(
@@ -49,44 +46,44 @@ def quantify_input_uncertainty(
     n_ev: int = 10_000,
     mcmc: McmcOptions = McmcOptions(),
     rng: RngStream,
-    phase_seconds: dict[str, float] | None = None,
+    ledger: CostLedger | None = None,
 ) -> tuple[ModelProbabilities, dict[Family, ParameterPosterior]]:
     """Model probabilities plus parameter posteriors for every family
     with positive probability.
 
-    When ``phase_seconds`` is given, the wall seconds of the model
-    probabilities and of the MCMC go into its ``inference`` and ``mcmc``
-    entries."""
-    t0 = time.perf_counter()
+    ``families`` must be distinct.  The ledger's ``inference`` phase times
+    the model probabilities, its ``mcmc`` phase the posterior sampling;
+    neither evaluates the model, so no work is charged."""
+    ledger = ledger if ledger is not None else CostLedger()
     families = [Family(f) for f in families]
-    if priors is None:
-        priors = {
-            f: default_priors(f, data)
-            for f in families
-            if not (f.positive_support and bool((data.values <= 0.0).any()))
-        }
-    if inference == "aic":
-        probabilities = aic_weights(families, data)
-    elif inference == "bayes":
-        probabilities = bayes_weights(
-            families, data, priors, model_priors, n_ev, rng.split(_EVIDENCE_SPLIT)
-        )
-    else:
-        raise InvalidParameterError("inference must be 'aic' or 'bayes'")
-    t1 = time.perf_counter()
+    if len(set(families)) != len(families):
+        raise InvalidParameterError("families must be distinct")
+    with ledger.phase("inference"):
+        if priors is None:
+            priors = {
+                f: default_priors(f, data)
+                for f in families
+                if not (f.positive_support and bool((data.values <= 0.0).any()))
+            }
+        if inference == "aic":
+            probabilities = aic_weights(families, data)
+        elif inference == "bayes":
+            probabilities = bayes_weights(
+                families, data, priors, model_priors, n_ev, rng.split(_EVIDENCE_SPLIT)
+            )
+        else:
+            raise InvalidParameterError("inference must be 'aic' or 'bayes'")
 
     # Family i, if its probability is positive, samples on
     # rng.split(_MCMC_SPLIT + i); all of them in one lockstep loop.
-    active = [i for i, p in enumerate(probabilities.pi) if p > 0.0]
-    fams = [probabilities.families[i] for i in active]
-    samples = sample_posteriors(
-        fams, data, [priors[f] for f in fams], mcmc,
-        [rng.split(_MCMC_SPLIT + i) for i in active],
-    )
+    with ledger.phase("mcmc"):
+        active = [i for i, p in enumerate(probabilities.pi) if p > 0.0]
+        fams = [probabilities.families[i] for i in active]
+        samples = sample_posteriors(
+            fams, data, [priors[f] for f in fams], mcmc,
+            [rng.split(_MCMC_SPLIT + i) for i in active],
+        )
     posteriors: dict[Family, ParameterPosterior] = dict(zip(fams, samples))
-    if phase_seconds is not None:
-        phase_seconds["inference"] = t1 - t0
-        phase_seconds["mcmc"] = time.perf_counter() - t1
     return probabilities, posteriors
 
 
@@ -107,9 +104,12 @@ def run_multimodel(
     rng: RngStream,
     ledger: CostLedger | None = None,
 ) -> MultimodelRun:
-    """The full single-loop pipeline for one dataset and one model."""
+    """The full single-loop pipeline for one dataset and one model.
+
+    The ledger holds the ``n`` model evaluations and the wall seconds of
+    the phases ``inference``, ``mcmc``, ``candidates_mixture``, ``draw``
+    and ``reweight``."""
     ledger = ledger if ledger is not None else CostLedger()
-    phase_seconds: dict[str, float] = {}
     probabilities, posteriors = quantify_input_uncertainty(
         data,
         families,
@@ -119,21 +119,19 @@ def run_multimodel(
         n_ev=n_ev,
         mcmc=mcmc,
         rng=rng,
-        phase_seconds=phase_seconds,
+        ledger=ledger,
     )
-    t1 = time.perf_counter()
-    candidates = build_candidate_set(
-        probabilities, posteriors, ensemble_size, rng.split(_CANDIDATE_SPLIT)
-    )
-    mixture = optimal_mixture(
-        probabilities, posteriors, mixture_mode, max_components_per_family
-    )
-    t2 = time.perf_counter()
-    samples = draw_propagation_samples(model, mixture, n, rng.split(_PROPAGATE_SPLIT), ledger)
-    t3 = time.perf_counter()
-    report = reweight(samples, candidates, ledger)
-    t4 = time.perf_counter()
-    phase_seconds.update(candidates_mixture=t2 - t1, draw=t3 - t2, reweight=t4 - t3)
+    with ledger.phase("candidates_mixture"):
+        candidates = build_candidate_set(
+            probabilities, posteriors, ensemble_size, rng.split(_CANDIDATE_SPLIT)
+        )
+        mixture = optimal_mixture(
+            probabilities, posteriors, mixture_mode, max_components_per_family
+        )
+    with ledger.phase("draw"):
+        samples = draw_propagation_samples(model, mixture, n, rng.split(_PROPAGATE_SPLIT), ledger)
+    with ledger.phase("reweight"):
+        report = reweight(samples, candidates, ledger)
     return MultimodelRun(
         probabilities=probabilities,
         posteriors=posteriors,
@@ -141,5 +139,4 @@ def run_multimodel(
         mixture=mixture,
         report=report,
         samples=samples,
-        phase_seconds=phase_seconds,
     )

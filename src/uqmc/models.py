@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,18 +40,28 @@ class Model:
 
 
 class CostLedger:
-    """Per-model evaluation counts, accumulated work units and measured
-    evaluation seconds.
+    """A run's one account: per-model evaluation counts, work units and
+    measured evaluation seconds, and the wall seconds of each named phase.
 
-    Allocation decisions only ever read declared work units, and
-    ``as_dict`` holds only counts and work, so reports stay exactly
-    reproducible; the seconds in ``wall_time`` are a diagnostic.
+    One ledger serves one run: estimators report its ``counts`` as
+    ``n_per_model`` and its ``total()`` as ``total_cost``.  Allocation
+    only reads declared work units, and ``as_dict`` holds only counts and
+    work, so reports stay exactly reproducible; the seconds in
+    ``wall_time`` and ``phase_s`` are a diagnostic.
     """
 
     def __init__(self):
         self.counts: dict[str, int] = {}
         self.work: dict[str, float] = {}
         self.wall_time: dict[str, float] = {}
+        self.phase_s: dict[str, float] = {}
+
+    @contextmanager
+    def phase(self, name: str):
+        """Store the wall seconds of the ``with`` body in ``phase_s[name]``."""
+        started = time.perf_counter()
+        yield
+        self.phase_s[name] = time.perf_counter() - started
 
     def charge(self, model: Model, n: int, elapsed: float = 0.0) -> None:
         self.counts[model.id] = self.counts.get(model.id, 0) + n
@@ -357,4 +368,7 @@ def builtin_problem(name: str, params: dict | None = None) -> ProblemBundle:
         raise InvalidParameterError(
             f"unknown problem '{name}'; available: {sorted(_BUILTINS)}"
         )
-    return _BUILTINS[name](dict(params or {}))
+    try:
+        return _BUILTINS[name](dict(params or {}))
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. {"sigma": "high"}
+        raise InvalidParameterError(f"{name} params: {exc}") from exc

@@ -482,6 +482,47 @@ class TestRun:
         p = write_cfg(tmp_path, {"method": "mc", "problem": "quadratic"})
         assert main(["run", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"method": "two_level", "problem": "gbm_euler", "budget": Infinity}',
+             "config number Infinity is not finite"),
+            ('{"method": "mfmc", "problem": "poly_fidelity", "budget": NaN}',
+             "config number NaN is not finite"),
+            ('{"method": "mfmc", "problem": "poly_fidelity", "budget": Infinity}',
+             "config number Infinity is not finite"),
+            ('{"method": "mlmc", "problem": "gbm_euler", "eps": NaN}',
+             "config number NaN is not finite"),
+            ('{"method": "mc", "problem": {"name": "quadratic", "params": [1]}, "n": 10}',
+             "problem.params: expected object"),
+            ('{"method": "mc", "problem": {"name": "quadratic", "params": "abc"}, "n": 10}',
+             "problem.params: expected object"),
+            ('{"method": "mlmc", "eps": 0.1,'
+             ' "problem": {"name": "gbm_euler", "params": {"sigma": "high"}}}',
+             "gbm_euler params: could not convert"),
+            ('{"method": "mfmc", "budget": 1000,'
+             ' "problem": {"name": "poly_fidelity", "params": {"cost_lo": 5}}}',
+             "poly_fidelity params: 'int' object is not iterable"),
+            ('{"method": "mlmc", "eps": 0.1,'
+             ' "problem": {"name": "gbm_euler", "params": {"max_level": 1e400}}}',
+             "config number 1e400 is not finite"),
+            ('{"method": "mmmc", "problem": "smalldata_demo",'
+             ' "families": ["normal", "normal", "gamma"]}',
+             "families must be distinct"),
+        ],
+        ids=[
+            "two_level_budget_inf", "mfmc_budget_nan", "mfmc_budget_inf", "mlmc_eps_nan",
+            "params_list", "params_string", "sigma_string", "cost_lo_scalar",
+            "max_level_overflow", "mmmc_duplicate_family",
+        ],
+    )
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, text, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_budget_error_exit_3(self, tmp_path):
         code, _ = run_cli(
             tmp_path,
@@ -517,6 +558,31 @@ class TestRun:
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos/configs").glob("*.json"))
 
+# sha256 of each demo's output files at its own seed.  A change that moves
+# these bytes updates the pin and says which bytes changed and why.
+DEMO_DIGESTS = {
+    "cv_poly": {
+        "report.json": "17f803659dbebf2230b20fe25ac6131c04018f24570f1955b9b80634d18d3e53",
+    },
+    "mc_quadratic": {
+        "report.json": "71f43781e2d5f4c8c2cdc17db6634bba559d61ba096598260c17e9fabafba887",
+    },
+    "mfmc_poly": {
+        "report.json": "e6691ca8ac1a626cd905c119a5761559fdede4baf470f7661181253f42034153",
+    },
+    "mlmc_gbm": {
+        "report.json": "535a6c1159264dbf1831c60064d2f9c5310062548cf01a387cfa8766cb392b8d",
+        "levels.csv": "b6a31cea5add84c7e9aca925089d76d03ec86b2da3224207f3288e8b9b7b7493",
+    },
+    "mmmc_smalldata": {
+        "report.json": "4d73f6fedde1a1ad6281bb051553e1134581298ec82039f07a3a9b46ccdf0910",
+        "estimates.csv": "814fb38fe6171008f524be7f516abe3f4ab722545d78853a054e11abb0e3042a",
+    },
+    "two_level_gbm": {
+        "report.json": "90d81947f23c219c7d8c5e2ee1b53c26649797b58b6c2fc34360811d0d5269ba",
+    },
+}
+
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_runs(path, tmp_path):
@@ -524,3 +590,7 @@ def test_demo_config_runs(path, tmp_path):
     _, code = run_config(cfg, tmp_path)
     assert code == 0
     jsonschema.validate(json.loads((tmp_path / "report.json").read_text()), SCHEMA)
+    written = {p.name for p in tmp_path.iterdir()} & {"levels.csv", "estimates.csv"}
+    assert written | {"report.json"} == set(DEMO_DIGESTS[path.stem])
+    for name, digest in DEMO_DIGESTS[path.stem].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -491,6 +491,14 @@ class TestFusedChains:
             assert repr(post.diagnostics) == repr(ref.diagnostics)
 
 
+    def test_duplicate_families_rejected(self):
+        # A repeated family would weigh twice in the mixture, yet its two
+        # probabilities collapse into one entry of the report.
+        with pytest.raises(InvalidParameterError, match="families must be distinct"):
+            workflow.quantify_input_uncertainty(
+                POS_DATA, ["normal", Family.NORMAL, "gamma"], rng=RngStream(1)
+            )
+
 class TestConvergenceDiagnostics:
     def test_iid_chains_pass(self):
         chains = np.random.default_rng(0).standard_normal((4, 1000))

@@ -292,6 +292,18 @@ class TestPropagate:
         assert np.array_equal(r1.estimates, r1b.estimates)
         assert r1.estimates[0] != r2.estimates[0]
 
+    def test_reweight_total_cost_reads_the_ledger(self):
+        # Reweighting evaluates nothing, so with no ledger it reports 0.0,
+        # not a guess; the ledger that drew the samples reports their cost.
+        double = Model("sq2", lambda x: x[:, 0] ** 2, 2.0)
+        q = MixtureDensity((N01,), np.array([1.0]))
+        ledger = CostLedger()
+        samples = draw_propagation_samples(double, q, 500, RngStream(14), ledger)
+        targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
+        assert reweight(samples, targets).total_cost == 0.0
+        assert reweight(samples, targets, ledger).total_cost == ledger.total() == 1000.0
+        assert ledger.counts == {"sq2": 500}
+
     def test_reweight_rejects_candidate_outside_proposal_support(self):
         # A positive-support proposal cannot serve a normal candidate; the
         # support check must fire for that candidate before any weighting.
