@@ -4,7 +4,8 @@ Level l uses 2^l time steps at cost 2^l; coupled corrections between
 adjacent levels share the same Brownian increments, so their variance
 shrinks with level and nearly all samples land on cheap coarse levels.
 The adaptive loop grows the level set until the extrapolated remaining
-bias is below the target.
+bias is below the target, sizing each new level from a variance
+extrapolated with the fitted decay rate beta.
 """
 
 import numpy as np
@@ -23,7 +24,10 @@ result = mlmc_estimate(problem.hierarchy, eps, RngStream(seed=3), ledger=ledger)
 print(f"target accuracy eps = {eps}, analytic mean = {truth:.5f}")
 print(f"estimate = {result.report.estimate:.5f}  "
       f"(error {abs(result.report.estimate - truth):.5f})")
-print(f"fitted mean-decay exponent alpha = {result.report.diagnostics['alpha_hat']:.2f}")
+diag = result.report.diagnostics
+print(f"fitted decay exponents: means alpha = {diag['alpha_hat']:.2f}, "
+      f"variances beta = {diag['beta_hat']:.2f}; "
+      f"remaining bias estimate {diag['bias_estimate']:.5f}")
 print("\nper-level breakdown:")
 print(f"  {'level':>5} {'mean':>12} {'variance':>12} {'cost':>8} {'n':>8}")
 for s in result.levels:

@@ -37,7 +37,7 @@ from .mlmc import mlmc_estimate, two_level_estimate
 from .mmmc import RHAT_LIMIT, McmcOptions, run_multimodel
 from .models import CostLedger, builtin_problem
 from .reports import _plain
-from .rng import RngStream
+from .rng import SEED_LIMIT, RngStream
 
 _PROBLEM_NAMES = ("quadratic", "gbm_euler", "poly_fidelity", "smalldata_demo")
 
@@ -110,6 +110,11 @@ def _check_type(path: str, value, expected):
             else "/".join(t.__name__ for t in expected)
         )
         raise _fail(path, f"expected {name}, got {type(value).__name__}")
+    if isinstance(expected, tuple) and float in expected and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise _fail(path, "integer too large for a float") from None
 
 
 def _finite_number(token: str) -> float:
@@ -125,11 +130,13 @@ def validate_config(text: str) -> dict:
 
     Unknown keys are rejected with a nearest-key suggestion; missing
     required keys and type mismatches name the offending field; NaN,
-    +-Infinity and float literals that overflow are rejected.
+    +-Infinity, float literals that overflow, integers too large for a
+    float where a number is expected, and seeds outside [0, 2**53) are
+    rejected.
     """
     try:
         raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -169,6 +176,8 @@ def validate_config(text: str) -> dict:
     if problem["name"] not in _PROBLEM_NAMES:
         raise _fail("problem.name", f"must be one of {_PROBLEM_NAMES}")
     cfg["problem"] = problem
+    if cfg["seed"] is None or not 0 <= cfg["seed"] < SEED_LIMIT:
+        raise _fail("seed", f"must be an integer in [0, 2**53), got {cfg['seed']}")
 
     if method == "mmmc":
         for fam in cfg["families"]:

@@ -14,6 +14,14 @@ held whole.  Substream layout:
   already taken;
 - ``two_level_estimate`` draws its pilot on split(1), the coarse term
   Y_0 on split(2) and the correction Y_1 on split(3).
+
+The adaptive loop follows Giles (Acta Numerica 2015): only the starting
+levels 0..2 draw a fixed ``initial_samples`` first batch.  A level added
+by the bias test is sized from the variance V_{L-1} / 2^beta,
+extrapolated with the decay rate beta fit to the sampled levels, and
+every round allocates levels l >= 2 by max(V_l, V_{l-1} / 2^(beta + 1)).
+A new level therefore draws what the plan asks of it, not a fixed pilot,
+and a level whose few samples happen to vary little is not starved.
 """
 
 from __future__ import annotations
@@ -133,26 +141,60 @@ def mlmc_allocation(stats: list[LevelStats], eps: float) -> MlmcPlan:
     )
 
 
-def mlmc_convergence_test(stats: list[LevelStats], eps: float) -> tuple[bool, float]:
-    """Remaining-bias test on the decay of the correction means.
+def _log2_slope(values: np.ndarray) -> float | None:
+    """Least-squares slope of log2(values[i]) against level i + 1, over the
+    positive values; None when fewer than two are positive."""
+    ells = np.arange(1, len(values) + 1)
+    nz = values > 0.0
+    if np.count_nonzero(nz) < 2:
+        return None
+    return float(np.polyfit(ells[nz], np.log2(values[nz]), 1)[0])
 
-    The decay exponent alpha is fit by least squares on log2|mean_l| over
-    l >= 1 (floored at 0.5 to guard against noise-dominated fits); the
-    extrapolated remaining bias must stay below eps/sqrt(2).
+
+def _decay_rate(values: np.ndarray) -> float:
+    """Decay exponent r of values ~ 2^(-r l) over levels l >= 1, floored at
+    0.5 to guard against noise-dominated fits."""
+    slope = _log2_slope(values)
+    return 0.5 if slope is None else max(0.5, -slope)
+
+
+def remaining_bias(stats: list[LevelStats]) -> tuple[float, float]:
+    """(rem, alpha): the extrapolated bias left beyond the finest level, and
+    the decay exponent alpha of the correction means it is extrapolated by.
+
+    alpha is fit by least squares on log2|mean_l| over l >= 1 (floored at
+    0.5); rem = max(|mean_{L-1}| / 2^alpha, |mean_L|) / (2^alpha - 1).
     """
     if len(stats) < 3:
         raise InvalidParameterError("convergence test needs at least 3 levels")
-    means = np.array([s.mean for s in stats])
-    tail = np.abs(means[1:])
-    ells = np.arange(1, len(means))
-    nz = tail > 0.0
-    if np.count_nonzero(nz) >= 2:
-        slope = np.polyfit(ells[nz], np.log2(tail[nz]), 1)[0]
-        alpha = max(0.5, -float(slope))
-    else:
-        alpha = 0.5
+    tail = np.abs([s.mean for s in stats[1:]])
+    alpha = _decay_rate(tail)
     rem = max(tail[-2] / 2.0**alpha, tail[-1]) / (2.0**alpha - 1.0)
-    return bool(rem < eps / math.sqrt(2.0)), alpha
+    return float(rem), alpha
+
+
+def mlmc_convergence_test(stats: list[LevelStats], eps: float) -> tuple[bool, float]:
+    """Remaining-bias test on the decay of the correction means: passes
+    when ``remaining_bias`` stays below eps/sqrt(2).  Returns (passed, alpha)."""
+    rem, alpha = remaining_bias(stats)
+    return bool(rem < eps / _ADAPT_SPLIT), alpha
+
+
+def variance_decay_rate(stats: list[LevelStats]) -> float:
+    """beta: decay exponent of the correction variances, V_l ~ 2^(-beta l),
+    fit by least squares on log2 V_l over l >= 1 and floored at 0.5."""
+    return _decay_rate(np.array([s.variance for s in stats[1:]]))
+
+
+def floor_variances(stats: list[LevelStats], beta: float) -> list[LevelStats]:
+    """The statistics the adaptive loop allocates by: V_l for l >= 2 is
+    raised to at least half the extrapolation V_{l-1} / 2^beta, in level
+    order, so a level whose few samples happen to vary little is not starved
+    (Giles, Acta Numerica 2015)."""
+    out = list(stats[:2])
+    for s in stats[2:]:
+        out.append(replace(s, variance=max(s.variance, 0.5 * out[-1].variance / 2.0**beta)))
+    return out
 
 
 @dataclass
@@ -186,18 +228,26 @@ def mlmc_estimate(
     fixed_level: int | None = None,
     ledger: CostLedger | None = None,
 ) -> MlmcResult:
-    """Adaptive multilevel estimator.
+    """Adaptive multilevel estimator (Giles, Acta Numerica 2015).
 
     Starts from levels 0..2 (or fewer if the hierarchy is shorter) with
-    ``initial_samples`` pilot draws per level, then alternates sample
-    top-ups against the eps^2/2 variance target with the remaining-bias
-    test at eps/sqrt(2), adding a level whenever the test fails.  With
-    ``fixed_level`` set, the level set is frozen and the full eps^2
-    variance budget is used with no bias test.  ``max_cost`` is checked
-    before every batch, pilots included: a batch that would take the
-    ledger past it raises ``BudgetError`` instead of being drawn.  The
-    ledger's ``pilot`` phase times the first pilot, its ``rounds`` phase
-    the rounds after it.
+    ``initial_samples`` draws each, then alternates sample top-ups against
+    the eps^2/2 variance target with the remaining-bias test at
+    eps/sqrt(2), adding a level whenever the test fails.  Each round
+    allocates by ``floor_variances`` with beta fit to the sampled levels
+    (``variance_decay_rate``).  A new level draws no pilot: before its first
+    draw its variance is extrapolated as V_{L-1} / 2^beta, and its first
+    batch is the count the allocation then gives it, at least 2.  The
+    returned ``plan`` is ``mlmc_allocation`` over the final sample
+    statistics, with no floor or extrapolation.
+
+    With ``fixed_level`` set, the level set 0..fixed_level is frozen, each
+    level starts from ``initial_samples``, and the full eps^2 variance
+    budget is allocated by the sample variances alone, with no bias test.
+    ``max_cost`` is checked before every batch, the first ones included: a
+    batch that would take the ledger past it raises ``BudgetError``
+    instead of being drawn.  The ledger's ``pilot`` phase times the
+    starting levels' first draws, its ``rounds`` phase the rounds after.
     """
     if eps <= 0.0:
         raise InvalidParameterError("eps must be positive")
@@ -237,31 +287,32 @@ def mlmc_estimate(
             add_level(lv)
             top_up(accs[-1], initial_samples)
 
-    plan = None
-    alpha_hat = None
+    alpha_hat = rem = None
     converged = not adaptive
     with ledger.phase("rounds"):
-        for _round in range(_MAX_ROUNDS):
-            for acc in accs:  # the pilot of a level added in the last round
-                top_up(acc, initial_samples)
-            stats = [acc.stats for acc in accs]
-            plan = mlmc_allocation(stats, eps_alloc)
-            needed = [
-                max(want - acc.n, 0) for want, acc in zip(plan.n_per_level, accs)
-            ]
-            if any(needed):
-                for acc, want in zip(accs, plan.n_per_level):
-                    top_up(acc, want)
+        for rounds in range(1, _MAX_ROUNDS + 1):
+            stats = [acc.stats for acc in accs if acc.n]
+            alloc = stats
+            if adaptive and len(stats) >= 3:
+                beta = variance_decay_rate(stats)
+                alloc = floor_variances(stats, beta)
+                if len(stats) < len(accs):  # the level the bias test just added
+                    new = accs[-1]
+                    v_new = alloc[-1].variance / 2.0**beta
+                    alloc.append(LevelStats(new.level, 0.0, v_new, new.cost, 0))
+            want = mlmc_allocation(alloc, eps_alloc).n_per_level
+            if any(w > acc.n for w, acc in zip(want, accs)):
+                for acc, w in zip(accs, want):
+                    top_up(acc, max(w, 2))
                 continue
             if not adaptive:
                 break
-            stats = [acc.stats for acc in accs]
-            if len(stats) >= 3:
-                converged, alpha_hat = mlmc_convergence_test(stats, eps)
-            else:
+            if len(stats) < 3:
                 converged = False
                 flags.append("bias_untested")
                 break
+            rem, alpha_hat = remaining_bias(stats)
+            converged = bool(rem < eps / _ADAPT_SPLIT)
             if converged:
                 break
             if len(accs) - 1 >= avail:
@@ -271,8 +322,9 @@ def mlmc_estimate(
         else:
             flags.append("round_limit_reached")
 
+    stats = [acc.stats for acc in accs if acc.n]
+    plan = mlmc_allocation(stats, eps_alloc)
     flags += plan.flags
-    stats = [acc.stats for acc in accs]
     if "all_level_variances_zero" in plan.flags:
         # Any sample count meets the target, so the plan is the samples drawn.
         plan = replace(
@@ -292,9 +344,13 @@ def mlmc_estimate(
         diagnostics={
             "eps": eps,
             "alpha_hat": alpha_hat,
+            "beta_hat": variance_decay_rate(stats) if len(stats) >= 3 else None,
+            "gamma": _log2_slope(np.array([s.cost for s in stats[1:]])),
+            "bias_estimate": rem,
             "converged": converged,
             "flags": flags,
             "levels_used": len(stats),
+            "rounds": rounds,
         },
     )
     return MlmcResult(report=report, plan=plan, levels=stats)

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .exceptions import InvalidParameterError
+
 _MASK64 = (1 << 64) - 1
+# Seeds at or above 2^53 lose low bits in the Philox key for about half of
+# all child streams, and negative ones wrap to the top of the 64-bit range
+# where they collide, so seeds are confined to [0, 2^53).
+SEED_LIMIT = 1 << 53
 
 
 def _mix64(z: int) -> int:
@@ -37,6 +43,10 @@ class RngStream:
     seed: int
     stream_id: int = 0
     counter: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise InvalidParameterError(f"seed must be in [0, 2**53), got {self.seed}")
 
     def split(self, child: int) -> "RngStream":
         """Derive an independent child stream; the parent is unchanged."""

@@ -571,8 +571,8 @@ DEMO_DIGESTS = {
         "report.json": "e6691ca8ac1a626cd905c119a5761559fdede4baf470f7661181253f42034153",
     },
     "mlmc_gbm": {
-        "report.json": "535a6c1159264dbf1831c60064d2f9c5310062548cf01a387cfa8766cb392b8d",
-        "levels.csv": "b6a31cea5add84c7e9aca925089d76d03ec86b2da3224207f3288e8b9b7b7493",
+        "report.json": "afdff78df673dbf97531a7e639c36cc8269c52dd94bd6bcdd700e1ef39767c9e",
+        "levels.csv": "8bc4fc4aad6a25310105d1e8e6ffa71dc4c8d3396ab7dce9d228f67f635ade93",
     },
     "mmmc_smalldata": {
         "report.json": "4d73f6fedde1a1ad6281bb051553e1134581298ec82039f07a3a9b46ccdf0910",
@@ -594,3 +594,49 @@ def test_demo_config_runs(path, tmp_path):
     assert written | {"report.json"} == set(DEMO_DIGESTS[path.stem])
     for name, digest in DEMO_DIGESTS[path.stem].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("seed", [-1, 2**53, 2**63])
+def test_seed_outside_range_exit_2(tmp_path, capsys, seed):
+    # Negative seeds and seeds >= 2**53 collide with other seeds' streams.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"method": "mc", "problem": "quadratic", "n": 100, "seed": seed}))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: seed: must be an integer in [0, 2**53), got {seed}" in err
+    p.write_text(json.dumps({"method": "mc", "problem": "quadratic", "n": 100}))
+    assert main(["run", str(p), "--out", str(tmp_path / "out"), "--seed", str(seed)]) == 2
+    assert f"config error: seed must be in [0, 2**53), got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    code, report = run_cli(
+        tmp_path, {"method": "mc", "problem": "quadratic", "n": 100, "seed": 2**53 - 1}
+    )
+    assert code == 0
+    assert report["result"]["seed"] == 2**53 - 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"method": "two_level", "problem": "gbm_euler", "budget": 1%s}' % ("0" * 400),
+        '{"method": "mlmc", "problem": "gbm_euler", "eps": 0.1, "max_cost": -1%s}' % ("0" * 400),
+        '{"method": "cv", "problem": "poly_fidelity", "n": 100, "coef": 1%s}' % ("0" * 400),
+    ],
+    ids=["two_level_budget", "mlmc_max_cost", "cv_coef"],
+)
+def test_integer_too_large_for_float_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "integer too large for a float" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_past_digit_limit_exit_2(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"method": "mfmc", "problem": "poly_fidelity", "budget": 1%s}' % ("0" * 5000))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: config is not valid JSON" in capsys.readouterr().err

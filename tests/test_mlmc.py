@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from uqmc import (
     mlmc_estimate,
 )
 from uqmc.exceptions import BudgetError, InvalidParameterError
-from uqmc.mlmc import LevelStats
+from uqmc.mlmc import LevelStats, floor_variances, remaining_bias, variance_decay_rate
 
 GBM = builtin_problem("gbm_euler")
 
@@ -280,3 +281,140 @@ class TestLevelStatsCache:
         assert res.plan == mlmc_allocation(whole, eps / math.sqrt(2.0))
         assert res.report.estimate == float(sum(s.mean for s in whole))
         assert res.report.estimator_variance == float(sum(s.variance / s.n for s in whole))
+
+
+class TestDecayFits:
+    def test_beta_exact_geometric_decay(self):
+        v = [1.0] + [2.0 ** (-1.5 * l) for l in range(1, 5)]
+        stats = stats_from(v, [2.0**l for l in range(5)])
+        assert variance_decay_rate(stats) == pytest.approx(1.5, abs=1e-12)
+
+    def test_beta_ignores_level_zero_and_zero_variances(self):
+        v = [1e6, 0.5, 0.0, 0.125, 0.0625]
+        stats = stats_from(v, [2.0**l for l in range(5)])
+        # Over levels 1, 3, 4: log2 V = -1, -3, -4 gives slope -1.
+        assert variance_decay_rate(stats) == pytest.approx(1.0, abs=1e-12)
+
+    def test_beta_floor(self):
+        stats = stats_from([1.0, 0.1, 0.2, 0.4], [2.0**l for l in range(4)])
+        assert variance_decay_rate(stats) == 0.5
+        assert variance_decay_rate(stats_from([1.0, 0.1, 0.0], [1.0, 2.0, 4.0])) == 0.5
+
+    def test_variance_floor_in_level_order(self):
+        stats = stats_from([1.0, 0.5, 0.001, 0.1, 1e-9], [1.0, 2.0, 4.0, 8.0, 16.0])
+        floored = floor_variances(stats, 1.0)
+        # Levels 0 and 1 are kept; level l >= 2 is raised to at least
+        # V_{l-1} / 2^(beta + 1), with V_{l-1} already floored.
+        assert [s.variance for s in floored] == [1.0, 0.5, 0.125, 0.1, 0.025]
+        assert [replace(s, variance=0.0) for s in floored] == [
+            replace(s, variance=0.0) for s in stats
+        ]
+
+    def test_remaining_bias_geometric_means(self):
+        means = [1.0, 0.5, 0.25, 0.125]
+        stats = stats_from([1.0] * 4, [2.0**l for l in range(4)], means=means)
+        rem, alpha = remaining_bias(stats)
+        # alpha = 1: rem = max(0.25 / 2, 0.125) / (2 - 1).
+        assert alpha == pytest.approx(1.0, abs=1e-12)
+        assert rem == pytest.approx(0.125, rel=1e-12)
+        assert mlmc_convergence_test(stats, 0.18) == (True, alpha)
+        assert mlmc_convergence_test(stats, 0.17) == (False, alpha)
+
+
+class TestNewLevels:
+    """Levels added by the bias test are sized from an extrapolated
+    variance, with no fixed pilot."""
+
+    DEMO = builtin_problem("gbm_euler", {"r": 1.0, "sigma": 0.25, "max_level": 10})
+
+    def test_demo_config_spends_near_plan(self):
+        # demos/configs/mlmc_gbm.json: eps 0.02, seed 17.
+        res = mlmc_estimate(self.DEMO.hierarchy, 0.02, RngStream(17))
+        assert len(res.levels) == 9
+        assert res.report.total_cost <= 1.5 * res.plan.predicted_cost
+        assert abs(res.report.estimate - self.DEMO.truth["mean"]) < 3 * res.report.std_error + 0.02
+
+    def test_first_batch_is_planned_count(self, monkeypatch):
+        import uqmc.mlmc
+
+        events = []
+        draw, allocate = uqmc.mlmc.coupled_sample, uqmc.mlmc.mlmc_allocation
+
+        def recording_draw(h, level, n, rng, ledger=None):
+            y = draw(h, level, n, rng, ledger)
+            events.append(("draw", level, y))
+            return y
+
+        def recording_allocate(stats, eps):
+            plan = allocate(stats, eps)
+            events.append(("plan", stats, plan))
+            return plan
+
+        monkeypatch.setattr(uqmc.mlmc, "coupled_sample", recording_draw)
+        monkeypatch.setattr(uqmc.mlmc, "mlmc_allocation", recording_allocate)
+        h = self.DEMO.hierarchy
+        res = mlmc_estimate(h, 0.02, RngStream(17))
+
+        checked = 0
+        for i, event in enumerate(events):
+            if event[0] != "plan" or event[1][-1].n:
+                continue
+            new_level = event[1][-1].level
+            drawn: dict[int, list] = {}
+            for e in events[:i]:
+                if e[0] == "draw":
+                    drawn.setdefault(e[1], []).append(e[2])
+            sampled = [
+                uqmc.mlmc._level_stats(lv, np.concatenate(ys), h.coupled_cost(lv))
+                for lv, ys in sorted(drawn.items())
+            ]
+            beta = variance_decay_rate(sampled)
+            expected = floor_variances(sampled, beta)
+            expected.append(
+                LevelStats(
+                    new_level, 0.0, expected[-1].variance / 2.0**beta, h.coupled_cost(new_level), 0
+                )
+            )
+            assert event[1] == expected
+            first = next(e[2] for e in events[i:] if e[0] == "draw" and e[1] == new_level)
+            assert first.size == max(2, event[2].n_per_level[-1])
+            checked += 1
+        assert checked == len(res.levels) - 3
+        first_sizes = [
+            next(e[2].size for e in events if e[0] == "draw" and e[1] == lv)
+            for lv in range(3, len(res.levels))
+        ]
+        assert 100 not in first_sizes
+        assert first_sizes[-1] < 10  # level 8 wants 6 samples, not a 100-sample pilot
+
+    def test_reported_plan_is_unfloored_allocation(self):
+        res = mlmc_estimate(self.DEMO.hierarchy, 0.02, RngStream(17))
+        assert res.plan == mlmc_allocation(res.levels, 0.02 / math.sqrt(2.0))
+
+    def test_fixed_level_unchanged(self):
+        # Values of the estimator before new levels were extrapolated:
+        # fixed_level runs keep every draw.
+        res = mlmc_estimate(self.DEMO.hierarchy, 0.01, RngStream(41), fixed_level=4)
+        assert res.report.estimate == 2.650312196573447
+        assert res.report.estimator_variance == 9.798265139113471e-05
+        assert [s.n for s in res.levels] == [3606, 991, 696, 358, 186]
+        assert res.plan.n_per_level == (3447, 978, 668, 357, 186)
+        assert res.report.total_cost == 19515.0
+
+    def test_diagnostics_report_rates_bias_and_rounds(self):
+        res = mlmc_estimate(self.DEMO.hierarchy, 0.02, RngStream(17))
+        d = res.report.diagnostics
+        rem, alpha = remaining_bias(res.levels)
+        assert d["bias_estimate"] == rem
+        assert d["converged"] and rem < 0.02 / math.sqrt(2.0)
+        assert d["alpha_hat"] == alpha
+        assert d["beta_hat"] == variance_decay_rate(res.levels)
+        assert d["gamma"] == pytest.approx(1.0, abs=1e-12)  # coupled costs double per level
+        assert d["rounds"] >= 2
+
+    def test_fixed_level_diagnostics(self):
+        res = mlmc_estimate(self.DEMO.hierarchy, 0.05, RngStream(42), fixed_level=1)
+        d = res.report.diagnostics
+        assert d["alpha_hat"] is None and d["bias_estimate"] is None
+        assert d["beta_hat"] is None and d["gamma"] is None
+        assert d["rounds"] >= 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uqmc.exceptions import InvalidParameterError
 from uqmc.rng import RngStream
 
 
@@ -68,3 +69,15 @@ def test_known_values_frozen():
 def test_negative_draw_count_rejected():
     with pytest.raises(ValueError):
         RngStream(seed=0).uniforms(-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**53, 2**63, 2**64 - 1])
+def test_seed_outside_range_rejected(seed):
+    # Such seeds wrap or lose low bits in the Philox key and collide.
+    with pytest.raises(InvalidParameterError, match="seed"):
+        RngStream(seed)
+
+
+def test_largest_seed_accepted():
+    s = RngStream(2**53 - 1)
+    assert not np.array_equal(s.split(2).uniforms(8), RngStream(2**53 - 2).split(2).uniforms(8))
