@@ -88,13 +88,15 @@ def coupled_sample(
 
 
 def _level_stats(level: int, y: np.ndarray, cost: float) -> LevelStats:
-    return LevelStats(
-        level=level,
-        mean=float(np.mean(y)),
-        variance=float(np.var(y, ddof=1)) if y.size > 1 else 0.0,
-        cost=cost,
-        n=y.size,
-    )
+    """Mean and unbiased variance of ``y``, bit for bit ``np.mean(y)`` and
+    ``np.var(y, ddof=1)``, from one shared sum."""
+    mean = np.add.reduce(y) / y.size
+    if y.size > 1:
+        d = np.subtract(y, mean)
+        variance = float(np.add.reduce(np.square(d, out=d)) / (y.size - 1))
+    else:
+        variance = 0.0
+    return LevelStats(level=level, mean=float(mean), variance=variance, cost=cost, n=y.size)
 
 
 def level_statistics(
@@ -201,20 +203,25 @@ def floor_variances(stats: list[LevelStats], beta: float) -> list[LevelStats]:
 class _LevelAccumulator:
     """Stored correction samples for one level (kept raw so means and
     variances are computed over the full array, independent of batching)
-    and their statistics, recomputed once per ``add``."""
+    and their statistics, recomputed once per ``add``.  The samples fill
+    the prefix of a buffer that doubles when full, so a batch copies only
+    itself, not the level."""
 
     level: int
     cost: float
-    y: np.ndarray = field(default_factory=lambda: np.empty(0))
+    n: int = 0
+    buf: np.ndarray = field(default_factory=lambda: np.empty(0))
     stats: LevelStats | None = None
 
-    @property
-    def n(self) -> int:
-        return self.y.size
-
     def add(self, y: np.ndarray) -> None:
-        self.y = np.concatenate((self.y, y))
-        self.stats = _level_stats(self.level, self.y, self.cost)
+        end = self.n + y.size
+        if end > self.buf.size:
+            grown = np.empty(max(end, 2 * self.buf.size))
+            grown[: self.n] = self.buf[: self.n]
+            self.buf = grown
+        self.buf[self.n : end] = y
+        self.n = end
+        self.stats = _level_stats(self.level, self.buf[:end], self.cost)
 
 
 def mlmc_estimate(

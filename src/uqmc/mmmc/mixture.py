@@ -25,7 +25,13 @@ reweighting exactly, up to rounding.
 ``MixtureDensity.logpdf`` writes one row per component with the shared
 family kernel ``distributions._logpdf_into`` (log x computed once per
 chunk) and reduces the rows with ``_logsumexp_columns``, a numpy
-log-sum-exp with the arithmetic of ``scipy.special.logsumexp``.
+log-sum-exp with the arithmetic of ``scipy.special.logsumexp``.  The
+chunks of ``_CHUNK`` points are spread over the usable cores by
+``_threads.fan_out``; each writes its own slice of the result, and every
+sum runs down one column, so the values do not depend on the chunk size
+or the thread count.  ``_CHUNK`` is 1024 so that two chunks in flight
+(a components × ``_CHUNK`` row block and its work buffer each) hold less
+memory than one chunk of 4096 did on one thread.
 """
 
 from __future__ import annotations
@@ -45,11 +51,12 @@ from ..distributions import (
 )
 from ..exceptions import InvalidParameterError, QuadratureError
 from ..rng import RngStream
+from ._threads import fan_out, workers
 from .ensemble import CandidateModelSet, thin_evenly
 from .inference import ModelProbabilities
 from .mcmc import ParameterPosterior
 
-_CHUNK = 4096
+_CHUNK = 1024
 _RULE_TOL = 1e-6
 # Panel edges sit at these quantiles of every density in an integral.  The
 # outermost bound the interval.  Half a decade apart in the tails, they keep
@@ -99,12 +106,15 @@ class MixtureDensity:
 
     def logpdf(self, x) -> np.ndarray:
         """log Σ_i w_i p_i(x), in chunks of ``_CHUNK`` points: one row per
-        component (grouped by family), reduced by ``_logsumexp_columns``."""
+        component (grouped by family), reduced by ``_logsumexp_columns``.
+        Chunks run on ``_threads.fan_out``; each writes only its own slice
+        of the result."""
         x = np.asarray(x, dtype=np.float64)
         flat = np.atleast_1d(x).ravel()
         out = np.empty(flat.size)
         widest = max(a.shape[0] for _, a, _, _ in self._groups)
-        for lo in range(0, flat.size, _CHUNK):
+
+        def chunk(lo: int) -> None:
             xs = flat[None, lo : lo + _CHUNK]
             arg = _log_argument(xs)
             rows = np.empty((self.n_components, xs.size))
@@ -117,6 +127,9 @@ class MixtureDensity:
                 block += log_w
                 r += a.shape[0]
             out[lo : lo + _CHUNK] = _logsumexp_columns(rows)
+
+        chunks = list(range(0, flat.size, _CHUNK))
+        fan_out(chunk, chunks, workers(self.n_components * flat.size))
         return out.reshape(x.shape) if x.ndim else np.float64(out[0])
 
     def pdf(self, x) -> np.ndarray:

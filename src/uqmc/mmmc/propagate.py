@@ -13,10 +13,14 @@ importance weight, in ``is_estimate`` and ``reweight`` alike, comes from
 one kernel, ``_importance_weights``: the shared family log-density kernel
 ``distributions._logpdf_into`` minus the proposal log density, screened
 for NaN/+inf weights, then exponentiated, all in caller-supplied buffers.
-``reweight`` computes log x once and reuses two length-n buffers for all T
-candidates, so its cost is one pass over n points per distinct candidate,
-with no per-candidate allocation: a repeated candidate (equal family and
-parameters) copies the estimate and ESS of its first occurrence.
+``reweight`` computes log x once, so its cost is one pass over n points
+per distinct candidate: a repeated candidate (equal family and
+parameters) copies the estimate and ESS of its first occurrence.  The
+distinct candidates are dealt into interleaved stripes, one per usable
+core (``_threads``), which mixes the families between stripes; each
+stripe reuses its own two length-n buffers for all its candidates and
+writes its candidates' slots.  An error is the serial loop's first: the
+lowest failing index, its support check before its weights.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from ..exceptions import EstimatorError, InvalidParameterError
 from ..models import CostLedger, Model, evaluate
 from ..reports import EstimateReport
 from ..rng import RngStream
+from ._threads import fan_out, workers
 from .ensemble import CandidateModelSet
 from .mixture import MixtureDensity
 
@@ -214,19 +219,36 @@ def reweight(
     estimates = np.empty(T)
     ess = np.empty(T)
     q_support = samples.proposal.support()
-    x, y = samples.x, samples.y
+    x, y, log_q = samples.x, samples.y, samples.log_q
     arg = _log_argument(x)
-    w, tmp = np.empty(samples.n), np.empty(samples.n)
     first: dict[Distribution, int] = {}
     for j, target in enumerate(targets.entries):
-        i = first.setdefault(target, j)
+        first.setdefault(target, j)
+    distinct = list(first.values())
+
+    def stripe(js: list[int]) -> tuple[int, Exception] | None:
+        """Weigh candidates ``js`` in order; the first error stops the
+        stripe and is returned with its candidate index."""
+        w, tmp = np.empty(samples.n), np.empty(samples.n)
+        for j in js:
+            target = targets.entries[j]
+            try:
+                _check_support(target, q_support, j)
+                _importance_weights(target, x, arg, log_q, w, tmp, j)
+                estimates[j] = float(np.mean(np.multiply(w, y, out=tmp)))
+                ess[j] = _ess(float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp))))
+            except Exception as err:  # re-raised below if no lower index failed
+                return j, err
+        return None
+
+    k = workers(len(distinct) * samples.n)
+    failed = [f for f in fan_out(stripe, [distinct[i::k] for i in range(k)], k) if f]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    for j, target in enumerate(targets.entries):
+        i = first[target]
         if i != j:  # a repeat: the kernel is a pure function of the target
             estimates[j], ess[j] = estimates[i], ess[i]
-            continue
-        _check_support(target, q_support, j)
-        _importance_weights(target, x, arg, samples.log_q, w, tmp, j)
-        estimates[j] = float(np.mean(np.multiply(w, y, out=tmp)))
-        ess[j] = _ess(float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp))))
     with np.errstate(invalid="ignore"):  # inf - inf between two infinite estimates: NaN
         qs = np.quantile(estimates, _QUANTILES)
     return MultimodelReport(

@@ -31,6 +31,23 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _philox_key(seed: int, stream_id: int) -> np.ndarray:
+    """The Philox key of a stream, as two ``uint64`` words.
+
+    Streams were first keyed with the list ``[seed, stream_id]``, which
+    numpy reads as int64 when both words are below 2^63 and as float64
+    when one is not.  Seeds are below 2^53, so the key is exact for ids
+    below 2^63; above, both words are rounded to float64 (the seed stays
+    exact, the id keeps 53 significant bits).  An id within 1 024 of 2^64
+    rounds to 2^64, which has no uint64 value; it wraps to 0.  No accepted
+    seed's draws differ from those of the list key.
+    """
+    words = (seed, stream_id & _MASK64)
+    if words[1] >= 1 << 63:
+        words = tuple(int(float(w)) & _MASK64 for w in words)
+    return np.array(words, dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A splittable, counter-based random stream.
@@ -68,7 +85,7 @@ class RngStream:
         n_blocks = (lane + n + 3) >> 2
         bg = Philox(
             counter=[first_block & _MASK64, 0, 0, 0],
-            key=[self.seed & _MASK64, self.stream_id & _MASK64],
+            key=_philox_key(self.seed, self.stream_id),
         )
         raw = bg.random_raw(4 * n_blocks)
         return raw[lane : lane + n]
@@ -87,6 +104,6 @@ class RngStream:
         """
         bg = Philox(
             counter=[(self.counter >> 2) & _MASK64, 0, 0, 0],
-            key=[self.seed & _MASK64, self.stream_id & _MASK64],
+            key=_philox_key(self.seed, self.stream_id),
         )
         return Generator(bg)

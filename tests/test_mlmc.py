@@ -283,6 +283,25 @@ class TestLevelStatsCache:
         assert res.report.estimator_variance == float(sum(s.variance / s.n for s in whole))
 
 
+def test_level_stats_bit_identical_to_numpy_over_grown_buffer():
+    # The accumulator's buffer doubles; its prefix must give the whole-array
+    # np.mean / np.var(ddof=1) bits after every batch.
+    from uqmc.mlmc import _LevelAccumulator, _level_stats
+
+    rng = np.random.default_rng(3)
+    acc = _LevelAccumulator(level=1, cost=2.0)
+    parts = []
+    for size in (1, 1, 2, 5, 100, 3, 4097, 1, 70_000):
+        parts.append(rng.standard_normal(size) * 1e3 + 7.0)
+        acc.add(parts[-1])
+        y = np.concatenate(parts)
+        s = acc.stats
+        assert (s.n, acc.n) == (y.size, y.size) and acc.buf.size >= y.size
+        assert s.mean == float(np.mean(y))
+        assert s.variance == (float(np.var(y, ddof=1)) if y.size > 1 else 0.0)
+        assert s == _level_stats(1, y, 2.0)
+
+
 class TestDecayFits:
     def test_beta_exact_geometric_decay(self):
         v = [1.0] + [2.0 ** (-1.5 * l) for l in range(1, 5)]

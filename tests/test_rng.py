@@ -81,3 +81,58 @@ def test_seed_outside_range_rejected(seed):
 def test_largest_seed_accepted():
     s = RngStream(2**53 - 1)
     assert not np.array_equal(s.split(2).uniforms(8), RngStream(2**53 - 2).split(2).uniforms(8))
+
+
+# Child streams of RngStream(2**53 - 1): split(0) and split(1) have ids
+# below 2**63 (0x5e41..., 0x6468...), split(2) and split(3) above
+# (0xbccd..., 0xa056...), where the key's id word is rounded to float64.
+# Written as hex floats so that a numpy upgrade cannot move them silently.
+PINNED_CHILD_UNIFORMS = {
+    0: ["0x1.471386130cf3cp-4", "0x1.9b740f64ebfc4p-1", "0x1.b9c2a6c311e86p-1"],
+    1: ["0x1.d0ec2c8380336p-1", "0x1.729667aa9d9b0p-1", "0x1.a125e55f48e1ap-1"],
+    2: ["0x1.56afb039ea66cp-4", "0x1.70743362830b4p-4", "0x1.998b0b531bddap-3"],
+    3: ["0x1.97d4afd6108e4p-1", "0x1.e715ed5de8c5ep-3", "0x1.049aa31615a26p-3"],
+}
+
+
+@pytest.mark.parametrize("child", sorted(PINNED_CHILD_UNIFORMS))
+def test_child_stream_draws_pinned(child):
+    s = RngStream(2**53 - 1).split(child)
+    assert (s.stream_id >= 2**63) == (child >= 2)
+    assert [u.hex() for u in s.uniforms(3)] == PINNED_CHILD_UNIFORMS[child]
+
+
+def test_generator_of_rounded_key_pinned():
+    g = RngStream(2**53 - 1).split(3).advance(8).generator()
+    assert [v.hex() for v in g.random(3)] == [
+        "0x1.1f1062122a1a4p-2", "0x1.bc3b439d44204p-2", "0x1.0cd8a46acd22cp-2"
+    ]
+
+
+def test_philox_key_exact_below_2_63_rounded_above():
+    from uqmc.rng import _philox_key
+
+    assert _philox_key(2**53 - 1, 2**63 - 1).tolist() == [2**53 - 1, 2**63 - 1]
+    # Above 2**63 the id keeps 53 significant bits: ids 2**63 + 1 and 2**63
+    # share a key, and so share their draws.
+    assert _philox_key(3, 2**63 + 1).tolist() == [3, 2**63]
+    assert _philox_key(3, 2**63 + 1537).tolist() == [3, 2**63 + 2048]
+    assert np.array_equal(RngStream(3, 2**63 + 1).uniforms(4), RngStream(3, 2**63).uniforms(4))
+    assert _philox_key(2**53 - 1, 2**64 - 1025).tolist() == [2**53 - 1, 2**64 - 2048]
+
+
+@pytest.mark.parametrize("stream_id", [2**64 - 1024, 2**64 - 5, 2**64 - 1])
+def test_stream_ids_next_to_2_64_have_a_defined_key(stream_id):
+    # These round to 2**64, which no uint64 holds; the key wraps to 0,
+    # with no cast warning (pyproject.toml makes a RuntimeWarning an error).
+    from uqmc.rng import _philox_key
+
+    assert _philox_key(7, stream_id).tolist() == [7, 0]
+    u = RngStream(7, stream_id).uniforms(3)
+    assert [v.hex() for v in u] == [
+        "0x1.be80697053d40p-1", "0x1.2e744337e3991p-2", "0x1.ae2e15f941aabp-2"
+    ]
+    assert np.array_equal(u, RngStream(7, 0).uniforms(3))
+    assert np.array_equal(
+        RngStream(7, stream_id).generator().random(2), RngStream(7, 0).generator().random(2)
+    )
