@@ -18,7 +18,6 @@ from .distributions import (
     Dataset,
     Distribution,
     Family,
-    density,
     log_likelihood,
     mle_fit,
     sample,
@@ -76,7 +75,6 @@ __all__ = [
     "Z_975",
     "builtin_problem",
     "cv_estimate",
-    "density",
     "draw_inputs",
     "evaluate",
     "level_statistics",

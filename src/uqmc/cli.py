@@ -131,8 +131,8 @@ def validate_config(text: str) -> dict:
     Unknown keys are rejected with a nearest-key suggestion; missing
     required keys and type mismatches name the offending field; NaN,
     +-Infinity, float literals that overflow, integers too large for a
-    float where a number is expected, and seeds outside [0, 2**53) are
-    rejected.
+    float where a number is expected, seeds outside [0, 2**53), an empty
+    mmmc family list and mmmc ``max_components`` below 1 are rejected.
     """
     try:
         raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
@@ -180,6 +180,8 @@ def validate_config(text: str) -> dict:
         raise _fail("seed", f"must be an integer in [0, 2**53), got {cfg['seed']}")
 
     if method == "mmmc":
+        if not cfg["families"]:
+            raise _fail("families", "must name at least one family")
         for fam in cfg["families"]:
             try:
                 Family(fam)
@@ -189,6 +191,8 @@ def validate_config(text: str) -> dict:
             raise _fail("inference", "must be 'aic' or 'bayes'")
         if cfg["mixture_mode"] not in ("equal", "weighted"):
             raise _fail("mixture_mode", "must be 'equal' or 'weighted'")
+        if cfg["max_components"] is None or cfg["max_components"] < 1:
+            raise _fail("max_components", "must be an integer >= 1")
         if cfg["mcmc"] is not None:
             unknown = set(cfg["mcmc"]) - _MCMC_KEYS
             if unknown:
@@ -308,7 +312,10 @@ def _run_estimator(cfg: dict):
     else:  # mmmc
         model = _require(bundle, "model", method)
         if cfg["data"] is not None:
-            data = Dataset.from_csv(cfg["data"])
+            try:
+                data = Dataset.from_csv(cfg["data"])
+            except OSError as exc:
+                raise ConfigError(f"data: cannot read {cfg['data']}: {exc.strerror}") from exc
         elif bundle.dataset is not None:
             data = bundle.dataset
         else:
@@ -468,6 +475,9 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     out_dir = args.out if args.out is not None else Path(cfg["output_dir"])
+    if out_dir.exists() and not out_dir.is_dir():
+        print(f"error: output path {out_dir} exists and is not a directory", file=sys.stderr)
+        return 2
 
     try:
         report, code = run_config(cfg, out_dir)

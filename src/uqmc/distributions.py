@@ -235,10 +235,15 @@ class Dataset:
         """One value per line; '#' starts a comment."""
         vals = []
         with open(path) as fh:
-            for line in fh:
+            for i, line in enumerate(fh, 1):
                 body = line.split("#", 1)[0].strip()
-                if body:
+                if not body:
+                    continue
+                try:
                     vals.append(float(body))
+                except ValueError:
+                    msg = f"{path} line {i}: {body!r} is not a number"
+                    raise InvalidParameterError(msg) from None
         return cls(np.asarray(vals))
 
 
@@ -296,12 +301,6 @@ class Distribution:
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def density(dist: Distribution, x, log_scale: bool = False):
-    """pdf (or log pdf) at x; zero (-inf in log scale) outside the support."""
-    out = dist.logpdf(x) if log_scale else dist.pdf(x)
-    return float(out) if np.isscalar(x) else out
 
 
 def sample(dist: Distribution, rng: RngStream, n: int) -> np.ndarray:

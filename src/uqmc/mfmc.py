@@ -35,8 +35,6 @@ class PilotStats:
     rho: tuple[float, ...]  # length k+1, rho[k] == 0
     cost_hi: float
     cost_lo: tuple[float, ...]
-    n_pilot: int
-    hi_id: str
     low_ids: tuple[str, ...]
     flags: tuple[str, ...] = ()
 
@@ -89,8 +87,6 @@ def pilot_statistics(
         rho=tuple(rho) + (0.0,),
         cost_hi=ensemble.high.cost_per_eval,
         cost_lo=tuple(m.cost_per_eval for m in ensemble.lows),
-        n_pilot=n_pilot,
-        hi_id=ensemble.high.id,
         low_ids=tuple(m.id for m in ensemble.lows),
     )
 

@@ -60,7 +60,6 @@ class MlmcPlan:
 
     se_target: float
     n_per_level: tuple[int, ...]
-    max_level: int
     xi: float
     predicted_cost: float
     flags: tuple[str, ...] = ()
@@ -136,7 +135,6 @@ def mlmc_allocation(stats: list[LevelStats], eps: float) -> MlmcPlan:
     return MlmcPlan(
         se_target=eps,
         n_per_level=tuple(int(k) for k in n),
-        max_level=len(stats) - 1,
         xi=xi,
         predicted_cost=float(np.dot(n, c)),
         flags=flags,

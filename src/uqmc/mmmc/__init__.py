@@ -26,7 +26,6 @@ from .propagate import (
     PropagationSamples,
     draw_propagation_samples,
     is_estimate,
-    propagate_multimodel,
     reweight,
 )
 from .workflow import (
@@ -64,7 +63,6 @@ __all__ = [
     "model_evidence",
     "optimal_mixture",
     "posterior_sample",
-    "propagate_multimodel",
     "quantify_input_uncertainty",
     "reweight",
     "run_multimodel",

@@ -27,8 +27,6 @@ class CandidateModelSet:
     """T parametrized distributions sampled family-by-parameters."""
 
     entries: tuple[Distribution, ...]
-    source_pi: tuple[float, ...]
-    seed: int
 
     @property
     def size(self) -> int:
@@ -69,11 +67,7 @@ def build_candidate_set(
         post = posteriors[fam]
         row = min(int(u[size + i] * post.n_samples), post.n_samples - 1)
         entries.append(Distribution(fam, tuple(post.samples[row])))
-    return CandidateModelSet(
-        entries=tuple(entries),
-        source_pi=tuple(float(p) for p in probabilities.pi),
-        seed=rng.seed,
-    )
+    return CandidateModelSet(entries=tuple(entries))
 
 
 def candidate_set_from_posteriors(
@@ -90,7 +84,4 @@ def candidate_set_from_posteriors(
         entries.extend(Distribution(fam, tuple(row)) for row in samples)
     if not entries:
         raise InvalidParameterError("no posterior samples to build a candidate set from")
-    k = len(posteriors)
-    return CandidateModelSet(
-        entries=tuple(entries), source_pi=tuple([1.0 / k] * k), seed=0
-    )
+    return CandidateModelSet(entries=tuple(entries))

@@ -173,9 +173,6 @@ def bayes_weights(
         le, se = model_evidence(fam, data, prior_list[i], n_ev, rng.split(i))
         log_ev[i] = le
         ev_se[i] = se
-        if le == -np.inf:
-            infeasible.append(fam.value)
-            continue
         log_post[i] = le + np.log(tilde[i])
     if not np.any(np.isfinite(log_post)):
         raise EstimatorError("all model evidences vanish; no feasible family")

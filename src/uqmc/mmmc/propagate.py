@@ -7,12 +7,13 @@ evaluation count is n regardless of how many candidates there are.
 Cached samples also let new candidate sets (e.g. after more data
 arrives) be propagated with zero new model evaluations.
 
-``is_estimate`` and ``propagate_multimodel`` draw, evaluate and take the
-proposal log density on one path, ``draw_propagation_samples``.  Every
-importance weight, in ``is_estimate`` and ``reweight`` alike, comes from
-one kernel, ``_importance_weights``: the shared family log-density kernel
-``distributions._logpdf_into`` minus the proposal log density, screened
-for NaN/+inf weights, then exponentiated, all in caller-supplied buffers.
+``is_estimate`` and ``run_multimodel`` draw, evaluate and take the
+proposal log density on one path, ``draw_propagation_samples``.
+``is_estimate`` and ``reweight`` weigh each target with one function,
+``_weigh``, whose weights (``_importance_weights``) are the shared family
+log-density kernel ``distributions._logpdf_into`` minus the proposal log
+density, screened for NaN/+inf weights, then exponentiated, all in
+caller-supplied buffers.
 ``reweight`` computes log x once, so its cost is one pass over n points
 per distinct candidate: a repeated candidate (equal family and
 parameters) copies the estimate and ESS of its first occurrence.  The
@@ -84,9 +85,12 @@ def _importance_weights(
         return np.exp(out, out=out)
 
 
-def _ess(s: float, ss: float) -> float:
-    """Effective sample count from the weight sum and the sum of squares."""
-    return s * s / ss if ss > 0.0 else 0.0
+def _weigh(target, x, arg, log_q, y, w, tmp, candidate: int | None = None):
+    """(mean of w*y, effective sample count) for the importance weights w of
+    ``target``, which are written into ``w``; w*y is left in ``tmp``."""
+    _importance_weights(target, x, arg, log_q, w, tmp, candidate)
+    s, ss = float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp)))
+    return float(np.mean(np.multiply(w, y, out=tmp))), s * s / ss if ss > 0.0 else 0.0
 
 
 def is_estimate(
@@ -115,10 +119,8 @@ def is_estimate(
     _check_support(target, proposal.support())
     ledger = ledger if ledger is not None else CostLedger()
     samples = draw_propagation_samples(model, proposal, n, rng, ledger)
-    x, y = samples.x, samples.y
-    w = _importance_weights(target, x, _log_argument(x), samples.log_q, np.empty(n), np.empty(n))
-    wy = w * y
-    s_hat = float(np.mean(wy))
+    x, w, wy = samples.x, np.empty(n), np.empty(n)
+    s_hat, ess = _weigh(target, x, _log_argument(x), samples.log_q, samples.y, w, wy)
     sigma_sq = float(np.mean((wy - s_hat) ** 2))
     return EstimateReport(
         estimate=s_hat,
@@ -128,7 +130,7 @@ def is_estimate(
         seed=rng.seed,
         method="is",
         diagnostics={
-            "ess": _ess(float(np.sum(w)), float(np.sum(w * w))),
+            "ess": ess,
             "mean_weight": float(np.mean(w)),
             "max_weight": float(np.max(w)),
         },
@@ -234,9 +236,7 @@ def reweight(
             target = targets.entries[j]
             try:
                 _check_support(target, q_support, j)
-                _importance_weights(target, x, arg, log_q, w, tmp, j)
-                estimates[j] = float(np.mean(np.multiply(w, y, out=tmp)))
-                ess[j] = _ess(float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp))))
+                estimates[j], ess[j] = _weigh(target, x, arg, log_q, y, w, tmp, j)
             except Exception as err:  # re-raised below if no lower index failed
                 return j, err
         return None
@@ -263,18 +263,3 @@ def reweight(
             "min_ess": float(np.min(ess)),
         },
     )
-
-
-def propagate_multimodel(
-    model: Model,
-    proposal: MixtureDensity,
-    targets: CandidateModelSet,
-    n: int,
-    rng: RngStream,
-    ledger: CostLedger | None = None,
-) -> MultimodelReport:
-    """Single-loop propagation: n model evaluations total, independent of
-    the number of candidate models."""
-    ledger = ledger if ledger is not None else CostLedger()
-    samples = draw_propagation_samples(model, proposal, n, rng, ledger)
-    return reweight(samples, targets, ledger)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..distributions import Dataset, Family
+from ..distributions import Dataset, Family, data_in_support
 from ..exceptions import InvalidParameterError
 from ..models import CostLedger, Model
 from ..rng import RngStream
@@ -60,11 +60,7 @@ def quantify_input_uncertainty(
         raise InvalidParameterError("families must be distinct")
     with ledger.phase("inference"):
         if priors is None:
-            priors = {
-                f: default_priors(f, data)
-                for f in families
-                if not (f.positive_support and bool((data.values <= 0.0).any()))
-            }
+            priors = {f: default_priors(f, data) for f in families if data_in_support(f, data)}
         if inference == "aic":
             probabilities = aic_weights(families, data)
         elif inference == "bayes":

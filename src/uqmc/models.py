@@ -221,11 +221,14 @@ class FidelityEnsemble:
 
 @dataclass(frozen=True)
 class ProblemBundle:
-    """A fully configured benchmark problem."""
+    """A fully configured benchmark problem.
+
+    Exactly one of ``model``, ``hierarchy`` and ``ensemble`` is set; the
+    CLI takes the one its method needs.  ``input`` is None when the input
+    law is to be inferred from ``dataset`` (``smalldata_demo``)."""
 
     name: str
     input: Distribution | None
-    kind: str  # "model" | "hierarchy" | "ensemble"
     model: Model | None = None
     hierarchy: LevelHierarchy | None = None
     ensemble: FidelityEnsemble | None = None
@@ -244,7 +247,6 @@ def _quadratic(params: dict) -> ProblemBundle:
     model = Model("quadratic", lambda x: x[:, 0] ** 2, cost_per_eval=1.0)
     return ProblemBundle(
         name="quadratic",
-        kind="model",
         model=model,
         input=Distribution(Family.NORMAL, (0.0, 1.0)),
         truth={"mean": 1.0, "variance": 2.0},
@@ -286,7 +288,6 @@ def _gbm_euler(params: dict) -> ProblemBundle:
     )
     return ProblemBundle(
         name="gbm_euler",
-        kind="hierarchy",
         hierarchy=hierarchy,
         input=hierarchy.input,
         truth={"mean": s0 * math.exp(r * horizon)},
@@ -324,7 +325,6 @@ def _poly_fidelity(params: dict) -> ProblemBundle:
     rho2 = (1.0 + 0.01 * exs) / math.sqrt(var_hi)
     return ProblemBundle(
         name="poly_fidelity",
-        kind="ensemble",
         ensemble=ensemble,
         input=Distribution(Family.NORMAL, (0.0, 1.0)),
         truth={
@@ -341,7 +341,6 @@ def _smalldata_demo(params: dict) -> ProblemBundle:
     model = Model("smalldata_exp", lambda x: np.exp(0.3 * x[:, 0]), cost_per_eval=1.0)
     return ProblemBundle(
         name="smalldata_demo",
-        kind="model",
         model=model,
         input=None,
         dataset=Dataset(np.asarray(SMALLDATA_VALUES)),

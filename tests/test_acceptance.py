@@ -199,8 +199,6 @@ def _random_valid_stats(gen):
             rho=tuple(rho) + (0.0,),
             cost_hi=1.0,
             cost_lo=tuple(costs),
-            n_pilot=100,
-            hi_id="hi",
             low_ids=tuple(f"lo{i}" for i in range(k)),
         )
         valid = validate_ordering(stats)

@@ -640,3 +640,46 @@ def test_integer_past_digit_limit_exit_2(tmp_path, capsys):
     p.write_text('{"method": "mfmc", "problem": "poly_fidelity", "budget": 1%s}' % ("0" * 5000))
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
     assert "config error: config is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (None, "config error: data: cannot read {path}: No such file or directory"),
+        ("1.2\n# a note\n2.1\nabc\n0.8\n", "config error: {path} line 4: 'abc' is not a number"),
+    ],
+    ids=["missing_file", "not_a_number"],
+)
+def test_mmmc_unreadable_data_exit_2(tmp_path, capsys, data, message):
+    path = tmp_path / "data.csv"
+    if data is not None:
+        path.write_text(data)
+    cfg = write_cfg(tmp_path, {"method": "mmmc", "problem": "smalldata_demo", "data": str(path)})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("families", [], "families: must name at least one family"),
+        ("max_components", 0, "max_components: must be an integer >= 1"),
+    ],
+    ids=["no_families", "zero_components"],
+)
+def test_mmmc_empty_choices_rejected_by_validate(tmp_path, capsys, key, value, message):
+    cfg = write_cfg(tmp_path, {"method": "mmmc", "problem": "smalldata_demo", key: value})
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_a_file_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    code, _ = run_cli(tmp_path, {"method": "mc", "problem": "quadratic", "n": 10})
+    assert code == 2
+    assert f"error: output path {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"

@@ -11,7 +11,6 @@ from uqmc.distributions import (
     Distribution,
     Family,
     data_in_support,
-    density,
     log_likelihood,
     mle_fit,
     sample,
@@ -40,17 +39,17 @@ def all_dists():
 class TestDensity:
     def test_standard_normal_at_zero(self):
         # 1/sqrt(2*pi) to 10 places
-        assert density(Distribution(Family.NORMAL, (0, 1)), 0.0) == pytest.approx(
+        assert Distribution(Family.NORMAL, (0, 1)).pdf(0.0) == pytest.approx(
             0.3989422804014327, abs=1e-12
         )
 
     def test_lognormal_outside_support_is_zero(self):
         d = Distribution(Family.LOGNORMAL, (0.3, 1.2))
-        assert density(d, -1.0) == 0.0
-        assert density(d, -1.0, log_scale=True) == -math.inf
+        assert d.pdf(-1.0) == 0.0
+        assert d.logpdf(-1.0) == -math.inf
 
     def test_uniform_density_forced_by_normalization(self):
-        assert density(Distribution(Family.UNIFORM, (0, 2)), 1.0) == pytest.approx(0.5)
+        assert Distribution(Family.UNIFORM, (0, 2)).pdf(1.0) == pytest.approx(0.5)
 
     def test_log_scale_matches_log_of_density(self):
         for d in all_dists():

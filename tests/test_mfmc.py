@@ -12,7 +12,13 @@ from uqmc import (
     validate_ordering,
 )
 from uqmc.exceptions import BudgetError, EstimatorError
-from uqmc.mfmc import PilotStats, combine_multifidelity, estimator_variance, variance_ratio
+from uqmc.mfmc import (
+    _PILOT,
+    PilotStats,
+    combine_multifidelity,
+    estimator_variance,
+    variance_ratio,
+)
 
 POLY = builtin_problem("poly_fidelity")
 
@@ -25,10 +31,16 @@ def make_stats(rho, cost_lo, sigma_lo=None, sigma_hi=1.0, cost_hi=1.0):
         rho=tuple(rho) + (0.0,),
         cost_hi=cost_hi,
         cost_lo=tuple(cost_lo),
-        n_pilot=100,
-        hi_id="hi",
         low_ids=tuple(f"lo{i}" for i in range(k)),
     )
+
+
+def tight_pilot():
+    """poly_fidelity's 50-sample pilot at seed 3, drawn as ``mfmc_estimate``
+    draws it.  It costs 50 * (1 + 0.1 + 0.02) = 56 units; the real counts
+    for 3 more units are about (0.11, 7.0, 109.5)."""
+    stats = pilot_statistics(POLY.ensemble, POLY.input, 50, RngStream(3).split(_PILOT))
+    return validate_ordering(stats)
 
 
 class TestPilotStatistics:
@@ -138,6 +150,27 @@ class TestMfmcPlan:
     def test_budget_below_two_hi_rejected(self):
         with pytest.raises(BudgetError):
             mfmc_plan(make_stats([0.9], [0.01]), 1.5)
+
+    def test_tight_budget_trims_the_cheapest_count(self):
+        plan = mfmc_plan(tight_pilot(), 59.0 - 56.0)
+        assert int(plan.n_real[2]) == 109
+        assert plan.n == (2, 6, 20)
+        assert float(np.dot(plan.n, [1.0, 0.1, 0.02])) <= plan.budget
+
+    def test_budget_the_trim_cannot_meet_rejected(self):
+        # Floors and the monotone repair give (2, 5, 91); the trim stops at
+        # (2, 5, 5), which costs 2.6 > 2.5.
+        with pytest.raises(BudgetError, match="minimum evaluation counts"):
+            mfmc_plan(tight_pilot(), 58.5 - 56.0)
+
+    def test_tight_budget_end_to_end(self):
+        with pytest.raises(BudgetError, match="minimum evaluation counts"):
+            mfmc_estimate(POLY.ensemble, POLY.input, 58.5, RngStream(3), n_pilot=50)
+        report, plan = mfmc_estimate(POLY.ensemble, POLY.input, 59.0, RngStream(3), n_pilot=50)
+        # The pilot is charged as 50 * 1.12 = 56.00000000000001, so the plan
+        # gets 2.999999999999993 units, which (2, 6, 20) would overrun.
+        assert plan.n == (2, 6, 19)
+        assert report.total_cost <= 59.0
 
     def test_chi_consistency_with_variance_formula(self):
         # chi must equal Var[plan at the real-valued optimum] relative to

@@ -253,18 +253,18 @@ class TestOptimalMixture:
 class TestEmsd:
     def test_identical_target_zero(self):
         q = MixtureDensity((N01,), np.array([1.0]))
-        targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=(N01,))
         assert emsd(q, targets) == pytest.approx(0.0, abs=1e-9)
 
     def test_duplicate_targets_zero(self):
         q = MixtureDensity((N01,), np.array([1.0]))
-        targets = CandidateModelSet(entries=(N01, N01), source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=(N01, N01))
         assert emsd(q, targets) == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_value_single_pair(self):
         # emsd(N(0,1) vs N(2,1)) = 0.5 * int (p-q)^2 = (1 - exp(-1)) / (2 sqrt(pi)).
         q = MixtureDensity((N21,), np.array([1.0]))
-        targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=(N01,))
         oracle = (1.0 - math.exp(-1.0)) / (2.0 * math.sqrt(math.pi))
         assert emsd(q, targets) == pytest.approx(oracle, rel=1e-8)
 
@@ -276,9 +276,7 @@ class TestEmsd:
         mp = probabilities([Family.NORMAL], [1.0])
         post = {Family.NORMAL: posterior_of(Family.NORMAL, rows)}
         q_star = optimal_mixture(mp, post, mode="equal")
-        targets = CandidateModelSet(
-            entries=q_star.components, source_pi=(1.0,), seed=0
-        )
+        targets = CandidateModelSet(entries=q_star.components)
         base = emsd(q_star, targets)
         gen = np.random.default_rng(42)
         for _ in range(10):
@@ -346,19 +344,13 @@ class TestEmsdClosedForm:
         q = MixtureDensity(
             tuple(Distribution(family, c) for c in comps), np.array(weights)
         )
-        t = CandidateModelSet(
-            entries=tuple(Distribution(family, p) for p in targets),
-            source_pi=(1.0,),
-            seed=0,
-        )
+        t = CandidateModelSet(entries=tuple(Distribution(family, p) for p in targets))
         assert emsd(q, t) == pytest.approx(self._gram_emsd(q, t, overlap), rel=1e-10)
 
     def test_unresolved_pole_raises(self):
         # A gamma target of shape 0.4 has p^2 ~ x^-1.2 at 0, which is not
         # integrable there; the panels cannot resolve it.
         q = MixtureDensity((Distribution(Family.GAMMA, (2.0, 1.0)),), np.array([1.0]))
-        t = CandidateModelSet(
-            entries=(Distribution(Family.GAMMA, (0.4, 1.0)),), source_pi=(1.0,), seed=0
-        )
+        t = CandidateModelSet(entries=(Distribution(Family.GAMMA, (0.4, 1.0)),))
         with pytest.raises(QuadratureError, match="differ by"):
             emsd(q, t)

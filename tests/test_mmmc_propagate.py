@@ -15,7 +15,6 @@ from uqmc.mmmc import (
     draw_propagation_samples,
     is_estimate,
     propagate,
-    propagate_multimodel,
     reweight,
 )
 from uqmc.mmmc.inference import ModelProbabilities
@@ -173,14 +172,14 @@ class TestReweightRepeats:
     def repeated(self):
         order = np.random.default_rng(4).permutation(5 * len(self.DISTINCT))
         entries = tuple(self.DISTINCT[k % len(self.DISTINCT)] for k in order)
-        return CandidateModelSet(entries=entries, source_pi=(1.0,), seed=0)
+        return CandidateModelSet(entries=entries)
 
     def test_repeats_equal_each_entry_alone(self):
         samples = draw_propagation_samples(SQUARE, self.Q, 3000, RngStream(32))
         targets = self.repeated()
         rep = reweight(samples, targets)
         alone = [
-            reweight(samples, CandidateModelSet(entries=(e,), source_pi=(1.0,), seed=0))
+            reweight(samples, CandidateModelSet(entries=(e,)))
             for e in targets.entries
         ]
         assert np.array_equal(rep.estimates, [r.estimates[0] for r in alone])
@@ -209,7 +208,7 @@ class TestReweightRepeats:
         )
         samples = draw_propagation_samples(IDENT, q, 500, RngStream(17))
         ln = Distribution(Family.LOGNORMAL, (0.1, 0.6))
-        targets = CandidateModelSet(entries=(ln, ln, N01, ln, N01), source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=(ln, ln, N01, ln, N01))
         with pytest.raises(EstimatorError, match="candidate 2 support"):
             reweight(samples, targets)
 
@@ -224,9 +223,7 @@ class TestReweightRepeats:
         samples = PropagationSamples(x=x, y=drawn.y, log_q=log_q, proposal=q, seed=drawn.seed)
         gamma = Distribution(Family.GAMMA, (2.0, 1.0))
         normal = Distribution(Family.NORMAL, (0.1, 1.2))
-        targets = CandidateModelSet(
-            entries=(normal, normal, gamma, normal, gamma), source_pi=(1.0,), seed=0
-        )
+        targets = CandidateModelSet(entries=(normal, normal, gamma, normal, gamma))
         with pytest.raises(EstimatorError, match=r"candidate 2 at sample 7 \(x="):
             reweight(samples, targets)
 
@@ -237,7 +234,7 @@ class TestPropagate:
         # is the plain MC mean of the shared outputs, and the quantile band
         # across the (single-entry) ensemble has zero width.
         q = MixtureDensity((N01,), np.array([1.0]))
-        targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=(N01,))
         samples = draw_propagation_samples(SQUARE, q, 2000, RngStream(10))
         rep = reweight(samples, targets)
         assert rep.estimates[0] == np.mean(samples.y)
@@ -247,8 +244,8 @@ class TestPropagate:
         q = MixtureDensity(
             (N01, Distribution(Family.NORMAL, (0.5, 1.5))), np.array([0.5, 0.5])
         )
-        targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
-        rep = propagate_multimodel(IDENT, q, targets, 100_000, RngStream(11))
+        targets = CandidateModelSet(entries=(N01,))
+        rep = reweight(draw_propagation_samples(IDENT, q, 100_000, RngStream(11)), targets)
         # SE of the weighted mean, from the reweighted estimator itself.
         assert abs(rep.estimates[0]) < 0.02
 
@@ -257,10 +254,11 @@ class TestPropagate:
         entries = tuple(
             Distribution(Family.NORMAL, (0.01 * j, 1.0 + 0.001 * j)) for j in range(50)
         )
-        targets = CandidateModelSet(entries=entries, source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=entries)
         ledger = CostLedger()
         n = 3000
-        rep = propagate_multimodel(SQUARE, q, targets, n, RngStream(12), ledger)
+        samples = draw_propagation_samples(SQUARE, q, n, RngStream(12), ledger)
+        rep = reweight(samples, targets, ledger)
         assert ledger.count("sq") == n
         assert ledger.total() == float(n)
         assert rep.estimates.shape == (50,)
@@ -271,8 +269,8 @@ class TestPropagate:
         entries = tuple(
             Distribution(Family.NORMAL, (0.05 * j, 1.0)) for j in range(40)
         )
-        targets = CandidateModelSet(entries=entries, source_pi=(1.0,), seed=0)
-        rep = propagate_multimodel(SQUARE, q, targets, 4000, RngStream(13))
+        targets = CandidateModelSet(entries=entries)
+        rep = reweight(draw_propagation_samples(SQUARE, q, 4000, RngStream(13)), targets)
         vals = [rep.quantiles[k] for k in ("5%", "25%", "50%", "75%", "95%")]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -281,10 +279,8 @@ class TestPropagate:
         ledger = CostLedger()
         samples = draw_propagation_samples(SQUARE, q, 2000, RngStream(14), ledger)
         assert ledger.count("sq") == 2000
-        t1 = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
-        t2 = CandidateModelSet(
-            entries=(Distribution(Family.NORMAL, (0.1, 1.1)),), source_pi=(1.0,), seed=0
-        )
+        t1 = CandidateModelSet(entries=(N01,))
+        t2 = CandidateModelSet(entries=(Distribution(Family.NORMAL, (0.1, 1.1)),))
         r1 = reweight(samples, t1, ledger)
         r2 = reweight(samples, t2, ledger)
         assert ledger.count("sq") == 2000  # no new evaluations
@@ -299,7 +295,7 @@ class TestPropagate:
         q = MixtureDensity((N01,), np.array([1.0]))
         ledger = CostLedger()
         samples = draw_propagation_samples(double, q, 500, RngStream(14), ledger)
-        targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=(N01,))
         assert reweight(samples, targets).total_cost == 0.0
         assert reweight(samples, targets, ledger).total_cost == ledger.total() == 1000.0
         assert ledger.counts == {"sq2": 500}
@@ -312,10 +308,7 @@ class TestPropagate:
             np.array([0.5, 0.5]),
         )
         samples = draw_propagation_samples(IDENT, q, 500, RngStream(17))
-        targets = CandidateModelSet(
-            entries=(Distribution(Family.LOGNORMAL, (0.1, 0.6)), N01),
-            source_pi=(1.0,), seed=0,
-        )
+        targets = CandidateModelSet(entries=(Distribution(Family.LOGNORMAL, (0.1, 0.6)), N01))
         with pytest.raises(EstimatorError, match="candidate 1 support"):
             reweight(samples, targets)
 
@@ -343,7 +336,7 @@ class TestPropagate:
                 Distribution(Family.WEIBULL, (1.8 + 0.2 * j, 1.5 + 0.1 * j)),
                 Distribution(Family.UNIFORM, (0.2 * j, 2.5 + 0.2 * j)),
             ]
-        targets = CandidateModelSet(entries=tuple(entries), source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=tuple(entries))
         samples = draw_propagation_samples(SQUARE, q, 3000, RngStream(31))
         assert int(np.sum(samples.x <= 0.0)) == 299
         rep = reweight(samples, targets)
@@ -368,9 +361,7 @@ class TestPropagate:
         samples = PropagationSamples(
             x=drawn.x, y=drawn.y, log_q=log_q, proposal=q, seed=drawn.seed
         )
-        targets = CandidateModelSet(
-            entries=(Distribution(Family.NORMAL, (0.1, 1.2)), N01), source_pi=(1.0,), seed=0
-        )
+        targets = CandidateModelSet(entries=(Distribution(Family.NORMAL, (0.1, 1.2)), N01))
         with pytest.raises(EstimatorError, match=r"candidate 0 at sample 7 \(x="):
             reweight(samples, targets)
 
@@ -383,7 +374,7 @@ class TestPropagate:
         samples = PropagationSamples(
             x=drawn.x, y=drawn.y, log_q=np.full(500, -1e306), proposal=q, seed=drawn.seed
         )
-        targets = CandidateModelSet(entries=(N01,), source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=(N01,))
         rep = reweight(samples, targets)
         assert rep.estimates[0] == np.inf
 
@@ -396,9 +387,7 @@ class TestPropagate:
         samples = PropagationSamples(
             x=drawn.x, y=drawn.y, log_q=np.full(500, -1e306), proposal=q, seed=drawn.seed
         )
-        targets = CandidateModelSet(
-            entries=(N01, Distribution(Family.NORMAL, (0.1, 1.0))), source_pi=(1.0,), seed=0
-        )
+        targets = CandidateModelSet(entries=(N01, Distribution(Family.NORMAL, (0.1, 1.0))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = reweight(samples, targets)

@@ -102,7 +102,7 @@ class TestBitIdentical:
         samples = draw_propagation_samples(SQUARE, proposal(), N, RngStream(42))
         cands = all_families(4)
         entries = tuple(cands + cands[::3] + cands[:2])  # repeats
-        targets = CandidateModelSet(entries=entries, source_pi=(1.0,), seed=0)
+        targets = CandidateModelSet(entries=entries)
         assert len(cands) * N > _EVAL_CHUNK
         calls = counting_fan_out(monkeypatch)
         one, two = both_ways(monkeypatch, lambda: reweight(samples, targets))
@@ -132,7 +132,7 @@ def poisoned(q, candidates, seed):
     x, log_q = drawn.x.copy(), drawn.log_q.copy()
     x[7], log_q[7] = np.inf, 0.0
     samples = PropagationSamples(x=x, y=drawn.y, log_q=log_q, proposal=q, seed=drawn.seed)
-    return samples, CandidateModelSet(entries=tuple(candidates), source_pi=(1.0,), seed=0)
+    return samples, CandidateModelSet(entries=tuple(candidates))
 
 
 def lognormals(m):
