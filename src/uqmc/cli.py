@@ -96,6 +96,14 @@ def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
+def _type_name(expected) -> str:
+    if expected is bool:
+        return "boolean"
+    if isinstance(expected, type):
+        return expected.__name__
+    return "/".join(t.__name__ for t in expected)
+
+
 def _check_type(path: str, value, expected):
     if expected is bool:
         if not isinstance(value, bool):
@@ -104,12 +112,7 @@ def _check_type(path: str, value, expected):
     if expected is int and isinstance(value, bool):
         raise _fail(path, "expected integer, got boolean")
     if not isinstance(value, expected):
-        name = (
-            expected.__name__
-            if isinstance(expected, type)
-            else "/".join(t.__name__ for t in expected)
-        )
-        raise _fail(path, f"expected {name}, got {type(value).__name__}")
+        raise _fail(path, f"expected {_type_name(expected)}, got {type(value).__name__}")
     if isinstance(expected, tuple) and float in expected and isinstance(value, int):
         try:
             float(value)
@@ -133,6 +136,8 @@ def validate_config(text: str) -> dict:
     +-Infinity, float literals that overflow, integers too large for a
     float where a number is expected, seeds outside [0, 2**53), an empty
     mmmc family list and mmmc ``max_components`` below 1 are rejected.
+    A JSON ``null`` is accepted only for an optional key whose default is
+    None (``max_level``, ``max_cost``, ``fixed_level``, ``data``, ``mcmc``).
     """
     try:
         raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
@@ -157,6 +162,8 @@ def validate_config(text: str) -> dict:
         if key in raw:
             if raw[key] is not None:
                 _check_type(key, raw[key], typ)
+            elif required or default is not None:  # null only stands for a None default
+                raise _fail(key, f"expected {_type_name(typ)}, got null")
             cfg[key] = raw[key]
         elif required:
             raise _fail(key, f"required for method '{method}'")
@@ -176,7 +183,7 @@ def validate_config(text: str) -> dict:
     if problem["name"] not in _PROBLEM_NAMES:
         raise _fail("problem.name", f"must be one of {_PROBLEM_NAMES}")
     cfg["problem"] = problem
-    if cfg["seed"] is None or not 0 <= cfg["seed"] < SEED_LIMIT:
+    if not 0 <= cfg["seed"] < SEED_LIMIT:
         raise _fail("seed", f"must be an integer in [0, 2**53), got {cfg['seed']}")
 
     if method == "mmmc":
@@ -191,7 +198,7 @@ def validate_config(text: str) -> dict:
             raise _fail("inference", "must be 'aic' or 'bayes'")
         if cfg["mixture_mode"] not in ("equal", "weighted"):
             raise _fail("mixture_mode", "must be 'equal' or 'weighted'")
-        if cfg["max_components"] is None or cfg["max_components"] < 1:
+        if cfg["max_components"] < 1:
             raise _fail("max_components", "must be an integer >= 1")
         if cfg["mcmc"] is not None:
             unknown = set(cfg["mcmc"]) - _MCMC_KEYS

@@ -8,9 +8,10 @@ two-level estimator is MLMC with one correction and lives in ``mlmc``.
 
 Every estimator with a ``Distribution`` input (MC, CV, MFMC, MLMC and
 two-level) goes through ``draw_evaluate``: it draws and evaluates the
-input matrix in blocks of ``_EVAL_CHUNK`` rows, so the full matrix never
-exists.  Row i always consumes the same draw indices, so every result is
-independent of the block size.
+input matrix in blocks of ``_EVAL_CHUNK`` draws (at least 1 024 rows), so
+the full matrix never exists.  Row i always consumes the same draw
+indices, so every result is independent of the block size; a call of
+more than ``_EVAL_CHUNK`` draws runs its blocks on every usable core.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from time import perf_counter
 
 import numpy as np
 
+from ._threads import fan_out, workers
 from .distributions import _EVAL_CHUNK, Distribution, draw_into
 from .exceptions import EstimatorError, EvaluationError, InvalidParameterError
 from .models import CostLedger, Model, evaluate, nonfinite_output
@@ -35,48 +37,76 @@ def draw_inputs(dist: Distribution, rng: RngStream, n: int, dim: int = 1) -> np.
     return draw_into(dist, rng, np.empty((n, dim)))
 
 
+def _block_rows(dim: int) -> int:
+    """Rows per ``draw_evaluate`` block: ``_EVAL_CHUNK`` draws, but at
+    least ``_EVAL_CHUNK // 64`` rows (1 024).  A model such as GBM-Euler
+    loops over its input columns in Python, so blocks of fewer rows at a
+    fine level cost more interpreter time than the second core saves."""
+    return max(_EVAL_CHUNK // dim, _EVAL_CHUNK // 64, 1)
+
+
 def draw_evaluate(
     models, counts, dist: Distribution, rng: RngStream, ledger: CostLedger | None = None
 ) -> list[np.ndarray]:
     """Outputs of ``models[j]`` on the first ``counts[j]`` rows of
     ``draw_inputs(dist, rng, max(counts), dim)``, without building it.
 
-    Each block of ``_EVAL_CHUNK`` rows is drawn once and evaluated by every
-    model that still needs rows.  The ledger is charged once per model with
-    its full count and the summed seconds of its evaluations, so its work
-    sums match one ``evaluate`` call per model.  Errors match them too: the
-    first model in order that fails raises the error of its first failing
+    The rows go in blocks of ``_EVAL_CHUNK`` draws (``_block_rows``); each
+    block is drawn once, at its own draw indices, and evaluated by every
+    model that needs its rows, in model order, writing the outputs by
+    index.  A call of more than ``_EVAL_CHUNK`` draws spreads its blocks
+    over the usable cores (``_threads``), so every ``fn`` may run on two
+    blocks at once; the outputs do not depend on the thread count.
+
+    The ledger is charged once per model with its full count and the
+    seconds of its evaluations summed over blocks, so its work sums match
+    one ``evaluate`` call per model.  Errors match them too: the first
+    model in order that fails raises the error of its first failing
     block, with the global sample index, and only the models before it
     are charged.
     """
     dim = models[0].input_dim
+    n = max(counts)
+    rows = _block_rows(dim)
     ys = [np.empty(c) for c in counts]
-    seconds = [0.0] * len(models)
-    errors: list[EvaluationError | None] = [None] * len(models)
-    stop = len(models)  # models from the first failing one on are done
-    for lo in range(0, max(counts), _EVAL_CHUNK):
-        live = [j for j in range(stop) if counts[j] > lo]
-        if not live:
-            break
-        hi = min(lo + _EVAL_CHUNK, max(counts[j] for j in live))
+
+    def block(lo: int) -> tuple[list[float], tuple[int, Exception] | None]:
+        """Seconds per model on rows [lo, lo + rows), and the first
+        failure there with its model index: later models skip the block."""
+        hi = min(lo + rows, n)
         x = draw_inputs(dist, rng.advance(lo * dim), hi - lo, dim)
-        for j in live:
-            if j >= stop:
-                break
-            m = min(counts[j], hi) - lo
+        seconds = [0.0] * len(models)
+        for j, c in enumerate(counts):
+            if c <= lo:
+                continue
+            m = min(c, hi) - lo
             started = perf_counter()
             try:
                 ys[j][lo : lo + m] = evaluate(models[j], x[:m])
             except EvaluationError as exc:
                 if exc.index is not None:  # a non-finite output: index it globally
                     exc = nonfinite_output(models[j], lo + exc.index, exc.x)
-                errors[j], stop = exc, j
+                return seconds, (j, exc)
+            except Exception as exc:  # raised below unless an earlier block decides
+                return seconds, (j, exc)
             seconds[j] += perf_counter() - started
-    for model, n, error, s in zip(models, counts, errors, seconds):
-        if error is not None:
-            raise error
-        if ledger is not None:
-            ledger.charge(model, n, s)
+        return seconds, None
+
+    done = fan_out(block, list(range(0, n, rows)), workers(n * dim))
+    # Replay the blocks in order, as a serial loop would meet them: an
+    # EvaluationError stops its model and every later one, any other
+    # error raises at once.
+    stop, error = len(models), None
+    for _, failed in done:
+        if failed is not None and failed[0] < stop:
+            if not isinstance(failed[1], EvaluationError):
+                raise failed[1]
+            stop, error = failed
+    if ledger is not None:
+        for j in range(stop):
+            ledger.charge(models[j], counts[j], sum(s[j] for s, _ in done))
+    if error is not None:
+        raise error
     return ys
 
 

@@ -288,7 +288,8 @@ def mfmc_estimate(
     ordering validation, its ``main`` phase the plan, draws and estimate.
     """
     ledger = ledger if ledger is not None else CostLedger()
-    pilot_cost = n_pilot * sum(m.cost_per_eval for m in ensemble.all_models)
+    # Per model, in model order, as the ledger adds the pilot's work.
+    pilot_cost = sum(n_pilot * m.cost_per_eval for m in ensemble.all_models)
     if budget < pilot_cost + 2.0 * ensemble.high.cost_per_eval:
         raise BudgetError("budget cannot cover the pilot plus two high-fidelity samples")
 

@@ -51,7 +51,7 @@ from ..distributions import (
 )
 from ..exceptions import InvalidParameterError, QuadratureError
 from ..rng import RngStream
-from ._threads import fan_out, workers
+from .._threads import fan_out, workers
 from .ensemble import CandidateModelSet, thin_evenly
 from .inference import ModelProbabilities
 from .mcmc import ParameterPosterior

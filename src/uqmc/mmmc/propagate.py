@@ -36,7 +36,7 @@ from ..exceptions import EstimatorError, InvalidParameterError
 from ..models import CostLedger, Model, evaluate
 from ..reports import EstimateReport
 from ..rng import RngStream
-from ._threads import fan_out, workers
+from .._threads import fan_out, workers
 from .ensemble import CandidateModelSet
 from .mixture import MixtureDensity
 

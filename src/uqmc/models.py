@@ -24,7 +24,9 @@ class Model:
     """A pure map from input vectors to scalar outputs.
 
     ``fn`` receives an (n, input_dim) array and must return an (n,) array;
-    identical inputs must produce identical outputs.
+    identical inputs must produce identical outputs.  ``mc.draw_evaluate``
+    may call it at the same time on disjoint row blocks from two threads,
+    so it must be pure: no state shared between calls.
     """
 
     id: str
@@ -47,7 +49,9 @@ class CostLedger:
     ``n_per_model`` and its ``total()`` as ``total_cost``.  Allocation
     only reads declared work units, and ``as_dict`` holds only counts and
     work, so reports stay exactly reproducible; the seconds in
-    ``wall_time`` and ``phase_s`` are a diagnostic.
+    ``wall_time`` and ``phase_s`` are a diagnostic.  ``wall_time`` sums a
+    model's evaluation seconds over every thread that ran its blocks, so
+    it can exceed the wall seconds of the phase that spent them.
     """
 
     def __init__(self):

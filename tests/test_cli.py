@@ -683,3 +683,43 @@ def test_out_naming_a_file_exit_2(tmp_path, capsys):
     assert code == 2
     assert f"error: output path {out} exists and is not a directory" in capsys.readouterr().err
     assert out.read_text() == "kept\n"
+
+
+MMMC = {"method": "mmmc", "problem": "smalldata_demo"}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"method": "mc", "problem": "quadratic", "n": None}, "n: expected int, got null"),
+        (MMMC | {"samples": None}, "samples: expected int, got null"),
+        (
+            {"method": "mfmc", "problem": "poly_fidelity", "budget": 100.0, "pilot": None},
+            "pilot: expected int, got null",
+        ),
+        (
+            {"method": "mc", "problem": "quadratic", "n": 10, "seed": None},
+            "seed: expected int, got null",
+        ),
+        (MMMC | {"max_components": None}, "max_components: expected int, got null"),
+        (MMMC | {"families": None}, "families: expected list, got null"),
+        (
+            {"method": "mc", "problem": "quadratic", "n": 10, "output_dir": None},
+            "output_dir: expected str, got null",
+        ),
+    ],
+    ids=["mc_n", "mmmc_samples", "mfmc_pilot", "seed", "max_components", "families", "output_dir"],
+)
+def test_null_where_the_default_is_not_none_exit_2(tmp_path, capsys, cfg, message):
+    path = write_cfg(tmp_path, cfg)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_runs_where_the_default_is_none(tmp_path):
+    cfg = {"method": "mlmc", "problem": "gbm_euler", "eps": 0.1, "seed": 3}
+    code, report = run_cli(tmp_path, cfg | {"max_cost": None}, out="null")
+    assert code == 0
+    assert run_cli(tmp_path, cfg, out="default") == (0, report)

@@ -31,9 +31,9 @@ def test_import_loads_no_heavy_scipy_module():
 
 
 def test_import_starts_no_thread_pool():
-    # The pool of the mixture and reweighting passes is made on first use.
+    # The pool of the input, mixture and reweighting passes is made on first use.
     code = (
-        "import threading, uqmc, uqmc.cli; from uqmc.mmmc import _threads; "
+        "import threading, uqmc, uqmc.cli; from uqmc import _threads; "
         "print(threading.active_count(), len(_threads._pools))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -167,9 +167,9 @@ class TestMfmcPlan:
         with pytest.raises(BudgetError, match="minimum evaluation counts"):
             mfmc_estimate(POLY.ensemble, POLY.input, 58.5, RngStream(3), n_pilot=50)
         report, plan = mfmc_estimate(POLY.ensemble, POLY.input, 59.0, RngStream(3), n_pilot=50)
-        # The pilot is charged as 50 * 1.12 = 56.00000000000001, so the plan
-        # gets 2.999999999999993 units, which (2, 6, 20) would overrun.
-        assert plan.n == (2, 6, 19)
+        # The pilot is charged per model, 50 + 5 + 1 = 56.0 as in the ledger
+        # (not 50 * 1.12 = 56.00000000000001), so (2, 6, 20) fits exactly.
+        assert plan.n == (2, 6, 20)
         assert report.total_cost <= 59.0
 
     def test_chi_consistency_with_variance_formula(self):

@@ -27,7 +27,7 @@ from uqmc.mmmc import (
     draw_propagation_samples,
     reweight,
 )
-from uqmc.mmmc import _threads
+from uqmc import _threads
 
 from test_cli import DEMO_CONFIGS, DEMO_DIGESTS
 
@@ -255,7 +255,7 @@ class TestFanOut:
         # that reused the pool would wait forever for them.
         code = """
 import multiprocessing as mp
-from uqmc.mmmc import _threads
+from uqmc import _threads
 _threads.fan_out(abs, [1, 2, 3, 4], 2)
 ctx = mp.get_context("fork")
 q = ctx.Queue()
