@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from .exceptions import (
     EstimatorError,
     EvaluationError,
     FitConvergenceError,
-    InvalidParameterError,
     QuadratureError,
     UqmcError,
 )
@@ -35,11 +35,9 @@ from .mc import ControlVariateConfig, _mc_run, cv_estimate, draw_inputs
 from .mfmc import mfmc_estimate
 from .mlmc import mlmc_estimate, two_level_estimate
 from .mmmc import RHAT_LIMIT, McmcOptions, run_multimodel
-from .models import CostLedger, builtin_problem
+from .models import _BUILTINS, CostLedger, ProblemBundle, builtin_problem
 from .reports import _plain
 from .rng import SEED_LIMIT, RngStream
-
-_PROBLEM_NAMES = ("quadratic", "gbm_euler", "poly_fidelity", "smalldata_demo")
 
 # key -> (type, required, default); bool keys also accept JSON true/false only.
 _COMMON_KEYS = {
@@ -47,47 +45,6 @@ _COMMON_KEYS = {
     "problem": ((str, dict), True, None),
     "seed": (int, False, 0),
     "output_dir": (str, False, "uqmc_out"),
-}
-_METHOD_KEYS = {
-    "mc": {
-        "n": (int, True, None),
-        "dump_samples": (bool, False, False),
-    },
-    "cv": {
-        "n": (int, True, None),
-        "control_index": (int, False, 0),
-        "coef": ((int, float, str), False, "auto"),
-        "pilot_n": (int, False, 100),
-    },
-    "two_level": {
-        "budget": ((int, float), True, None),
-        "coarse_level": (int, False, 0),
-        "fine_level": (int, False, 1),
-        "pilot_n": (int, False, 50),
-    },
-    "mlmc": {
-        "eps": ((int, float), True, None),
-        "max_level": (int, False, None),
-        "initial_samples": (int, False, 100),
-        "max_cost": ((int, float), False, None),
-        "fixed_level": (int, False, None),
-    },
-    "mfmc": {
-        "budget": ((int, float), True, None),
-        "pilot": (int, False, 50),
-    },
-    "mmmc": {
-        "data": (str, False, None),
-        "families": (list, False, ["normal", "lognormal", "gamma", "weibull"]),
-        "inference": (str, False, "aic"),
-        "ensemble_size": (int, False, 100),
-        "samples": (int, False, 5000),
-        "mixture_mode": (str, False, "weighted"),
-        "max_components": (int, False, 500),
-        "n_ev": (int, False, 10000),
-        "mcmc": (dict, False, None),
-        "dump_estimates": (bool, False, False),
-    },
 }
 _MCMC_KEYS = {f.name for f in dataclasses.fields(McmcOptions)}
 
@@ -128,6 +85,233 @@ def _finite_number(token: str) -> float:
     return value
 
 
+@dataclasses.dataclass
+class _Outputs:
+    """What a method's runner hands ``run_config`` to write."""
+
+    result: dict
+    plan: dict | None = None
+    flags: list[str] = dataclasses.field(default_factory=list)  # beyond the estimator's own
+    diagnostics: dict = dataclasses.field(default_factory=dict)  # extra report diagnostics
+    files: dict[str, list[str]] = dataclasses.field(default_factory=dict)  # CSV name -> rows
+    meta: dict = dataclasses.field(default_factory=dict)  # extra run_meta.json keys
+
+
+@dataclasses.dataclass(frozen=True)
+class _Method:
+    keys: dict  # key -> (type, required, default), as in _COMMON_KEYS
+    needs: str  # the ProblemBundle attribute the runner reads
+    run: Callable[[dict, ProblemBundle, RngStream, CostLedger], _Outputs]
+    check: Callable[[dict], None]  # value checks beyond the key types
+
+
+# Every method the CLI runs, one entry per @_method runner below.  A new
+# method is one such runner, a value in the report schema's ``method`` enum
+# and a config under demos/configs/.
+METHODS: dict[str, _Method] = {}
+
+
+def _method(name: str, needs: str, check=lambda cfg: None, **keys):
+    def register(run):
+        METHODS[name] = _Method(keys, needs, run, check)
+        return run
+
+    return register
+
+
+def _plan_dict(plan, omit: str) -> dict:
+    return {k: v for k, v in dataclasses.asdict(plan).items() if k != omit}
+
+
+@_method("mc", "model", n=(int, True, None), dump_samples=(bool, False, False))
+def _run_mc(cfg, bundle, rng, ledger) -> _Outputs:
+    report, y = _mc_run(bundle.model, bundle.input, cfg["n"], rng, ledger)
+    files = {}
+    if cfg["dump_samples"]:
+        x = draw_inputs(bundle.input, rng.split(0), cfg["n"], bundle.model.input_dim)
+        files["samples.csv"] = ["index,input,output,weight"] + [
+            f"{i},{float(x[i, 0])!r},{float(y[i])!r},1.0" for i in range(cfg["n"])
+        ]
+    return _Outputs(report.to_dict(), files=files)
+
+
+def _check_cv(cfg: dict) -> None:
+    if not (cfg["coef"] == "auto" or isinstance(cfg["coef"], (int, float))):
+        raise _fail("coef", "must be a number or 'auto'")
+
+
+@_method(
+    "cv", "ensemble", _check_cv,
+    n=(int, True, None),
+    control_index=(int, False, 0),
+    coef=((int, float, str), False, "auto"),
+    pilot_n=(int, False, 100),
+)
+def _run_cv(cfg, bundle, rng, ledger) -> _Outputs:
+    ens = bundle.ensemble
+    idx = cfg["control_index"]
+    if not 0 <= idx < len(ens.lows):
+        raise ConfigError(f"control_index: out of range for {len(ens.lows)} surrogates")
+    cv_cfg = ControlVariateConfig(
+        control=ens.lows[idx],
+        control_mean=bundle.truth["low_means"][idx],
+        coef=cfg["coef"],
+        pilot_n=cfg["pilot_n"],
+    )
+    report = cv_estimate(ens.high, bundle.input, cv_cfg, cfg["n"], rng, ledger)
+    return _Outputs(report.to_dict())
+
+
+@_method(
+    "two_level", "hierarchy",
+    budget=((int, float), True, None),
+    coarse_level=(int, False, 0),
+    fine_level=(int, False, 1),
+    pilot_n=(int, False, 50),
+)
+def _run_two_level(cfg, bundle, rng, ledger) -> _Outputs:
+    h = bundle.hierarchy
+    lo, hi = cfg["coarse_level"], cfg["fine_level"]
+    if not 0 <= lo < hi <= h.max_level:
+        raise ConfigError("two_level: need 0 <= coarse_level < fine_level <= max level")
+    if hi != lo + 1 and h.levels[lo].input_dim != h.levels[hi].input_dim:
+        raise ConfigError("two_level: non-adjacent levels need equal input dims")
+    report = two_level_estimate(
+        h.levels[lo], h.levels[hi], h.input, cfg["budget"], rng, ledger,
+        pilot_n=cfg["pilot_n"], coarsen=h.coarsen,
+    )
+    return _Outputs(report.to_dict())
+
+
+@_method(
+    "mlmc", "hierarchy",
+    eps=((int, float), True, None),
+    max_level=(int, False, None),
+    initial_samples=(int, False, 100),
+    max_cost=((int, float), False, None),
+    fixed_level=(int, False, None),
+)
+def _run_mlmc(cfg, bundle, rng, ledger) -> _Outputs:
+    res = mlmc_estimate(
+        bundle.hierarchy, cfg["eps"], rng,
+        initial_samples=cfg["initial_samples"],
+        max_level=cfg["max_level"],
+        max_cost=cfg["max_cost"],
+        fixed_level=cfg["fixed_level"],
+        ledger=ledger,
+    )
+    levels = ["level,mean,variance,cost,n"] + [
+        f"{s.level},{s.mean!r},{s.variance!r},{s.cost!r},{s.n}" for s in res.levels
+    ]
+    return _Outputs(
+        res.report.to_dict(), plan=_plan_dict(res.plan, "flags"), files={"levels.csv": levels}
+    )
+
+
+@_method("mfmc", "ensemble", budget=((int, float), True, None), pilot=(int, False, 50))
+def _run_mfmc(cfg, bundle, rng, ledger) -> _Outputs:
+    report, plan = mfmc_estimate(
+        bundle.ensemble, bundle.input, cfg["budget"], rng, n_pilot=cfg["pilot"], ledger=ledger
+    )
+    return _Outputs(report.to_dict(), plan=_plan_dict(plan, "n_real"))
+
+
+def _check_mmmc(cfg: dict) -> None:
+    if not cfg["families"]:
+        raise _fail("families", "must name at least one family")
+    for fam in cfg["families"]:
+        try:
+            Family(fam)
+        except ValueError:
+            raise _fail("families", f"unknown family '{fam}'") from None
+    if cfg["inference"] not in ("aic", "bayes"):
+        raise _fail("inference", "must be 'aic' or 'bayes'")
+    if cfg["mixture_mode"] not in ("equal", "weighted"):
+        raise _fail("mixture_mode", "must be 'equal' or 'weighted'")
+    if cfg["max_components"] < 1:
+        raise _fail("max_components", "must be an integer >= 1")
+    if cfg["mcmc"] is not None:
+        unknown = set(cfg["mcmc"]) - _MCMC_KEYS
+        if unknown:
+            raise _fail("mcmc", f"unknown keys {sorted(unknown)}")
+        for key, value in cfg["mcmc"].items():
+            _check_type(f"mcmc.{key}", value, int)
+
+
+@_method(
+    "mmmc", "model", _check_mmmc,
+    data=(str, False, None),
+    families=(list, False, ["normal", "lognormal", "gamma", "weibull"]),
+    inference=(str, False, "aic"),
+    ensemble_size=(int, False, 100),
+    samples=(int, False, 5000),
+    mixture_mode=(str, False, "weighted"),
+    max_components=(int, False, 500),
+    n_ev=(int, False, 10000),
+    mcmc=(dict, False, None),
+    dump_estimates=(bool, False, False),
+)
+def _run_mmmc(cfg, bundle, rng, ledger) -> _Outputs:
+    if cfg["data"] is not None:
+        try:
+            data = Dataset.from_csv(cfg["data"])
+        except OSError as exc:
+            raise ConfigError(f"data: cannot read {cfg['data']}: {exc.strerror}") from exc
+    elif bundle.dataset is not None:
+        data = bundle.dataset
+    else:
+        raise ConfigError("mmmc: no 'data' path given and the problem bundles none")
+    run = run_multimodel(
+        bundle.model, data, [Family(f) for f in cfg["families"]],
+        inference=cfg["inference"],
+        ensemble_size=cfg["ensemble_size"],
+        n=cfg["samples"],
+        mixture_mode=cfg["mixture_mode"],
+        max_components_per_family=cfg["max_components"],
+        n_ev=cfg["n_ev"],
+        mcmc=McmcOptions(**(cfg["mcmc"] or {})),
+        rng=rng,
+        ledger=ledger,
+    )
+    result = run.report.to_dict()
+    flags = [
+        f"mcmc_rhat_high:{fam.value}"
+        for fam, post in run.posteriors.items()
+        if any(v > RHAT_LIMIT for v in post.diagnostics["rhat"].values())
+    ]
+    # An overflowed weight gives an infinite estimate, and np.quantile NaN
+    # between two infinite order statistics; the report writes each as null.
+    values = [*result["estimates"], *result["ess"], *result["quantiles"].values()]
+    if not all(math.isfinite(v) for v in values):
+        flags.append("nonfinite_estimates")
+    files = {}
+    if cfg["dump_estimates"]:
+        est, ess = run.report.estimates, run.report.ess
+        files["estimates.csv"] = ["index,estimate,ess"] + [
+            f"{j},{float(est[j])!r},{float(ess[j])!r}" for j in range(est.size)
+        ]
+    summaries = {
+        fam.value: {
+            "mean": np.mean(post.samples, axis=0).tolist(),
+            "acceptance_rate": post.acceptance_rate,
+            "rhat": post.diagnostics["rhat"],
+            "ess_bulk": post.diagnostics["ess_bulk"],
+        }
+        for fam, post in run.posteriors.items()
+    }
+    return _Outputs(
+        result,
+        flags=flags,
+        diagnostics={
+            "model_probabilities": {f.value: p for f, p in run.probabilities.as_dict().items()},
+            "posterior_summaries": summaries,
+            "mixture": run.mixture.to_json(),
+        },
+        files=files,
+        meta={"distinct_candidates": len(set(run.candidates.entries))},
+    )
+
+
 def validate_config(text: str) -> dict:
     """Parse and validate configuration text into a fully defaulted dict.
 
@@ -147,10 +331,10 @@ def validate_config(text: str) -> dict:
         raise ConfigError("config must be a JSON object")
 
     method = raw.get("method")
-    if method not in _METHOD_KEYS:
-        raise _fail("method", f"must be one of {sorted(_METHOD_KEYS)}, got {method!r}")
+    if method not in METHODS:
+        raise _fail("method", f"must be one of {sorted(METHODS)}, got {method!r}")
 
-    valid = dict(_COMMON_KEYS) | _METHOD_KEYS[method]
+    valid = _COMMON_KEYS | METHODS[method].keys
     for key in raw:
         if key not in valid:
             hint = difflib.get_close_matches(key, valid, n=1)
@@ -180,244 +364,54 @@ def validate_config(text: str) -> dict:
         problem = {"name": problem.get("name"), "params": problem.get("params") or {}}
         if not isinstance(problem["params"], dict):
             raise _fail("problem.params", "expected object")
-    if problem["name"] not in _PROBLEM_NAMES:
-        raise _fail("problem.name", f"must be one of {_PROBLEM_NAMES}")
+    if problem["name"] not in _BUILTINS:
+        raise _fail("problem.name", f"must be one of {tuple(_BUILTINS)}")
     cfg["problem"] = problem
     if not 0 <= cfg["seed"] < SEED_LIMIT:
         raise _fail("seed", f"must be an integer in [0, 2**53), got {cfg['seed']}")
 
-    if method == "mmmc":
-        if not cfg["families"]:
-            raise _fail("families", "must name at least one family")
-        for fam in cfg["families"]:
-            try:
-                Family(fam)
-            except ValueError:
-                raise _fail("families", f"unknown family '{fam}'") from None
-        if cfg["inference"] not in ("aic", "bayes"):
-            raise _fail("inference", "must be 'aic' or 'bayes'")
-        if cfg["mixture_mode"] not in ("equal", "weighted"):
-            raise _fail("mixture_mode", "must be 'equal' or 'weighted'")
-        if cfg["max_components"] < 1:
-            raise _fail("max_components", "must be an integer >= 1")
-        if cfg["mcmc"] is not None:
-            unknown = set(cfg["mcmc"]) - _MCMC_KEYS
-            if unknown:
-                raise _fail("mcmc", f"unknown keys {sorted(unknown)}")
-            for key, value in cfg["mcmc"].items():
-                _check_type(f"mcmc.{key}", value, int)
-    if method == "cv" and not (
-        cfg["coef"] == "auto" or isinstance(cfg["coef"], (int, float))
-    ):
-        raise _fail("coef", "must be a number or 'auto'")
+    METHODS[method].check(cfg)
     return cfg
-
-
-def _finite_or_null(values):
-    """A dict or list of floats for the report, with NaN and +-inf (not
-    JSON) as null: MCMC diagnostics of chains too short to judge or stuck
-    apart, and mmmc estimates, ESS and quantiles whose weights overflowed."""
-    if isinstance(values, dict):
-        return {k: v if math.isfinite(v) else None for k, v in values.items()}
-    return [v if math.isfinite(v) else None for v in values]
-
-
-def _bundle_for(cfg: dict):
-    return builtin_problem(cfg["problem"]["name"], cfg["problem"]["params"])
-
-
-def _require(bundle, kind: str, method: str):
-    obj = getattr(bundle, kind)
-    if obj is None:
-        raise ConfigError(
-            f"problem '{bundle.name}' provides no {kind}; method '{method}' needs one"
-        )
-    return obj
-
-
-def _run_estimator(cfg: dict):
-    """Dispatch to the estimator; returns (result_dict, extras, flags,
-    ledger), the ledger holding the run's counts, work and seconds."""
-    method = cfg["method"]
-    rng = RngStream(cfg["seed"])
-    ledger = CostLedger()
-    bundle = _bundle_for(cfg)
-    extras: dict = {}
-    flags: list[str] = []
-
-    if method == "mc":
-        model = _require(bundle, "model", method)
-        report, y = _mc_run(model, bundle.input, cfg["n"], rng, ledger)
-        result = report.to_dict()
-        if cfg["dump_samples"]:
-            x = draw_inputs(bundle.input, rng.split(0), cfg["n"], model.input_dim)
-            extras["samples.csv"] = "\n".join(
-                ["index,input,output,weight"]
-                + [f"{i},{float(x[i, 0])!r},{float(y[i])!r},1.0" for i in range(cfg["n"])]
-            )
-    elif method == "cv":
-        ens = _require(bundle, "ensemble", method)
-        idx = cfg["control_index"]
-        if not 0 <= idx < len(ens.lows):
-            raise ConfigError(f"control_index: out of range for {len(ens.lows)} surrogates")
-        control_mean = bundle.truth["low_means"][idx]
-        cv_cfg = ControlVariateConfig(
-            control=ens.lows[idx],
-            control_mean=control_mean,
-            coef=cfg["coef"],
-            pilot_n=cfg["pilot_n"],
-        )
-        report = cv_estimate(ens.high, bundle.input, cv_cfg, cfg["n"], rng, ledger)
-        result = report.to_dict()
-    elif method == "two_level":
-        h = _require(bundle, "hierarchy", method)
-        lo, hi = cfg["coarse_level"], cfg["fine_level"]
-        if not 0 <= lo < hi <= h.max_level:
-            raise ConfigError("two_level: need 0 <= coarse_level < fine_level <= max level")
-        if hi != lo + 1 and h.levels[lo].input_dim != h.levels[hi].input_dim:
-            raise ConfigError("two_level: non-adjacent levels need equal input dims")
-        report = two_level_estimate(
-            h.levels[lo], h.levels[hi], h.input, cfg["budget"], rng, ledger,
-            pilot_n=cfg["pilot_n"], coarsen=h.coarsen,
-        )
-        result = report.to_dict()
-    elif method == "mlmc":
-        h = _require(bundle, "hierarchy", method)
-        res = mlmc_estimate(
-            h, cfg["eps"], rng,
-            initial_samples=cfg["initial_samples"],
-            max_level=cfg["max_level"],
-            max_cost=cfg["max_cost"],
-            fixed_level=cfg["fixed_level"],
-            ledger=ledger,
-        )
-        result = res.report.to_dict()
-        extras["plan"] = {
-            "se_target": res.plan.se_target,
-            "n_per_level": list(res.plan.n_per_level),
-            "xi": res.plan.xi,
-            "predicted_cost": res.plan.predicted_cost,
-        }
-        extras["levels.csv"] = "\n".join(
-            ["level,mean,variance,cost,n"]
-            + [f"{s.level},{s.mean!r},{s.variance!r},{s.cost!r},{s.n}" for s in res.levels]
-        )
-    elif method == "mfmc":
-        ens = _require(bundle, "ensemble", method)
-        report, plan = mfmc_estimate(
-            ens, bundle.input, cfg["budget"], rng, n_pilot=cfg["pilot"], ledger=ledger
-        )
-        result = report.to_dict()
-        extras["plan"] = {
-            "beta": list(plan.beta),
-            "t": list(plan.t),
-            "n": list(plan.n),
-            "chi": plan.chi,
-            "budget": plan.budget,
-            "flags": list(plan.flags),
-        }
-    else:  # mmmc
-        model = _require(bundle, "model", method)
-        if cfg["data"] is not None:
-            try:
-                data = Dataset.from_csv(cfg["data"])
-            except OSError as exc:
-                raise ConfigError(f"data: cannot read {cfg['data']}: {exc.strerror}") from exc
-        elif bundle.dataset is not None:
-            data = bundle.dataset
-        else:
-            raise ConfigError("mmmc: no 'data' path given and the problem bundles none")
-        mcmc = McmcOptions(**cfg["mcmc"]) if cfg["mcmc"] else McmcOptions()
-        run = run_multimodel(
-            model, data, [Family(f) for f in cfg["families"]],
-            inference=cfg["inference"],
-            ensemble_size=cfg["ensemble_size"],
-            n=cfg["samples"],
-            mixture_mode=cfg["mixture_mode"],
-            max_components_per_family=cfg["max_components"],
-            n_ev=cfg["n_ev"],
-            mcmc=mcmc,
-            rng=rng,
-            ledger=ledger,
-        )
-        result = run.report.to_dict()
-        extras["distinct_candidates"] = len(set(run.candidates.entries))
-        extras["model_probabilities"] = {
-            f.value: p for f, p in run.probabilities.as_dict().items()
-        }
-        extras["posterior_summaries"] = {
-            fam.value: {
-                "mean": np.mean(post.samples, axis=0).tolist(),
-                "acceptance_rate": post.acceptance_rate,
-                "rhat": _finite_or_null(post.diagnostics["rhat"]),
-                "ess_bulk": _finite_or_null(post.diagnostics["ess_bulk"]),
-            }
-            for fam, post in run.posteriors.items()
-        }
-        flags = [
-            f"mcmc_rhat_high:{fam.value}"
-            for fam, post in run.posteriors.items()
-            if any(v > RHAT_LIMIT for v in post.diagnostics["rhat"].values())
-        ]
-        # np.quantile gives NaN between two infinite order statistics.
-        values = [*result["estimates"], *result["ess"], *result["quantiles"].values()]
-        if not all(math.isfinite(v) for v in values):
-            flags.append("nonfinite_estimates")
-            for key in ("estimates", "ess", "quantiles"):
-                result[key] = _finite_or_null(result[key])
-            result["diagnostics"] = _finite_or_null(result["diagnostics"])
-        extras["mixture"] = run.mixture.to_json()
-        if cfg["dump_estimates"]:
-            est = run.report.estimates
-            ess = run.report.ess
-            extras["estimates.csv"] = "\n".join(
-                ["index,estimate,ess"]
-                + [f"{j},{float(est[j])!r},{float(ess[j])!r}" for j in range(est.size)]
-            )
-
-    result_values = [v for v in result.values() if isinstance(v, float)]
-    if any(not np.isfinite(v) for v in result_values):
-        raise EvaluationError("report contains non-finite values")
-    flags = [*result["diagnostics"].get("flags", []), *flags]
-    return result, extras, flags, ledger
 
 
 def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     """Execute a validated config, write outputs, return (report, exit code)."""
+    method = METHODS[cfg["method"]]
     started = time.perf_counter()
-    result, extras, flags, ledger = _run_estimator(cfg)
+    rng = RngStream(cfg["seed"])
+    ledger = CostLedger()
+    bundle = builtin_problem(cfg["problem"]["name"], cfg["problem"]["params"])
+    if getattr(bundle, method.needs) is None:
+        raise ConfigError(
+            f"problem '{bundle.name}' provides no {method.needs}; "
+            f"method '{cfg['method']}' needs one"
+        )
+    out = method.run(cfg, bundle, rng, ledger)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in out.result.values()):
+        raise EvaluationError("report contains non-finite values")
+    flags = [*out.result["diagnostics"].get("flags", []), *out.flags]
     wall = time.perf_counter() - started
 
-    report = {
+    report = _plain({
         "version": __version__,
         "method": cfg["method"],
         "config": cfg,
-        "result": result,
-        "plan": extras.get("plan"),
-        "diagnostics": {
-            "ledger": ledger.as_dict(),
-            "flags": flags,
-            **{
-                k: extras[k]
-                for k in ("model_probabilities", "posterior_summaries", "mixture")
-                if k in extras
-            },
-        },
-    }
-    report = _plain(report)
+        "result": out.result,
+        "plan": out.plan,
+        "diagnostics": {"ledger": ledger.as_dict(), "flags": flags, **out.diagnostics},
+    })
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     write_started = time.perf_counter()
     try:
         path = out_dir / "report.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         written.append(path)
-        for name in ("levels.csv", "samples.csv", "estimates.csv"):
-            if name in extras:
-                p = out_dir / name
-                p.write_text(extras[name] + "\n")
-                written.append(p)
+        for name, rows in out.files.items():
+            p = out_dir / name
+            p.write_text("\n".join(rows) + "\n")
+            written.append(p)
         # Measured seconds go to run_meta.json only, so report.json stays
         # byte-identical across reruns.
         meta = {
@@ -427,9 +421,7 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
         }
         if ledger.phase_s:
             meta["phase_s"] = ledger.phase_s | {"write": time.perf_counter() - write_started}
-        if "distinct_candidates" in extras:
-            meta["distinct_candidates"] = extras["distinct_candidates"]
-        (out_dir / "run_meta.json").write_text(json.dumps(meta) + "\n")
+        (out_dir / "run_meta.json").write_text(json.dumps(meta | out.meta) + "\n")
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
@@ -488,16 +480,13 @@ def main(argv=None) -> int:
 
     try:
         report, code = run_config(cfg, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except EvaluationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except (BudgetError, EstimatorError, FitConvergenceError, QuadratureError) as exc:
         print(f"estimator failure: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParameterError, UqmcError) as exc:
+    except UqmcError as exc:  # ConfigError, InvalidParameterError and the like
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,10 @@ class EstimateReport:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON round-tripping."""
+    """Recursively convert numpy scalars/arrays for JSON round-tripping,
+    with NaN and +-inf (not JSON) as None: MCMC diagnostics of chains too
+    short to judge or stuck apart, and mmmc estimates, ESS and quantiles
+    whose weights overflowed."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -59,5 +63,5 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj

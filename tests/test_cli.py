@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -12,10 +13,11 @@ from uqmc import cli
 from uqmc.cli import main, run_config, validate_config
 from uqmc.exceptions import ConfigError
 from uqmc.mmmc import propagate
+from uqmc.models import _BUILTINS, ProblemBundle
+from uqmc.reports import _plain
 
-SCHEMA = json.loads(
-    (Path(__file__).parent.parent / "src/uqmc/schemas/report.schema.json").read_text()
-)
+ROOT = Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "src/uqmc/schemas/report.schema.json").read_text())
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -584,12 +586,37 @@ DEMO_DIGESTS = {
 }
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} in report.json")
+
+
+# Every flag a report can carry, by name, or by prefix for those ending in ":".
+FLAGS = (
+    "bias_untested",
+    "bias_target_unmet",
+    "round_limit_reached",
+    "all_level_variances_zero",
+    "zero_correction_variance",
+    "perfect_surrogate",
+    "dropped:",
+    "all_surrogates_dropped",
+    "mcmc_rhat_high:",
+    "nonfinite_estimates",
+)
+
+
+def _listed(flag: str) -> bool:
+    return any(flag == f or (f.endswith(":") and flag.startswith(f)) for f in FLAGS)
+
+
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_runs(path, tmp_path):
     cfg = validate_config(path.read_text())
     _, code = run_config(cfg, tmp_path)
     assert code == 0
-    jsonschema.validate(json.loads((tmp_path / "report.json").read_text()), SCHEMA)
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
+    jsonschema.validate(report, SCHEMA)
+    assert [f for f in report["diagnostics"]["flags"] if not _listed(f)] == []
     written = {p.name for p in tmp_path.iterdir()} & {"levels.csv", "estimates.csv"}
     assert written | {"report.json"} == set(DEMO_DIGESTS[path.stem])
     for name, digest in DEMO_DIGESTS[path.stem].items():
@@ -723,3 +750,81 @@ def test_null_runs_where_the_default_is_none(tmp_path):
     code, report = run_cli(tmp_path, cfg | {"max_cost": None}, out="null")
     assert code == 0
     assert run_cli(tmp_path, cfg, out="default") == (0, report)
+
+
+def test_flag_list_in_readme_and_source():
+    readme = (ROOT / "README.md").read_text()
+    # String constants under src/uqmc/, the literal parts of f-strings included.
+    literals = {
+        node.value
+        for path in (ROOT / "src/uqmc").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    for flag in FLAGS:
+        # A prefix is written `dropped:<id>` and built as f"dropped:{...}".
+        assert (f"`{flag}<" if flag.endswith(":") else f"`{flag}`") in readme, flag
+        assert flag in literals, flag
+
+
+def test_method_table_matches_schema_demos_and_bundle():
+    methods = set(cli.METHODS)
+    assert methods == set(SCHEMA["properties"]["method"]["enum"])
+    assert methods == {json.loads(p.read_text())["method"] for p in DEMO_CONFIGS}
+    fields = {f.name for f in dataclasses.fields(ProblemBundle)}
+    assert {name: m.needs for name, m in cli.METHODS.items() if m.needs not in fields} == {}
+
+
+def test_problem_names_are_the_builtins():
+    for name in _BUILTINS:
+        cfg = validate_config(json.dumps({"method": "mc", "problem": name, "n": 10}))
+        assert cfg["problem"]["name"] == name
+    with pytest.raises(ConfigError) as err:
+        validate_config('{"method": "mc", "problem": "cubic", "n": 10}')
+    assert str(err.value) == f"problem.name: must be one of {tuple(_BUILTINS)}"
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (MMMC | {"inference": "bic"}, "inference: must be 'aic' or 'bayes'"),
+        (MMMC | {"mixture_mode": "mean"}, "mixture_mode: must be 'equal' or 'weighted'"),
+        (MMMC | {"families": ["normal", "cauchy"]}, "families: unknown family 'cauchy'"),
+        (MMMC | {"max_components": -3}, "max_components: must be an integer >= 1"),
+        (MMMC | {"mcmc": {"burnin": 10}}, "mcmc: unknown keys ['burnin']"),
+        (MMMC | {"mcmc": {"keep": 1.5}}, "mcmc.keep: expected int, got float"),
+        (
+            {"method": "cv", "problem": "poly_fidelity", "n": 10, "coef": "best"},
+            "coef: must be a number or 'auto'",
+        ),
+    ],
+    ids=[
+        "inference", "mixture_mode", "families", "max_components", "mcmc_key", "mcmc_type", "coef",
+    ],
+)
+def test_method_value_checks_exit_2(tmp_path, capsys, cfg, message):
+    path = write_cfg(tmp_path, cfg)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_plain_writes_nonfinite_as_null():
+    inf, nan = math.inf, math.nan
+    obj = {
+        "floats": (nan, inf, -inf, 1.5),
+        "numpy": (np.float64(nan), np.float64(inf), np.float64(-inf), np.float64(2.5)),
+        "nested": {"a": {"b": [np.array([1.0, np.inf]), (np.int64(3), -0.0)]}},
+        "other": ["x", None, True, 7],
+    }
+    out = _plain(obj)
+    assert out == {
+        "floats": [None, None, None, 1.5],
+        "numpy": [None, None, None, 2.5],
+        "nested": {"a": {"b": [[1.0, None], [3, -0.0]]}},
+        "other": ["x", None, True, 7],
+    }
+    assert type(out["numpy"][3]) is float and type(out["nested"]["a"]["b"][1][0]) is int
+    assert math.copysign(1.0, out["nested"]["a"]["b"][1][1]) == -1.0
+    assert json.loads(json.dumps(out, allow_nan=False)) == out
