@@ -28,6 +28,7 @@ from .exceptions import (
     EstimatorError,
     EvaluationError,
     FitConvergenceError,
+    InvalidParameterError,
     QuadratureError,
     UqmcError,
 )
@@ -224,18 +225,25 @@ def _check_mmmc(cfg: dict) -> None:
             Family(fam)
         except ValueError:
             raise _fail("families", f"unknown family '{fam}'") from None
+    if len(set(cfg["families"])) != len(cfg["families"]):  # all Family values: hashable
+        raise ConfigError("families must be distinct")  # run_multimodel's words
     if cfg["inference"] not in ("aic", "bayes"):
         raise _fail("inference", "must be 'aic' or 'bayes'")
     if cfg["mixture_mode"] not in ("equal", "weighted"):
         raise _fail("mixture_mode", "must be 'equal' or 'weighted'")
-    if cfg["max_components"] < 1:
-        raise _fail("max_components", "must be an integer >= 1")
+    for key in ("max_components", "ensemble_size"):
+        if cfg[key] < 1:
+            raise _fail(key, "must be an integer >= 1")
     if cfg["mcmc"] is not None:
         unknown = set(cfg["mcmc"]) - _MCMC_KEYS
         if unknown:
             raise _fail("mcmc", f"unknown keys {sorted(unknown)}")
         for key, value in cfg["mcmc"].items():
             _check_type(f"mcmc.{key}", value, int)
+        try:
+            McmcOptions(**cfg["mcmc"])
+        except InvalidParameterError as exc:
+            raise _fail("mcmc", str(exc)) from None
 
 
 @_method(
@@ -319,7 +327,8 @@ def validate_config(text: str) -> dict:
     required keys and type mismatches name the offending field; NaN,
     +-Infinity, float literals that overflow, integers too large for a
     float where a number is expected, seeds outside [0, 2**53), an empty
-    mmmc family list and mmmc ``max_components`` below 1 are rejected.
+    or repeating mmmc family list, mmmc ``max_components`` or
+    ``ensemble_size`` below 1 and MCMC options below 1 are rejected.
     A JSON ``null`` is accepted only for an optional key whose default is
     None (``max_level``, ``max_cost``, ``fixed_level``, ``data``, ``mcmc``).
     """
@@ -331,7 +340,7 @@ def validate_config(text: str) -> dict:
         raise ConfigError("config must be a JSON object")
 
     method = raw.get("method")
-    if method not in METHODS:
+    if not isinstance(method, str) or method not in METHODS:
         raise _fail("method", f"must be one of {sorted(METHODS)}, got {method!r}")
 
     valid = _COMMON_KEYS | METHODS[method].keys
@@ -364,7 +373,7 @@ def validate_config(text: str) -> dict:
         problem = {"name": problem.get("name"), "params": problem.get("params") or {}}
         if not isinstance(problem["params"], dict):
             raise _fail("problem.params", "expected object")
-    if problem["name"] not in _BUILTINS:
+    if not isinstance(problem["name"], str) or problem["name"] not in _BUILTINS:
         raise _fail("problem.name", f"must be one of {tuple(_BUILTINS)}")
     cfg["problem"] = problem
     if not 0 <= cfg["seed"] < SEED_LIMIT:

@@ -140,13 +140,10 @@ def _mc_run(
     (y,) = draw_evaluate([model], [n], input, rng.split(_MAIN), ledger)
     s_hat = float(np.mean(y))
     zeta_sq = float(np.var(y, ddof=1))
-    report = EstimateReport(
+    report = EstimateReport.from_ledger(
+        ledger, rng.seed, "mc",
         estimate=s_hat,
         estimator_variance=zeta_sq / n,
-        n_per_model=dict(ledger.counts),
-        total_cost=ledger.total(),
-        seed=rng.seed,
-        method="mc",
         diagnostics={
             "zeta_sq": zeta_sq,
             "zeta_sq_biased": float(np.var(y)),
@@ -211,13 +208,10 @@ def cv_estimate(
     adjusted = y - lam * (g - cfg.control_mean)
     s_hat = float(np.mean(adjusted))
     zeta_sq = float(np.var(adjusted, ddof=1))
-    return EstimateReport(
+    return EstimateReport.from_ledger(
+        ledger, rng.seed, "cv",
         estimate=s_hat,
         estimator_variance=zeta_sq / n,
-        n_per_model=dict(ledger.counts),
-        total_cost=ledger.total(),
-        seed=rng.seed,
-        method="cv",
         diagnostics={
             "lambda": lam,
             "rho_pilot": rho_hat,

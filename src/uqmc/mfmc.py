@@ -112,38 +112,27 @@ def validate_ordering(stats: PilotStats) -> PilotStats:
     """Reorder surrogates by descending rho^2 and drop any that violate
     the cost/correlation-gap conditions required by the closed-form
     optimum (cheapest violator first); drops are recorded in flags, plus
-    ``all_surrogates_dropped`` when none is left."""
-    order = sorted(range(stats.k), key=lambda i: -stats.rho[i] ** 2)
-    sig = [stats.sigma_lo[i] for i in order]
-    rho = [stats.rho[i] for i in order]
-    cost = [stats.cost_lo[i] for i in order]
-    ids = [stats.low_ids[i] for i in order]
+    ``all_surrogates_dropped`` when none is left.  A perfect leading
+    surrogate makes the conditions moot: ``mfmc_plan`` shortcuts it."""
+    keep = sorted(range(stats.k), key=lambda i: -stats.rho[i] ** 2)
     flags = list(stats.flags)
-
-    if rho and rho[0] ** 2 >= 1.0 - _RHO_ONE_TOL:
+    if keep and stats.rho[keep[0]] ** 2 >= 1.0 - _RHO_ONE_TOL:
         flags.append("perfect_surrogate")
-
-    while True:
-        rho_sq = np.array([r * r for r in rho] + [0.0])
-        costs = np.array([stats.cost_hi] + cost)
-        if rho and rho[0] ** 2 >= 1.0 - _RHO_ONE_TOL:
-            break  # conditions are moot; plan will shortcut
-        bad = _ordering_violations(rho_sq, costs)
-        if not bad:
-            break
-        drop = min(bad, key=lambda i: cost[i])
-        flags.append(f"dropped:{ids[drop]}")
-        for seq in (sig, rho, cost, ids):
-            del seq[drop]
-    if stats.k and not ids:
+    else:
+        while bad := _ordering_violations(
+            np.array([stats.rho[i] * stats.rho[i] for i in keep] + [0.0]),
+            np.array([stats.cost_hi] + [stats.cost_lo[i] for i in keep]),
+        ):
+            drop = keep.pop(min(bad, key=lambda b: stats.cost_lo[keep[b]]))
+            flags.append(f"dropped:{stats.low_ids[drop]}")
+    if stats.k and not keep:
         flags.append("all_surrogates_dropped")
-
     return replace(
         stats,
-        sigma_lo=tuple(sig),
-        rho=tuple(rho) + (0.0,),
-        cost_lo=tuple(cost),
-        low_ids=tuple(ids),
+        sigma_lo=tuple(stats.sigma_lo[i] for i in keep),
+        rho=tuple(stats.rho[i] for i in keep) + (0.0,),
+        cost_lo=tuple(stats.cost_lo[i] for i in keep),
+        low_ids=tuple(stats.low_ids[i] for i in keep),
         flags=tuple(flags),
     )
 
@@ -309,13 +298,10 @@ def mfmc_estimate(
         estimate = combine_multifidelity(y_hi, y_lows, plan.n, beta)
         est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(beta))
 
-    report = EstimateReport(
+    report = EstimateReport.from_ledger(
+        ledger, rng.seed, "mfmc",
         estimate=estimate,
         estimator_variance=est_var,
-        n_per_model=dict(ledger.counts),
-        total_cost=ledger.total(),
-        seed=rng.seed,
-        method="mfmc",
         diagnostics={
             "chi": plan.chi,
             "beta": list(beta),

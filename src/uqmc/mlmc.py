@@ -2,12 +2,12 @@
 sample allocation, the adaptive estimator loop, and the two-level
 estimator (MLMC with one correction, under a work budget).
 
-Both estimators assemble the telescoping sum of coupled corrections
-Y_l = M(l) - M(l-1), drawn by ``coupled_sample``: the models of
-``LevelHierarchy.coupled_models(l)`` go through ``mc.draw_evaluate``, the
-draw-and-evaluate walk of every estimator with a ``Distribution`` input,
-so a batch's input matrix is drawn and coarsened block by block and never
-held whole.  Substream layout:
+Both estimators report, through ``_telescoped``, the telescoping sum of
+coupled corrections Y_l = M(l) - M(l-1), drawn by ``coupled_sample``:
+the models of ``LevelHierarchy.coupled_models(l)`` go through
+``mc.draw_evaluate``, the draw-and-evaluate walk of every estimator with
+a ``Distribution`` input, so a batch's input matrix is drawn and
+coarsened block by block and never held whole.  Substream layout:
 
 - ``mlmc_estimate`` draws level l on split(l), its counter continuing
   across top-up rounds, so adding samples or levels never perturbs draws
@@ -222,6 +222,19 @@ class _LevelAccumulator:
         self.stats = _level_stats(self.level, self.buf[:end], self.cost)
 
 
+def _telescoped(
+    stats: list[LevelStats], ledger: CostLedger, seed: int, method: str, diagnostics: dict
+) -> EstimateReport:
+    """The report of the telescoping sum over the sampled levels: the sum
+    of the correction means, with variance the sum of V_l / N_l."""
+    return EstimateReport.from_ledger(
+        ledger, seed, method,
+        estimate=float(sum(s.mean for s in stats)),
+        estimator_variance=float(sum(s.variance / s.n for s in stats)),
+        diagnostics=diagnostics,
+    )
+
+
 def mlmc_estimate(
     h: LevelHierarchy,
     eps: float,
@@ -337,16 +350,9 @@ def mlmc_estimate(
             n_per_level=tuple(s.n for s in stats),
             predicted_cost=float(np.dot([s.n for s in stats], [s.cost for s in stats])),
         )
-    estimate = float(sum(s.mean for s in stats))
-    est_var = float(sum(s.variance / s.n for s in stats))
-    report = EstimateReport(
-        estimate=estimate,
-        estimator_variance=est_var,
-        n_per_model=dict(ledger.counts),
-        total_cost=ledger.total(),
-        seed=rng.seed,
-        method="mlmc",
-        diagnostics={
+    report = _telescoped(
+        stats, ledger, rng.seed, "mlmc",
+        {
             "eps": eps,
             "alpha_hat": alpha_hat,
             "beta_hat": variance_decay_rate(stats) if len(stats) >= 3 else None,
@@ -358,7 +364,7 @@ def mlmc_estimate(
             "rounds": rounds,
         },
     )
-    return MlmcResult(report=report, plan=plan, levels=stats)
+    return MlmcResult(report, plan, stats)
 
 
 def two_level_estimate(
@@ -421,14 +427,9 @@ def two_level_estimate(
         for lv, n in enumerate((n0, n1))
         if n
     ]
-    return EstimateReport(
-        estimate=float(sum(s.mean for s in stats)),
-        estimator_variance=float(sum(s.variance / s.n for s in stats)),
-        n_per_model=dict(ledger.counts),
-        total_cost=ledger.total(),
-        seed=rng.seed,
-        method="two_level",
-        diagnostics={
+    return _telescoped(
+        stats, ledger, rng.seed, "two_level",
+        {
             "pilot_v0": v0,
             "pilot_v1": v1,
             "n0": n0,

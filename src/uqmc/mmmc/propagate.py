@@ -17,11 +17,12 @@ caller-supplied buffers.
 ``reweight`` computes log x once, so its cost is one pass over n points
 per distinct candidate: a repeated candidate (equal family and
 parameters) copies the estimate and ESS of its first occurrence.  The
-distinct candidates are dealt into interleaved stripes, one per usable
-core (``_threads``), which mixes the families between stripes; each
-stripe reuses its own two length-n buffers for all its candidates and
-writes its candidates' slots.  An error is the serial loop's first: the
-lowest failing index, its support check before its weights.
+distinct candidates are split in index order into contiguous stripes, one
+per usable core (``_threads``); candidates are drawn i.i.d., so each
+stripe mixes the families.  Each stripe reuses its own two length-n
+buffers for all its candidates and writes its candidates' slots.  An
+error is the serial loop's first: the lowest failing index, its support
+check before its weights.
 """
 
 from __future__ import annotations
@@ -122,13 +123,10 @@ def is_estimate(
     x, w, wy = samples.x, np.empty(n), np.empty(n)
     s_hat, ess = _weigh(target, x, _log_argument(x), samples.log_q, samples.y, w, wy)
     sigma_sq = float(np.mean((wy - s_hat) ** 2))
-    return EstimateReport(
+    return EstimateReport.from_ledger(
+        ledger, rng.seed, "is",
         estimate=s_hat,
         estimator_variance=sigma_sq / n,
-        n_per_model=dict(ledger.counts),
-        total_cost=ledger.total(),
-        seed=rng.seed,
-        method="is",
         diagnostics={
             "ess": ess,
             "mean_weight": float(np.mean(w)),
@@ -216,6 +214,8 @@ def reweight(
     ledger it is 0.0.  Each distinct candidate is weighted once, at its
     first index; repeats get bit-identical copies, and errors name that
     first index."""
+    if not targets.entries:
+        raise InvalidParameterError("target set is empty")
     ledger = ledger if ledger is not None else CostLedger()
     T = targets.size
     estimates = np.empty(T)
@@ -228,23 +228,18 @@ def reweight(
         first.setdefault(target, j)
     distinct = list(first.values())
 
-    def stripe(js: list[int]) -> tuple[int, Exception] | None:
-        """Weigh candidates ``js`` in order; the first error stops the
-        stripe and is returned with its candidate index."""
+    def stripe(js: list[int]) -> None:
+        """Weigh candidates ``js`` in order; the first error raises."""
         w, tmp = np.empty(samples.n), np.empty(samples.n)
         for j in js:
-            target = targets.entries[j]
-            try:
-                _check_support(target, q_support, j)
-                estimates[j], ess[j] = _weigh(target, x, arg, log_q, y, w, tmp, j)
-            except Exception as err:  # re-raised below if no lower index failed
-                return j, err
-        return None
+            _check_support(targets.entries[j], q_support, j)
+            estimates[j], ess[j] = _weigh(targets.entries[j], x, arg, log_q, y, w, tmp, j)
 
+    # fan_out raises the lowest failing stripe's error, so contiguous
+    # stripes raise the lowest failing candidate's.
     k = workers(len(distinct) * samples.n)
-    failed = [f for f in fan_out(stripe, [distinct[i::k] for i in range(k)], k) if f]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+    size = -(-len(distinct) // k)
+    fan_out(stripe, [distinct[i : i + size] for i in range(0, len(distinct), size)], k)
     for j, target in enumerate(targets.entries):
         i = first[target]
         if i != j:  # a repeat: the kernel is a pure function of the target

@@ -45,7 +45,8 @@ class CostLedger:
     """A run's one account: per-model evaluation counts, work units and
     measured evaluation seconds, and the wall seconds of each named phase.
 
-    One ledger serves one run: estimators report its ``counts`` as
+    One ledger serves one run: ``EstimateReport.from_ledger``, the one
+    constructor every estimator reports through, takes its ``counts`` as
     ``n_per_model`` and its ``total()`` as ``total_cost``.  Allocation
     only reads declared work units, and ``as_dict`` holds only counts and
     work, so reports stay exactly reproducible; the seconds in

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from .models import CostLedger
+
 # Gaussian 97.5% quantile; CLT-based intervals throughout.
 Z_975 = float(ndtri(0.975))
 
@@ -27,6 +29,14 @@ class EstimateReport:
     def __post_init__(self):
         if self.estimator_variance < 0.0:
             raise ValueError("estimator_variance must be non-negative")
+
+    @classmethod
+    def from_ledger(cls, ledger: CostLedger, seed: int, method: str, **values) -> EstimateReport:
+        """The report of a run whose every evaluation ``ledger`` holds: its
+        ``counts`` are ``n_per_model`` and its ``total()`` is ``total_cost``.
+        ``values`` are the estimate, its variance and the diagnostics."""
+        counts, total = dict(ledger.counts), ledger.total()
+        return cls(n_per_model=counts, total_cost=total, seed=seed, method=method, **values)
 
     @property
     def ci_95(self) -> tuple[float, float]:

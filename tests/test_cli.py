@@ -797,9 +797,20 @@ def test_problem_names_are_the_builtins():
             {"method": "cv", "problem": "poly_fidelity", "n": 10, "coef": "best"},
             "coef: must be a number or 'auto'",
         ),
+        (MMMC | {"families": ["gamma", "normal", "gamma"]}, "families must be distinct"),
+        (MMMC | {"mcmc": {"burn_in": 0}}, "mcmc: MCMC options must be positive"),
+        (MMMC | {"ensemble_size": 0}, "ensemble_size: must be an integer >= 1"),
+        ({"method": ["mc"], "problem": "quadratic", "n": 10}, "method: must be one of"),
+        ({"method": {"a": 1}, "problem": "quadratic", "n": 10}, "method: must be one of"),
+        (
+            {"method": "mc", "problem": {"name": ["quadratic"]}, "n": 10},
+            f"problem.name: must be one of {tuple(_BUILTINS)}",
+        ),
     ],
     ids=[
         "inference", "mixture_mode", "families", "max_components", "mcmc_key", "mcmc_type", "coef",
+        "families_repeat", "mcmc_value", "ensemble_size", "method_list", "method_object",
+        "problem_name_list",
     ],
 )
 def test_method_value_checks_exit_2(tmp_path, capsys, cfg, message):
@@ -808,6 +819,20 @@ def test_method_value_checks_exit_2(tmp_path, capsys, cfg, message):
         assert main(argv) == 2
         assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_reports_are_built_only_in_reports_py():
+    # Every estimator reports through EstimateReport.from_ledger, so its
+    # provenance is the run's ledger.
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src/uqmc").rglob("*.py"))
+        if path.name != "reports.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "EstimateReport" in (getattr(node.func, "id", ""), getattr(node.func, "attr", ""))
+    ]
+    assert calls == []
 
 
 def test_plain_writes_nonfinite_as_null():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uqmc import CostLedger, Distribution, Family, Model, RngStream, builtin_problem, mc_estimate
-from uqmc.exceptions import EstimatorError
+from uqmc.exceptions import EstimatorError, InvalidParameterError
 from uqmc.mmmc import (
     CandidateModelSet,
     MixtureDensity,
@@ -311,6 +311,12 @@ class TestPropagate:
         targets = CandidateModelSet(entries=(Distribution(Family.LOGNORMAL, (0.1, 0.6)), N01))
         with pytest.raises(EstimatorError, match="candidate 1 support"):
             reweight(samples, targets)
+
+    def test_reweight_rejects_an_empty_target_set(self):
+        q = MixtureDensity((N01,), np.array([1.0]))
+        samples = draw_propagation_samples(IDENT, q, 100, RngStream(18))
+        with pytest.raises(InvalidParameterError, match="target set is empty"):
+            reweight(samples, CandidateModelSet(entries=()))
 
     def test_reweight_pinned_mixed_families(self):
         # Five families over a mixture with a normal component, so some

@@ -160,10 +160,11 @@ def errors(monkeypatch, samples, targets):
 
 
 class TestFirstErrorWins:
-    @pytest.mark.parametrize("first, second", [(3, 6), (4, 9)], ids=["odd", "even"])
+    @pytest.mark.parametrize("first, second", [(3, 12), (4, 9)], ids=["odd", "even"])
     def test_nonfinite_weight_in_two_stripes_names_lowest(self, monkeypatch, first, second):
-        # Distinct candidates are striped i::2, so indices 3 and 6 (or 4 and
-        # 9) fail in different stripes; both gammas fail at sample 7.
+        # The 16 distinct candidates split into the contiguous stripes 0..7
+        # and 8..15, so indices 3 and 12 (or 4 and 9) fail in different
+        # stripes; both gammas fail at sample 7.
         cands = lognormals(16)
         cands[first], cands[second] = GAMMA, GAMMA2
         samples, targets = poisoned(POSITIVE_Q, cands, 5)
@@ -174,9 +175,10 @@ class TestFirstErrorWins:
     @pytest.mark.parametrize("support_first", [True, False])
     def test_support_and_weight_failures_in_two_stripes(self, monkeypatch, support_first):
         # A normal candidate is not covered by the positive-support proposal.
+        # Indices 4 and 12 sit in different stripes, 0..7 and 8..15.
         cands = lognormals(16)
         bad = (NORMAL, GAMMA) if support_first else (GAMMA, NORMAL)
-        cands[4], cands[7] = bad
+        cands[4], cands[12] = bad
         samples, targets = poisoned(POSITIVE_Q, cands, 6)
         one, two = errors(monkeypatch, samples, targets)
         assert one == two
