@@ -40,7 +40,8 @@ from .models import _BUILTINS, CostLedger, ProblemBundle, builtin_problem
 from .reports import _plain
 from .rng import SEED_LIMIT, RngStream
 
-# key -> (type, required, default); bool keys also accept JSON true/false only.
+# key -> (type, required, default[, minimum]); bool keys also accept JSON
+# true/false only, and an integer key's optional minimum is inclusive.
 _COMMON_KEYS = {
     "method": (str, True, None),
     "problem": ((str, dict), True, None),
@@ -100,10 +101,10 @@ class _Outputs:
 
 @dataclasses.dataclass(frozen=True)
 class _Method:
-    keys: dict  # key -> (type, required, default), as in _COMMON_KEYS
+    keys: dict  # key -> (type, required, default[, minimum]), as in _COMMON_KEYS
     needs: str  # the ProblemBundle attribute the runner reads
     run: Callable[[dict, ProblemBundle, RngStream, CostLedger], _Outputs]
-    check: Callable[[dict], None]  # value checks beyond the key types
+    check: Callable[[dict, ProblemBundle], None]  # checks beyond key types and minimums
 
 
 # Every method the CLI runs, one entry per @_method runner below.  A new
@@ -112,7 +113,7 @@ class _Method:
 METHODS: dict[str, _Method] = {}
 
 
-def _method(name: str, needs: str, check=lambda cfg: None, **keys):
+def _method(name: str, needs: str, check=lambda cfg, bundle: None, **keys):
     def register(run):
         METHODS[name] = _Method(keys, needs, run, check)
         return run
@@ -124,7 +125,7 @@ def _plan_dict(plan, omit: str) -> dict:
     return {k: v for k, v in dataclasses.asdict(plan).items() if k != omit}
 
 
-@_method("mc", "model", n=(int, True, None), dump_samples=(bool, False, False))
+@_method("mc", "model", n=(int, True, None, 2), dump_samples=(bool, False, False))
 def _run_mc(cfg, bundle, rng, ledger) -> _Outputs:
     report, y = _mc_run(bundle.model, bundle.input, cfg["n"], rng, ledger)
     files = {}
@@ -136,14 +137,18 @@ def _run_mc(cfg, bundle, rng, ledger) -> _Outputs:
     return _Outputs(report.to_dict(), files=files)
 
 
-def _check_cv(cfg: dict) -> None:
+def _check_cv(cfg: dict, bundle: ProblemBundle) -> None:
     if not (cfg["coef"] == "auto" or isinstance(cfg["coef"], (int, float))):
         raise _fail("coef", "must be a number or 'auto'")
+    if cfg["coef"] == "auto" and cfg["pilot_n"] < 2:
+        raise _fail("pilot_n", "must be an integer >= 2 when coef is 'auto'")
+    if not 0 <= cfg["control_index"] < len(bundle.ensemble.lows):
+        raise _fail("control_index", f"out of range for {len(bundle.ensemble.lows)} surrogates")
 
 
 @_method(
     "cv", "ensemble", _check_cv,
-    n=(int, True, None),
+    n=(int, True, None, 2),
     control_index=(int, False, 0),
     coef=((int, float, str), False, "auto"),
     pilot_n=(int, False, 100),
@@ -151,8 +156,6 @@ def _check_cv(cfg: dict) -> None:
 def _run_cv(cfg, bundle, rng, ledger) -> _Outputs:
     ens = bundle.ensemble
     idx = cfg["control_index"]
-    if not 0 <= idx < len(ens.lows):
-        raise ConfigError(f"control_index: out of range for {len(ens.lows)} surrogates")
     cv_cfg = ControlVariateConfig(
         control=ens.lows[idx],
         control_mean=bundle.truth["low_means"][idx],
@@ -163,20 +166,25 @@ def _run_cv(cfg, bundle, rng, ledger) -> _Outputs:
     return _Outputs(report.to_dict())
 
 
-@_method(
-    "two_level", "hierarchy",
-    budget=((int, float), True, None),
-    coarse_level=(int, False, 0),
-    fine_level=(int, False, 1),
-    pilot_n=(int, False, 50),
-)
-def _run_two_level(cfg, bundle, rng, ledger) -> _Outputs:
+def _check_two_level(cfg: dict, bundle: ProblemBundle) -> None:
     h = bundle.hierarchy
     lo, hi = cfg["coarse_level"], cfg["fine_level"]
     if not 0 <= lo < hi <= h.max_level:
         raise ConfigError("two_level: need 0 <= coarse_level < fine_level <= max level")
     if hi != lo + 1 and h.levels[lo].input_dim != h.levels[hi].input_dim:
         raise ConfigError("two_level: non-adjacent levels need equal input dims")
+
+
+@_method(
+    "two_level", "hierarchy", _check_two_level,
+    budget=((int, float), True, None),
+    coarse_level=(int, False, 0),
+    fine_level=(int, False, 1),
+    pilot_n=(int, False, 50, 2),
+)
+def _run_two_level(cfg, bundle, rng, ledger) -> _Outputs:
+    h = bundle.hierarchy
+    lo, hi = cfg["coarse_level"], cfg["fine_level"]
     report = two_level_estimate(
         h.levels[lo], h.levels[hi], h.input, cfg["budget"], rng, ledger,
         pilot_n=cfg["pilot_n"], coarsen=h.coarsen,
@@ -184,11 +192,20 @@ def _run_two_level(cfg, bundle, rng, ledger) -> _Outputs:
     return _Outputs(report.to_dict())
 
 
+def _check_mlmc(cfg: dict, bundle: ProblemBundle) -> None:
+    if cfg["eps"] <= 0:
+        raise _fail("eps", "must be positive")
+    top = bundle.hierarchy.max_level
+    top = top if cfg["max_level"] is None else min(cfg["max_level"], top)
+    if cfg["fixed_level"] is not None and not 0 <= cfg["fixed_level"] <= top:
+        raise _fail("fixed_level", f"must be in 0..{top}")
+
+
 @_method(
-    "mlmc", "hierarchy",
+    "mlmc", "hierarchy", _check_mlmc,
     eps=((int, float), True, None),
-    max_level=(int, False, None),
-    initial_samples=(int, False, 100),
+    max_level=(int, False, None, 0),
+    initial_samples=(int, False, 100, 2),
     max_cost=((int, float), False, None),
     fixed_level=(int, False, None),
 )
@@ -209,7 +226,7 @@ def _run_mlmc(cfg, bundle, rng, ledger) -> _Outputs:
     )
 
 
-@_method("mfmc", "ensemble", budget=((int, float), True, None), pilot=(int, False, 50))
+@_method("mfmc", "ensemble", budget=((int, float), True, None), pilot=(int, False, 50, 10))
 def _run_mfmc(cfg, bundle, rng, ledger) -> _Outputs:
     report, plan = mfmc_estimate(
         bundle.ensemble, bundle.input, cfg["budget"], rng, n_pilot=cfg["pilot"], ledger=ledger
@@ -217,7 +234,19 @@ def _run_mfmc(cfg, bundle, rng, ledger) -> _Outputs:
     return _Outputs(report.to_dict(), plan=_plan_dict(plan, "n_real"))
 
 
-def _check_mmmc(cfg: dict) -> None:
+def _dataset(cfg: dict, bundle: ProblemBundle) -> Dataset:
+    """The mmmc data: the ``data`` file if one is named, else the problem's."""
+    if cfg["data"] is None:
+        if bundle.dataset is None:
+            raise ConfigError("mmmc: no 'data' path given and the problem bundles none")
+        return bundle.dataset
+    try:
+        return Dataset.from_csv(cfg["data"])
+    except OSError as exc:
+        raise ConfigError(f"data: cannot read {cfg['data']}: {exc.strerror}") from exc
+
+
+def _check_mmmc(cfg: dict, bundle: ProblemBundle) -> None:
     if not cfg["families"]:
         raise _fail("families", "must name at least one family")
     for fam in cfg["families"]:
@@ -231,9 +260,8 @@ def _check_mmmc(cfg: dict) -> None:
         raise _fail("inference", "must be 'aic' or 'bayes'")
     if cfg["mixture_mode"] not in ("equal", "weighted"):
         raise _fail("mixture_mode", "must be 'equal' or 'weighted'")
-    for key in ("max_components", "ensemble_size"):
-        if cfg[key] < 1:
-            raise _fail(key, "must be an integer >= 1")
+    if cfg["inference"] == "bayes" and cfg["n_ev"] < 1000:
+        raise _fail("n_ev", "must be an integer >= 1000 under inference 'bayes'")
     if cfg["mcmc"] is not None:
         unknown = set(cfg["mcmc"]) - _MCMC_KEYS
         if unknown:
@@ -244,6 +272,7 @@ def _check_mmmc(cfg: dict) -> None:
             McmcOptions(**cfg["mcmc"])
         except InvalidParameterError as exc:
             raise _fail("mcmc", str(exc)) from None
+    _dataset(cfg, bundle)
 
 
 @_method(
@@ -251,26 +280,17 @@ def _check_mmmc(cfg: dict) -> None:
     data=(str, False, None),
     families=(list, False, ["normal", "lognormal", "gamma", "weibull"]),
     inference=(str, False, "aic"),
-    ensemble_size=(int, False, 100),
-    samples=(int, False, 5000),
+    ensemble_size=(int, False, 100, 1),
+    samples=(int, False, 5000, 2),
     mixture_mode=(str, False, "weighted"),
-    max_components=(int, False, 500),
+    max_components=(int, False, 500, 1),
     n_ev=(int, False, 10000),
     mcmc=(dict, False, None),
     dump_estimates=(bool, False, False),
 )
 def _run_mmmc(cfg, bundle, rng, ledger) -> _Outputs:
-    if cfg["data"] is not None:
-        try:
-            data = Dataset.from_csv(cfg["data"])
-        except OSError as exc:
-            raise ConfigError(f"data: cannot read {cfg['data']}: {exc.strerror}") from exc
-    elif bundle.dataset is not None:
-        data = bundle.dataset
-    else:
-        raise ConfigError("mmmc: no 'data' path given and the problem bundles none")
     run = run_multimodel(
-        bundle.model, data, [Family(f) for f in cfg["families"]],
+        bundle.model, _dataset(cfg, bundle), [Family(f) for f in cfg["families"]],
         inference=cfg["inference"],
         ensemble_size=cfg["ensemble_size"],
         n=cfg["samples"],
@@ -326,11 +346,15 @@ def validate_config(text: str) -> dict:
     Unknown keys are rejected with a nearest-key suggestion; missing
     required keys and type mismatches name the offending field; NaN,
     +-Infinity, float literals that overflow, integers too large for a
-    float where a number is expected, seeds outside [0, 2**53), an empty
-    or repeating mmmc family list, mmmc ``max_components`` or
-    ``ensemble_size`` below 1 and MCMC options below 1 are rejected.
-    A JSON ``null`` is accepted only for an optional key whose default is
-    None (``max_level``, ``max_cost``, ``fixed_level``, ``data``, ``mcmc``).
+    float where a number is expected, seeds outside [0, 2**53) and integers
+    below their key's minimum are rejected.  A JSON ``null`` is accepted
+    only for an optional key whose default is None (``max_level``,
+    ``max_cost``, ``fixed_level``, ``data``, ``mcmc``).
+
+    The problem bundle is built here, so unknown or ill-typed
+    ``problem.params``, a bundle without what the method ``needs``, and the
+    method's own checks against the bundle (level and control indices, the
+    mmmc data) fail before ``run_config`` starts anything.
     """
     try:
         raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
@@ -351,10 +375,13 @@ def validate_config(text: str) -> dict:
             raise _fail(key, f"unknown key{suffix}")
 
     cfg = {}
-    for key, (typ, required, default) in valid.items():
+    for key, (typ, required, default, *low) in valid.items():
         if key in raw:
             if raw[key] is not None:
                 _check_type(key, raw[key], typ)
+                if low and raw[key] < low[0]:
+                    bound = f">= {low[0]}"
+                    raise _fail(key, f"must be an integer {bound} ({method} needs {key} {bound})")
             elif required or default is not None:  # null only stands for a None default
                 raise _fail(key, f"expected {_type_name(typ)}, got null")
             cfg[key] = raw[key]
@@ -379,7 +406,16 @@ def validate_config(text: str) -> dict:
     if not 0 <= cfg["seed"] < SEED_LIMIT:
         raise _fail("seed", f"must be an integer in [0, 2**53), got {cfg['seed']}")
 
-    METHODS[method].check(cfg)
+    needs = METHODS[method].needs
+    try:  # unknown or ill-typed params, or a data line that is not a number
+        bundle = builtin_problem(problem["name"], problem["params"])
+        if getattr(bundle, needs) is None:
+            raise ConfigError(
+                f"problem '{bundle.name}' provides no {needs}; method '{method}' needs one"
+            )
+        METHODS[method].check(cfg, bundle)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -390,11 +426,6 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     rng = RngStream(cfg["seed"])
     ledger = CostLedger()
     bundle = builtin_problem(cfg["problem"]["name"], cfg["problem"]["params"])
-    if getattr(bundle, method.needs) is None:
-        raise ConfigError(
-            f"problem '{bundle.name}' provides no {method.needs}; "
-            f"method '{cfg['method']}' needs one"
-        )
     out = method.run(cfg, bundle, rng, ledger)
     if any(isinstance(v, float) and not math.isfinite(v) for v in out.result.values()):
         raise EvaluationError("report contains non-finite values")

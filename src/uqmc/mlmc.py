@@ -7,7 +7,8 @@ coupled corrections Y_l = M(l) - M(l-1), drawn by ``coupled_sample``:
 the models of ``LevelHierarchy.coupled_models(l)`` go through
 ``mc.draw_evaluate``, the draw-and-evaluate walk of every estimator with
 a ``Distribution`` input, so a batch's input matrix is drawn and
-coarsened block by block and never held whole.  Substream layout:
+coarsened block by block and never held whole; a level keeps only its
+count, mean and M2, never its samples.  Substream layout:
 
 - ``mlmc_estimate`` draws level l on split(l), its counter continuing
   across top-up rounds, so adding samples or levels never perturbs draws
@@ -27,7 +28,7 @@ and a level whose few samples happen to vary little is not starved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,18 +87,6 @@ def coupled_sample(
     return y - yc[0] if yc else y
 
 
-def _level_stats(level: int, y: np.ndarray, cost: float) -> LevelStats:
-    """Mean and unbiased variance of ``y``, bit for bit ``np.mean(y)`` and
-    ``np.var(y, ddof=1)``, from one shared sum."""
-    mean = np.add.reduce(y) / y.size
-    if y.size > 1:
-        d = np.subtract(y, mean)
-        variance = float(np.add.reduce(np.square(d, out=d)) / (y.size - 1))
-    else:
-        variance = 0.0
-    return LevelStats(level=level, mean=float(mean), variance=variance, cost=cost, n=y.size)
-
-
 def level_statistics(
     h: LevelHierarchy,
     level: int,
@@ -110,7 +99,9 @@ def level_statistics(
         raise InvalidParameterError(f"level {level} outside hierarchy 0..{h.max_level}")
     if n < 2:
         raise InvalidParameterError("level_statistics needs n >= 2")
-    return _level_stats(level, coupled_sample(h, level, n, rng, ledger), h.coupled_cost(level))
+    acc = _LevelAccumulator(level, h.coupled_cost(level))
+    acc.add(coupled_sample(h, level, n, rng, ledger))
+    return acc.stats
 
 
 def mlmc_allocation(stats: list[LevelStats], eps: float) -> MlmcPlan:
@@ -199,27 +190,33 @@ def floor_variances(stats: list[LevelStats], beta: float) -> list[LevelStats]:
 
 @dataclass
 class _LevelAccumulator:
-    """Stored correction samples for one level (kept raw so means and
-    variances are computed over the full array, independent of batching)
-    and their statistics, recomputed once per ``add``.  The samples fill
-    the prefix of a buffer that doubles when full, so a batch copies only
-    itself, not the level."""
+    """Count, mean and sum of squared deviations (M2) of one level's
+    correction samples.  ``add`` takes a batch's mean and M2 in one pass and
+    merges them by the pairwise update of Chan, Golub & LeVeque (1983), so
+    a top-up costs O(batch).  One batch gives ``np.mean`` and
+    ``np.var(ddof=1)`` bit for bit; merges move only the last bits."""
 
     level: int
     cost: float
     n: int = 0
-    buf: np.ndarray = field(default_factory=lambda: np.empty(0))
-    stats: LevelStats | None = None
+    mean: float = 0.0
+    m2: float = 0.0
 
     def add(self, y: np.ndarray) -> None:
-        end = self.n + y.size
-        if end > self.buf.size:
-            grown = np.empty(max(end, 2 * self.buf.size))
-            grown[: self.n] = self.buf[: self.n]
-            self.buf = grown
-        self.buf[self.n : end] = y
-        self.n = end
-        self.stats = _level_stats(self.level, self.buf[:end], self.cost)
+        mean = np.add.reduce(y) / y.size
+        d = np.subtract(y, mean)
+        mean, m2 = float(mean), float(np.add.reduce(np.square(d, out=d)))
+        if self.n:
+            n = self.n + y.size
+            delta = mean - self.mean
+            mean = self.mean + delta * (y.size / n)
+            m2 = self.m2 + m2 + delta * delta * (self.n * y.size / n)
+        self.n, self.mean, self.m2 = self.n + y.size, mean, m2
+
+    @property
+    def stats(self) -> LevelStats:
+        variance = self.m2 / (self.n - 1) if self.n > 1 else 0.0
+        return LevelStats(self.level, self.mean, variance, self.cost, self.n)
 
 
 def _telescoped(
@@ -272,6 +269,8 @@ def mlmc_estimate(
     if initial_samples < 2:
         # One sample per level has no variance to allocate by.
         raise InvalidParameterError("mlmc_estimate needs initial_samples >= 2")
+    if max_level is not None and max_level < 0:
+        raise InvalidParameterError("max_level must be >= 0")
     ledger = ledger if ledger is not None else CostLedger()
     avail = h.max_level if max_level is None else min(max_level, h.max_level)
     flags: list[str] = []

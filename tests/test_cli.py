@@ -573,8 +573,8 @@ DEMO_DIGESTS = {
         "report.json": "e6691ca8ac1a626cd905c119a5761559fdede4baf470f7661181253f42034153",
     },
     "mlmc_gbm": {
-        "report.json": "afdff78df673dbf97531a7e639c36cc8269c52dd94bd6bcdd700e1ef39767c9e",
-        "levels.csv": "8bc4fc4aad6a25310105d1e8e6ffa71dc4c8d3396ab7dce9d228f67f635ade93",
+        "report.json": "a7f52db1a6dcf96ed42803308b3ebb841aa7ec944fdf805ae223f449697c9f88",
+        "levels.csv": "032c75b978fc995a79cacf3b0bdd17a0ed718964ec49e86301e3883aef57ec20",
     },
     "mmmc_smalldata": {
         "report.json": "4d73f6fedde1a1ad6281bb051553e1134581298ec82039f07a3a9b46ccdf0910",
@@ -713,6 +713,9 @@ def test_out_naming_a_file_exit_2(tmp_path, capsys):
 
 
 MMMC = {"method": "mmmc", "problem": "smalldata_demo"}
+MLMC = {"method": "mlmc", "problem": "gbm_euler", "eps": 0.01}
+CV = {"method": "cv", "problem": "poly_fidelity", "n": 10}
+TWO_LEVEL = {"method": "two_level", "problem": "gbm_euler", "budget": 1000}
 
 
 @pytest.mark.parametrize(
@@ -776,8 +779,17 @@ def test_method_table_matches_schema_demos_and_bundle():
 
 
 def test_problem_names_are_the_builtins():
-    for name in _BUILTINS:
-        cfg = validate_config(json.dumps({"method": "mc", "problem": name, "n": 10}))
+    # Validation builds the bundle, so each name is validated with a method
+    # whose ``needs`` its bundle provides.
+    minimal = {
+        "model": {"method": "mc", "n": 10},
+        "hierarchy": {"method": "mlmc", "eps": 0.1},
+        "ensemble": {"method": "mfmc", "budget": 100},
+    }
+    for name, build in _BUILTINS.items():
+        bundle = build({})
+        needs = next(k for k in minimal if getattr(bundle, k) is not None)
+        cfg = validate_config(json.dumps(minimal[needs] | {"problem": name}))
         assert cfg["problem"]["name"] == name
     with pytest.raises(ConfigError) as err:
         validate_config('{"method": "mc", "problem": "cubic", "n": 10}')
@@ -806,11 +818,74 @@ def test_problem_names_are_the_builtins():
             {"method": "mc", "problem": {"name": ["quadratic"]}, "n": 10},
             f"problem.name: must be one of {tuple(_BUILTINS)}",
         ),
+        # Value bounds the estimators state, checked before anything runs.
+        ({"method": "mc", "problem": "quadratic", "n": 1}, "n: must be an integer >= 2"),
+        (CV | {"pilot_n": 1}, "pilot_n: must be an integer >= 2 when coef is 'auto'"),
+        (TWO_LEVEL | {"pilot_n": 1}, "pilot_n: must be an integer >= 2"),
+        (MLMC | {"initial_samples": 1}, "initial_samples: must be an integer >= 2"),
+        (MLMC | {"eps": -1}, "eps: must be positive"),
+        (MLMC | {"eps": 0}, "eps: must be positive"),
+        (MLMC | {"max_level": -1}, "max_level: must be an integer >= 0"),
+        (
+            {"method": "mfmc", "problem": "poly_fidelity", "budget": 100, "pilot": 3},
+            "pilot: must be an integer >= 10",
+        ),
+        (MMMC | {"samples": 1}, "samples: must be an integer >= 2"),
+        (
+            MMMC | {"inference": "bayes", "n_ev": 0},
+            "n_ev: must be an integer >= 1000 under inference 'bayes'",
+        ),
+        # Checks against the problem bundle, which validation builds.
+        (
+            MLMC | {"problem": "quadratic"},
+            "problem 'quadratic' provides no hierarchy; method 'mlmc' needs one",
+        ),
+        (
+            MLMC | {"problem": {"name": "gbm_euler", "params": {"sigma": "high"}}},
+            "gbm_euler params: could not convert string to float: 'high'",
+        ),
+        (
+            MLMC | {"problem": {"name": "gbm_euler", "params": {"max_level": -1}}},
+            "gbm_euler needs s0>0, sigma>=0, T>0, max_level>=0",
+        ),
+        (
+            MLMC | {"problem": {"name": "gbm_euler", "params": {"levels": 3}}},
+            "unknown gbm_euler params: ['levels']",
+        ),
+        (CV | {"control_index": 5}, "control_index: out of range for 2 surrogates"),
+        (CV | {"control_index": -1}, "control_index: out of range for 2 surrogates"),
+        (
+            TWO_LEVEL | {"fine_level": 20},
+            "two_level: need 0 <= coarse_level < fine_level <= max level",
+        ),
+        (
+            TWO_LEVEL | {"coarse_level": -1},
+            "two_level: need 0 <= coarse_level < fine_level <= max level",
+        ),
+        (
+            TWO_LEVEL | {"coarse_level": 0, "fine_level": 2},
+            "two_level: non-adjacent levels need equal input dims",
+        ),
+        (MLMC | {"fixed_level": 99}, "fixed_level: must be in 0..8"),
+        (MLMC | {"max_level": 3, "fixed_level": 4}, "fixed_level: must be in 0..3"),
+        (
+            MMMC | {"problem": "quadratic"},
+            "mmmc: no 'data' path given and the problem bundles none",
+        ),
+        (
+            MMMC | {"data": "no_such_dir/data.csv"},
+            "data: cannot read no_such_dir/data.csv: No such file or directory",
+        ),
     ],
     ids=[
         "inference", "mixture_mode", "families", "max_components", "mcmc_key", "mcmc_type", "coef",
         "families_repeat", "mcmc_value", "ensemble_size", "method_list", "method_object",
         "problem_name_list",
+        "mc_n", "cv_auto_pilot_n", "two_level_pilot_n", "mlmc_initial_samples", "mlmc_eps_negative",
+        "mlmc_eps_zero", "mlmc_max_level", "mfmc_pilot", "mmmc_samples", "mmmc_bayes_n_ev",
+        "mlmc_no_hierarchy", "params_type", "params_value", "params_unknown", "cv_control_high",
+        "cv_control_negative", "two_level_fine", "two_level_coarse", "two_level_dims",
+        "mlmc_fixed_level", "mlmc_fixed_above_max_level", "mmmc_no_data", "mmmc_data_missing",
     ],
 )
 def test_method_value_checks_exit_2(tmp_path, capsys, cfg, message):
