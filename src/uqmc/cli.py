@@ -102,7 +102,7 @@ class _Outputs:
 @dataclasses.dataclass(frozen=True)
 class _Method:
     keys: dict  # key -> (type, required, default[, minimum]), as in _COMMON_KEYS
-    needs: str  # the ProblemBundle attribute the runner reads
+    needs: tuple[str, ...]  # the ProblemBundle attributes the runner reads
     run: Callable[[dict, ProblemBundle, RngStream, CostLedger], _Outputs]
     check: Callable[[dict, ProblemBundle], None]  # checks beyond key types and minimums
 
@@ -113,7 +113,7 @@ class _Method:
 METHODS: dict[str, _Method] = {}
 
 
-def _method(name: str, needs: str, check=lambda cfg, bundle: None, **keys):
+def _method(name: str, needs: tuple[str, ...], check=lambda cfg, bundle: None, **keys):
     def register(run):
         METHODS[name] = _Method(keys, needs, run, check)
         return run
@@ -125,7 +125,7 @@ def _plan_dict(plan, omit: str) -> dict:
     return {k: v for k, v in dataclasses.asdict(plan).items() if k != omit}
 
 
-@_method("mc", "model", n=(int, True, None, 2), dump_samples=(bool, False, False))
+@_method("mc", ("model", "input"), n=(int, True, None, 2), dump_samples=(bool, False, False))
 def _run_mc(cfg, bundle, rng, ledger) -> _Outputs:
     report, y = _mc_run(bundle.model, bundle.input, cfg["n"], rng, ledger)
     files = {}
@@ -147,7 +147,7 @@ def _check_cv(cfg: dict, bundle: ProblemBundle) -> None:
 
 
 @_method(
-    "cv", "ensemble", _check_cv,
+    "cv", ("ensemble", "input"), _check_cv,
     n=(int, True, None, 2),
     control_index=(int, False, 0),
     coef=((int, float, str), False, "auto"),
@@ -176,7 +176,7 @@ def _check_two_level(cfg: dict, bundle: ProblemBundle) -> None:
 
 
 @_method(
-    "two_level", "hierarchy", _check_two_level,
+    "two_level", ("hierarchy",), _check_two_level,
     budget=((int, float), True, None),
     coarse_level=(int, False, 0),
     fine_level=(int, False, 1),
@@ -202,7 +202,7 @@ def _check_mlmc(cfg: dict, bundle: ProblemBundle) -> None:
 
 
 @_method(
-    "mlmc", "hierarchy", _check_mlmc,
+    "mlmc", ("hierarchy",), _check_mlmc,
     eps=((int, float), True, None),
     max_level=(int, False, None, 0),
     initial_samples=(int, False, 100, 2),
@@ -226,7 +226,7 @@ def _run_mlmc(cfg, bundle, rng, ledger) -> _Outputs:
     )
 
 
-@_method("mfmc", "ensemble", budget=((int, float), True, None), pilot=(int, False, 50, 10))
+@_method("mfmc", ("ensemble", "input"), budget=((int, float), True, None), pilot=(int, False, 50, 10))
 def _run_mfmc(cfg, bundle, rng, ledger) -> _Outputs:
     report, plan = mfmc_estimate(
         bundle.ensemble, bundle.input, cfg["budget"], rng, n_pilot=cfg["pilot"], ledger=ledger
@@ -276,7 +276,7 @@ def _check_mmmc(cfg: dict, bundle: ProblemBundle) -> None:
 
 
 @_method(
-    "mmmc", "model", _check_mmmc,
+    "mmmc", ("model",), _check_mmmc,
     data=(str, False, None),
     families=(list, False, ["normal", "lognormal", "gamma", "weibull"]),
     inference=(str, False, "aic"),
@@ -406,13 +406,13 @@ def validate_config(text: str) -> dict:
     if not 0 <= cfg["seed"] < SEED_LIMIT:
         raise _fail("seed", f"must be an integer in [0, 2**53), got {cfg['seed']}")
 
-    needs = METHODS[method].needs
     try:  # unknown or ill-typed params, or a data line that is not a number
         bundle = builtin_problem(problem["name"], problem["params"])
-        if getattr(bundle, needs) is None:
-            raise ConfigError(
-                f"problem '{bundle.name}' provides no {needs}; method '{method}' needs one"
-            )
+        for need in METHODS[method].needs:
+            if getattr(bundle, need) is None:
+                raise ConfigError(
+                    f"problem '{bundle.name}' provides no {need}; method '{method}' needs one"
+                )
         METHODS[method].check(cfg, bundle)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from None

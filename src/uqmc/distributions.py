@@ -35,9 +35,9 @@ from .rng import RngStream
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Draw indices per inverse-CDF block here, and rows per model call in
-# ``models.evaluate`` and in ``mc.draw_evaluate``, through which every
-# estimator with a ``Distribution`` input draws.
+# Draw indices per inverse-CDF block here and per ``mc.draw_evaluate``
+# block, through which every estimator with a ``Distribution`` input draws
+# and evaluates; ``_threads`` reads it as its fan-out threshold.
 _EVAL_CHUNK = 65536
 
 # Newton tolerance on the per-datum profile score for gamma/weibull fits.
@@ -97,10 +97,11 @@ def family_logpdf(family: Family, a, b, x) -> np.ndarray:
 
 
 def _log_argument(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``log x`` where x > 0 (0 elsewhere) and the mask of points outside
-    (0, inf): what ``_logpdf_into`` reads for the positive-support families,
-    which write -inf at every point of the mask."""
-    inside = x > 0.0
+    """``log x`` where 0 < x < inf (0 elsewhere) and the mask of points
+    outside (0, inf), +inf and NaN included: what ``_logpdf_into`` reads for
+    the positive-support families, which write -inf at every point of the
+    mask."""
+    inside = (x > 0.0) & (x < np.inf)
     return np.log(np.where(inside, x, 1.0)), ~inside
 
 

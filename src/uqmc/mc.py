@@ -60,10 +60,11 @@ def draw_evaluate(
 
     The ledger is charged once per model with its full count and the
     seconds of its evaluations summed over blocks, so its work sums match
-    one ``evaluate`` call per model.  Errors match them too: the first
-    model in order that fails raises the error of its first failing
-    block, with the global sample index, and only the models before it
-    are charged.
+    one ``evaluate`` call per model.  Errors of every kind match them too:
+    the lowest failing model in order raises the error of its first
+    failing block, a non-finite output with its global sample index, and
+    only the models before it are charged.  A shape error names the rows
+    of the block it came from.
     """
     dim = models[0].input_dim
     n = max(counts)
@@ -83,24 +84,19 @@ def draw_evaluate(
             started = perf_counter()
             try:
                 ys[j][lo : lo + m] = evaluate(models[j], x[:m])
-            except EvaluationError as exc:
-                if exc.index is not None:  # a non-finite output: index it globally
-                    exc = nonfinite_output(models[j], lo + exc.index, exc.x)
-                return seconds, (j, exc)
-            except Exception as exc:  # raised below unless an earlier block decides
+            except Exception as exc:
+                if isinstance(exc, EvaluationError) and exc.index is not None:
+                    exc = nonfinite_output(models[j], lo + exc.index, exc.x)  # index it globally
                 return seconds, (j, exc)
             seconds[j] += perf_counter() - started
         return seconds, None
 
     done = fan_out(block, list(range(0, n, rows)), workers(n * dim))
-    # Replay the blocks in order, as a serial loop would meet them: an
-    # EvaluationError stops its model and every later one, any other
-    # error raises at once.
+    # The lowest failing model stops the walk at its first failing block,
+    # as a serial loop of one ``evaluate`` per model would.
     stop, error = len(models), None
     for _, failed in done:
         if failed is not None and failed[0] < stop:
-            if not isinstance(failed[1], EvaluationError):
-                raise failed[1]
             stop, error = failed
     if ledger is not None:
         for j in range(stop):
@@ -138,18 +134,22 @@ def _mc_run(
         raise InvalidParameterError("mc_estimate needs n >= 2 for a variance estimate")
     ledger = ledger if ledger is not None else CostLedger()
     (y,) = draw_evaluate([model], [n], input, rng.split(_MAIN), ledger)
-    s_hat = float(np.mean(y))
+    return _mean_report(ledger, rng.seed, "mc", y, {}), y
+
+
+def _mean_report(
+    ledger: CostLedger, seed: int, method: str, y: np.ndarray, diagnostics: dict
+) -> EstimateReport:
+    """The report of the sample mean of ``y`` (MC and CV): its variance is
+    zeta_sq / n, zeta_sq the 1/(n-1) sample variance, and the diagnostics
+    add zeta_sq and its biased 1/n variant to ``diagnostics``."""
     zeta_sq = float(np.var(y, ddof=1))
-    report = EstimateReport.from_ledger(
-        ledger, rng.seed, "mc",
-        estimate=s_hat,
-        estimator_variance=zeta_sq / n,
-        diagnostics={
-            "zeta_sq": zeta_sq,
-            "zeta_sq_biased": float(np.var(y)),
-        },
+    return EstimateReport.from_ledger(
+        ledger, seed, method,
+        estimate=float(np.mean(y)),
+        estimator_variance=zeta_sq / y.size,
+        diagnostics=diagnostics | {"zeta_sq": zeta_sq, "zeta_sq_biased": float(np.var(y))},
     )
-    return report, y
 
 
 @dataclass(frozen=True)
@@ -206,17 +206,4 @@ def cv_estimate(
 
     y, g = draw_evaluate([model, cfg.control], [n, n], input, rng.split(_MAIN), ledger)
     adjusted = y - lam * (g - cfg.control_mean)
-    s_hat = float(np.mean(adjusted))
-    zeta_sq = float(np.var(adjusted, ddof=1))
-    return EstimateReport.from_ledger(
-        ledger, rng.seed, "cv",
-        estimate=s_hat,
-        estimator_variance=zeta_sq / n,
-        diagnostics={
-            "lambda": lam,
-            "rho_pilot": rho_hat,
-            "zeta_sq": zeta_sq,
-            "zeta_sq_biased": float(np.var(adjusted)),
-        },
-    )
-
+    return _mean_report(ledger, rng.seed, "cv", adjusted, {"lambda": lam, "rho_pilot": rho_hat})

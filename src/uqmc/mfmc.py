@@ -189,51 +189,39 @@ def mfmc_plan(stats: PilotStats, budget: float) -> MfmcPlan:
         # perfect surrogate carries weight and the budget holds for any k.
         if "perfect_surrogate" not in flags:
             flags.append("perfect_surrogate")
-        n0 = 2
-        n1 = max(2, int((budget - n0 * stats.cost_hi) // sum(stats.cost_lo)))
-        n = [n0] + [n1] * k
+        t = [1.0] + [float("nan")] * k
+        n1 = max(2, int((budget - 2 * stats.cost_hi) // sum(stats.cost_lo)))
+        n = [2] + [n1] * k
         n_real = [float(v) for v in n]
         chi = estimator_variance(stats, np.array(n_real), np.array(beta)) / (
             stats.sigma_hi**2 / (budget / stats.cost_hi)
         )
-        return MfmcPlan(
-            beta=beta,
-            t=(1.0,) + (float("nan"),) * k,
-            n=tuple(n),
-            n_real=tuple(n_real),
-            chi=float(chi),
-            budget=budget,
-            flags=tuple(flags),
-        )
+    else:
+        one_m_rho1 = 1.0 - stats.rho[0] ** 2
+        t = [1.0]
+        for i in range(k):
+            gap = stats.rho[i] ** 2 - stats.rho[i + 1] ** 2
+            t.append(math.sqrt(stats.cost_hi * gap / (stats.cost_lo[i] * one_m_rho1)))
+        n_real = budget / float(np.dot(costs, t)) * np.array(t)
 
-    one_m_rho1 = 1.0 - stats.rho[0] ** 2
-    t = [1.0]
-    for i in range(k):
-        gap = stats.rho[i] ** 2 - stats.rho[i + 1] ** 2
-        t.append(math.sqrt(stats.cost_hi * gap / (stats.cost_lo[i] * one_m_rho1)))
-    t_arr = np.array(t)
-    n0_real = budget / float(np.dot(costs, t_arr))
-    n_real = n0_real * t_arr
+        n = np.maximum(np.floor(n_real).astype(int), 2)
+        for i in range(1, k + 1):
+            if n[i] < n[i - 1]:
+                n[i] = n[i - 1]
+        # Flooring leaves slack, so repairs stay within budget in all but
+        # pathological cases; trim from the cheap end if one arises.
+        while float(np.dot(n, costs)) > budget and n[k] > max(2, n[k - 1] if k else 2):
+            n[k] -= 1
+        if float(np.dot(n, costs)) > budget:
+            raise BudgetError("budget cannot cover minimum evaluation counts")
+        chi = variance_ratio(stats)
 
-    n = np.maximum(np.floor(n_real).astype(int), 2)
-    n[0] = max(n[0], 2)
-    for i in range(1, k + 1):
-        if n[i] < n[i - 1]:
-            n[i] = n[i - 1]
-    # Flooring leaves slack, so repairs stay within budget in all but
-    # pathological cases; trim from the cheap end if one arises.
-    while float(np.dot(n, costs)) > budget and n[k] > max(2, n[k - 1] if k else 2):
-        n[k] -= 1
-    if float(np.dot(n, costs)) > budget:
-        raise BudgetError("budget cannot cover minimum evaluation counts")
-
-    chi = variance_ratio(stats)
     return MfmcPlan(
         beta=beta,
         t=tuple(float(v) for v in t),
         n=tuple(int(v) for v in n),
         n_real=tuple(float(v) for v in n_real),
-        chi=chi,
+        chi=float(chi),
         budget=budget,
         flags=tuple(flags),
     )
@@ -260,7 +248,6 @@ def mfmc_estimate(
     rng: RngStream,
     *,
     n_pilot: int = 50,
-    beta_override=None,
     ledger: CostLedger | None = None,
 ) -> tuple[EstimateReport, MfmcPlan]:
     """Full multifidelity run: pilot, ordering validation, plan, fresh
@@ -288,15 +275,12 @@ def mfmc_estimate(
 
     with ledger.phase("main"):
         plan = mfmc_plan(stats, budget - pilot_cost)
-        beta = tuple(float(b) for b in beta_override) if beta_override is not None else plan.beta
-        if len(beta) != stats.k:
-            raise InvalidParameterError("beta_override length must match surviving surrogates")
 
         models = {m.id: m for m in ensemble.all_models}
         kept = [ensemble.high] + [models[i] for i in stats.low_ids]
         y_hi, *y_lows = draw_evaluate(kept, plan.n, input, rng.split(_MAIN), ledger)
-        estimate = combine_multifidelity(y_hi, y_lows, plan.n, beta)
-        est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(beta))
+        estimate = combine_multifidelity(y_hi, y_lows, plan.n, plan.beta)
+        est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(plan.beta))
 
     report = EstimateReport.from_ledger(
         ledger, rng.seed, "mfmc",
@@ -304,7 +288,7 @@ def mfmc_estimate(
         estimator_variance=est_var,
         diagnostics={
             "chi": plan.chi,
-            "beta": list(beta),
+            "beta": list(plan.beta),
             "rho_pilot": list(stats.rho[:-1]),
             "sigma_hi_pilot": stats.sigma_hi,
             "low_order": list(stats.low_ids),

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import _EVAL_CHUNK, Dataset, Distribution, Family
+from .distributions import Dataset, Distribution, Family
 from .exceptions import EvaluationError, InvalidParameterError
 
 
@@ -97,24 +97,16 @@ def evaluate(
     The ledger is charged len(inputs) * cost_per_eval.  A non-finite
     output aborts with the offending input rather than being dropped,
     since silently dropping samples biases every estimator built on top.
-    The model runs on chunks of at most ``_EVAL_CHUNK`` rows, which bounds
-    its temporaries; outputs land in a preallocated array by index, so the
-    chunking never changes results.
+    The model runs once on all the rows: ``mc.draw_evaluate`` bounds its
+    temporaries by passing blocks of rows.  The outputs are a copy, never
+    a view of ``inputs``.
     """
     x = _as_inputs(model, inputs)
     n = x.shape[0]
     started = time.perf_counter()
-    out = np.empty(n, dtype=np.float64)
-
-    for lo in range(0, n, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, n)
-        y = np.asarray(model.fn(x[lo:hi]), dtype=np.float64)
-        if y.shape != (hi - lo,):
-            raise EvaluationError(
-                f"model '{model.id}' returned shape {y.shape} for {hi - lo} inputs"
-            )
-        out[lo:hi] = y
-
+    out = np.array(model.fn(x), dtype=np.float64)
+    if out.shape != (n,):
+        raise EvaluationError(f"model '{model.id}' returned shape {out.shape} for {n} inputs")
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise nonfinite_output(model, int(bad[0]), x[bad[0]].copy())

@@ -775,21 +775,26 @@ def test_method_table_matches_schema_demos_and_bundle():
     assert methods == set(SCHEMA["properties"]["method"]["enum"])
     assert methods == {json.loads(p.read_text())["method"] for p in DEMO_CONFIGS}
     fields = {f.name for f in dataclasses.fields(ProblemBundle)}
-    assert {name: m.needs for name, m in cli.METHODS.items() if m.needs not in fields} == {}
+    bad = {name: m.needs for name, m in cli.METHODS.items() if not {*m.needs} <= fields}
+    assert bad == {} and all(m.needs for m in cli.METHODS.values())
 
 
 def test_problem_names_are_the_builtins():
     # Validation builds the bundle, so each name is validated with a method
-    # whose ``needs`` its bundle provides.
+    # whose every ``needs`` field its bundle provides.
     minimal = {
-        "model": {"method": "mc", "n": 10},
-        "hierarchy": {"method": "mlmc", "eps": 0.1},
-        "ensemble": {"method": "mfmc", "budget": 100},
+        "mc": {"n": 10},
+        "mlmc": {"eps": 0.1},
+        "mfmc": {"budget": 100},
+        "mmmc": {},
     }
     for name, build in _BUILTINS.items():
         bundle = build({})
-        needs = next(k for k in minimal if getattr(bundle, k) is not None)
-        cfg = validate_config(json.dumps(minimal[needs] | {"problem": name}))
+        method = next(
+            m for m in minimal
+            if all(getattr(bundle, f) is not None for f in cli.METHODS[m].needs)
+        )
+        cfg = validate_config(json.dumps(minimal[method] | {"method": method, "problem": name}))
         assert cfg["problem"]["name"] == name
     with pytest.raises(ConfigError) as err:
         validate_config('{"method": "mc", "problem": "cubic", "n": 10}')
@@ -841,6 +846,10 @@ def test_problem_names_are_the_builtins():
             "problem 'quadratic' provides no hierarchy; method 'mlmc' needs one",
         ),
         (
+            {"method": "mc", "problem": "smalldata_demo", "n": 10},
+            "problem 'smalldata_demo' provides no input; method 'mc' needs one",
+        ),
+        (
             MLMC | {"problem": {"name": "gbm_euler", "params": {"sigma": "high"}}},
             "gbm_euler params: could not convert string to float: 'high'",
         ),
@@ -883,8 +892,8 @@ def test_problem_names_are_the_builtins():
         "problem_name_list",
         "mc_n", "cv_auto_pilot_n", "two_level_pilot_n", "mlmc_initial_samples", "mlmc_eps_negative",
         "mlmc_eps_zero", "mlmc_max_level", "mfmc_pilot", "mmmc_samples", "mmmc_bayes_n_ev",
-        "mlmc_no_hierarchy", "params_type", "params_value", "params_unknown", "cv_control_high",
-        "cv_control_negative", "two_level_fine", "two_level_coarse", "two_level_dims",
+        "mlmc_no_hierarchy", "mc_no_input", "params_type", "params_value", "params_unknown",
+        "cv_control_high", "cv_control_negative", "two_level_fine", "two_level_coarse", "two_level_dims",
         "mlmc_fixed_level", "mlmc_fixed_above_max_level", "mmmc_no_data", "mmmc_data_missing",
     ],
 )

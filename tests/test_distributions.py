@@ -48,6 +48,14 @@ class TestDensity:
         assert d.pdf(-1.0) == 0.0
         assert d.logpdf(-1.0) == -math.inf
 
+    def test_infinite_arguments_have_log_density_minus_inf(self):
+        # At x = +inf, gamma and weibull would compute inf - inf = NaN unless
+        # +inf counts as outside their support.  pyproject.toml turns any
+        # RuntimeWarning into an error.
+        x = np.array([np.inf, -np.inf])
+        for d in all_dists():
+            assert np.array_equal(d.logpdf(x), [-np.inf, -np.inf]), d
+
     def test_uniform_density_forced_by_normalization(self):
         assert Distribution(Family.UNIFORM, (0, 2)).pdf(1.0) == pytest.approx(0.5)
 

@@ -232,14 +232,23 @@ class TestFirstErrorWins:
 
     def test_other_error_of_an_earlier_model_is_raised(self, monkeypatch):
         # "c"'s non-finite output in block 0 does not stop "b", which then
-        # raises in block 1: the ValueError propagates and nothing is
-        # charged (the reference path has charged "a" by then).
+        # raises in block 1: the ValueError propagates with "a" charged.
         one, two, ref = two_block_errors(
             monkeypatch,
             lambda x: [failing_on(x[[10]], "b", ValueError("b broke")), failing_on(x[[2]], "c")],
         )
-        assert one == two == (ValueError, "b broke", {})
-        assert ref == (ValueError, "b broke", {"a": 2 * CHUNK})
+        assert one == two == ref == (ValueError, "b broke", {"a": 2 * CHUNK})
+
+    def test_earlier_model_outranks_other_error_in_a_lower_block(self, monkeypatch):
+        # "c" raises a ValueError in block 0, "b" is non-finite in block 1:
+        # "b" comes first in model order, so its error is raised.
+        one, two, ref = two_block_errors(
+            monkeypatch,
+            lambda x: [failing_on(x[[10]], "b"), failing_on(x[[2]], "c", ValueError("c broke"))],
+        )
+        assert one == two == ref == (
+            EvaluationError, "model 'b' produced non-finite output at sample 10", {"a": 2 * CHUNK}
+        )
 
 
 class TestBlocks:

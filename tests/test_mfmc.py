@@ -259,19 +259,19 @@ class TestCombine:
 
 
 class TestMfmcEstimate:
-    def test_beta_override_zero_matches_prefix_mc(self):
+    def test_estimate_combines_reference_draws(self):
         from uqmc.mc import draw_inputs
         from uqmc.models import evaluate
 
-        report, plan = mfmc_estimate(
-            POLY.ensemble, POLY.input, 2000.0, RngStream(8), beta_override=[0.0, 0.0]
-        )
-        assert report.diagnostics["beta"] == [0.0, 0.0]
-        # With zero coefficients the estimator is the high-fidelity mean on
-        # the first n0 of the shared main sample.
+        report, plan = mfmc_estimate(POLY.ensemble, POLY.input, 2000.0, RngStream(8))
+        # Bit for bit the prefix-reuse combination of each kept model's
+        # outputs on its first n[i] rows of the whole main (split(0)) sample.
+        by_id = {m.id: m for m in POLY.ensemble.all_models}
+        kept = [POLY.ensemble.high] + [by_id[i] for i in report.diagnostics["low_order"]]
         x = draw_inputs(POLY.input, RngStream(8).split(0), plan.n[-1], 1)
-        y_hi = evaluate(POLY.ensemble.high, x[: plan.n[0]])
-        assert report.estimate == np.mean(y_hi)
+        y_hi, *y_lows = [evaluate(m, x[:c]) for m, c in zip(kept, plan.n)]
+        assert len(y_lows) == 2
+        assert report.estimate == combine_multifidelity(y_hi, y_lows, plan.n, plan.beta)
 
     def test_budget_respected(self):
         from uqmc import CostLedger

@@ -180,6 +180,11 @@ class TestMixtureDensity:
         assert np.all(np.isfinite(got[4:]))
         assert_array_equal(got, self._scipy_logpdf(q, x))
 
+    def test_positive_support_mixture_at_infinity(self):
+        comps = (Distribution(Family.GAMMA, (2.0, 1.0)), Distribution(Family.WEIBULL, (1.5, 2.0)))
+        q = MixtureDensity(comps, np.array([0.5, 0.5]))
+        assert_array_equal(q.logpdf(np.array([np.inf])), [-np.inf])
+
     def test_duplicate_components_tied_maxima(self):
         q = MixtureDensity((N01, N01, N21, N21), np.array([0.25, 0.25, 0.25, 0.25]))
         x = np.linspace(-6.0, 8.0, 1401)

@@ -213,17 +213,17 @@ class TestReweightRepeats:
             reweight(samples, targets)
 
     def test_runtime_weight_violation_names_first_index(self):
-        # At x = +inf a shape-2 gamma log density is inf - inf = NaN, while a
-        # normal one is -inf (weight 0 against the finite log_q set there):
-        # only the gamma candidate fails, at its first index.
+        # At x = NaN a normal log density is NaN, while a gamma one is -inf
+        # (weight 0 against the finite log_q set there): only the normal
+        # candidate fails, at its first index.
         q = MixtureDensity((N01,), np.array([1.0]))
         drawn = draw_propagation_samples(IDENT, q, 400, RngStream(18))
         x, log_q = drawn.x.copy(), drawn.log_q.copy()
-        x[7], log_q[7] = np.inf, 0.0
+        x[7], log_q[7] = np.nan, 0.0
         samples = PropagationSamples(x=x, y=drawn.y, log_q=log_q, proposal=q, seed=drawn.seed)
         gamma = Distribution(Family.GAMMA, (2.0, 1.0))
         normal = Distribution(Family.NORMAL, (0.1, 1.2))
-        targets = CandidateModelSet(entries=(normal, normal, gamma, normal, gamma))
+        targets = CandidateModelSet(entries=(gamma, gamma, normal, gamma, normal))
         with pytest.raises(EstimatorError, match=r"candidate 2 at sample 7 \(x="):
             reweight(samples, targets)
 

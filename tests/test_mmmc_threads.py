@@ -23,8 +23,8 @@ from uqmc.exceptions import EstimatorError
 from uqmc.mmmc import (
     CandidateModelSet,
     MixtureDensity,
-    PropagationSamples,
     draw_propagation_samples,
+    propagate,
     reweight,
 )
 from uqmc import _threads
@@ -124,14 +124,21 @@ class TestBitIdentical:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-def poisoned(q, candidates, seed):
-    """Proposal draws with x = +inf, log q = 0 at sample 7, where a
-    shape-2 gamma log density is inf - inf = NaN and a normal or lognormal
-    one is -inf."""
-    drawn = draw_propagation_samples(SQUARE, q, N, RngStream(seed))
-    x, log_q = drawn.x.copy(), drawn.log_q.copy()
-    x[7], log_q[7] = np.inf, 0.0
-    samples = PropagationSamples(x=x, y=drawn.y, log_q=log_q, proposal=q, seed=drawn.seed)
+def poisoned(monkeypatch, q, candidates, seed):
+    """Proposal draws, with the log density of every gamma candidate NaN
+    at sample 7.  At the draws of a positive-support proposal every kernel
+    gives a number or -inf, so the NaN is patched into the kernel calls of
+    ``reweight``; the weight check that catches it is the real one."""
+    samples = draw_propagation_samples(SQUARE, q, N, RngStream(seed))
+    kernel = propagate._logpdf_into
+
+    def nan_at_7_for_gamma(family, *args):
+        out = kernel(family, *args)
+        if family is Family.GAMMA:
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(propagate, "_logpdf_into", nan_at_7_for_gamma)
     return samples, CandidateModelSet(entries=tuple(candidates))
 
 
@@ -167,7 +174,7 @@ class TestFirstErrorWins:
         # stripes; both gammas fail at sample 7.
         cands = lognormals(16)
         cands[first], cands[second] = GAMMA, GAMMA2
-        samples, targets = poisoned(POSITIVE_Q, cands, 5)
+        samples, targets = poisoned(monkeypatch, POSITIVE_Q, cands, 5)
         one, two = errors(monkeypatch, samples, targets)
         assert one == two
         assert one.startswith(f"non-finite importance weight for candidate {first} at sample 7")
@@ -179,7 +186,7 @@ class TestFirstErrorWins:
         cands = lognormals(16)
         bad = (NORMAL, GAMMA) if support_first else (GAMMA, NORMAL)
         cands[4], cands[12] = bad
-        samples, targets = poisoned(POSITIVE_Q, cands, 6)
+        samples, targets = poisoned(monkeypatch, POSITIVE_Q, cands, 6)
         one, two = errors(monkeypatch, samples, targets)
         assert one == two
         if support_first:

@@ -5,8 +5,8 @@ import pytest
 
 from uqmc import two_level_estimate
 from uqmc.exceptions import EvaluationError, InvalidParameterError
+from uqmc.distributions import _EVAL_CHUNK
 from uqmc.models import (
-    _EVAL_CHUNK,
     CostLedger,
     LevelHierarchy,
     Model,
@@ -65,8 +65,14 @@ def test_nonfinite_output_flagged_with_input():
 def test_chunking_matches_whole_batch():
     m = Model("sq", lambda x: x[:, 0] ** 2, cost_per_eval=1.0)
     x = draw_inputs(builtin_problem("quadratic").input, RngStream(4), 200_000, 1)
-    assert x.shape[0] > 3 * _EVAL_CHUNK  # four chunks, the last one partial
+    assert x.shape[0] > 3 * _EVAL_CHUNK  # more rows than three draw_evaluate blocks
     assert np.array_equal(evaluate(m, x), m.fn(x))
+
+
+def test_outputs_are_not_a_view_of_the_inputs():
+    x = np.arange(5.0)[:, None]
+    y = evaluate(Model("ident", lambda x: x[:, 0], cost_per_eval=1.0), x)
+    assert np.array_equal(y, x[:, 0]) and not np.shares_memory(y, x)
 
 
 class TestBuiltinProblems:

@@ -3,17 +3,16 @@ draw-and-evaluate walk behind MC, CV, MFMC, MLMC and two-level give the
 results of drawing the whole input matrix first and evaluating it model
 by model."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaincinv, ndtri
 
-import uqmc.distributions
 import uqmc.mc
 import uqmc.mfmc
 import uqmc.mlmc
-import uqmc.models
 from uqmc import (
     ControlVariateConfig,
     CostLedger,
@@ -49,9 +48,12 @@ DISTS = (
 
 
 def use_small_chunks(mp):
-    """Blocks of CHUNK draws and rows wherever the chunk size is read."""
-    for mod in (uqmc.distributions, uqmc.models, uqmc.mc):
-        mp.setattr(mod, "_EVAL_CHUNK", CHUNK)
+    """Blocks of CHUNK draws and rows in every loaded uqmc module that
+    holds ``_EVAL_CHUNK``, but ``_threads``: there the constant is the
+    threshold for spreading work over threads, not a block size."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("uqmc.") and name != "uqmc._threads" and "_EVAL_CHUNK" in vars(mod):
+            mp.setattr(mod, "_EVAL_CHUNK", CHUNK)
 
 
 @pytest.fixture
@@ -239,9 +241,9 @@ class TestStreamedErrors:
         assert np.array_equal(exc.value.x, x[bad])
         assert str(exc.value) == f"model 'f' produced non-finite output at sample {bad}"
 
-    def reference_and_streamed_errors(self, models, counts, rng):
+    def streamed_and_reference_errors(self, models, counts, rng):
         results = []
-        for walk in (reference_draw_evaluate, draw_evaluate):
+        for walk in (draw_evaluate, reference_draw_evaluate):
             ledger = CostLedger()
             with pytest.raises(EvaluationError) as exc:
                 walk(models, counts, DISTS[0], rng, ledger)
@@ -254,7 +256,7 @@ class TestStreamedErrors:
         # "a" fails in block 3 and "b" in block 1: "a" is named, as when
         # each model evaluates its whole prefix in turn.
         models = [failing_at(x[17], "a"), failing_at(x[2], "b"), square_model("c", dim=2)]
-        (msg, idx, xr, led), ref = self.reference_and_streamed_errors(models, [20, 30, 40], rng)
+        (msg, idx, xr, led), ref = self.streamed_and_reference_errors(models, [20, 30, 40], rng)
         assert (msg, idx, led) == ref[:2] + ref[3:]
         assert idx == 17 and np.array_equal(xr, ref[2]) and np.array_equal(xr, x[17])
         assert led["counts"] == {}
@@ -263,7 +265,7 @@ class TestStreamedErrors:
         rng = RngStream(53)
         x = draw_inputs(DISTS[0], rng, 40, 1)
         models = [square_model("a"), failing_at(x[25], "b", 0.5), square_model("c", 0.1)]
-        (msg, idx, xr, led), ref = self.reference_and_streamed_errors(models, [9, 30, 40], rng)
+        (msg, idx, xr, led), ref = self.streamed_and_reference_errors(models, [9, 30, 40], rng)
         assert (msg, idx, led) == ref[:2] + ref[3:]
         assert idx == 25 and np.array_equal(xr, x[25])
         assert led["counts"] == {"a": 9}
@@ -287,13 +289,14 @@ class TestStreamedErrors:
         x = draw_inputs(DISTS[0], rng, 40, 1)
         short = Model("short", lambda x: x[:-1, 0], 1.0)
         models = [failing_at(x[30], "a"), short]
-        (msg, idx, _, led), ref = self.reference_and_streamed_errors(models, [35, 40], rng)
+        (msg, idx, _, led), ref = self.streamed_and_reference_errors(models, [35, 40], rng)
         assert (msg, idx, led) == ref[:2] + ref[3:]
         assert idx == 30
+        # The streamed error names the rows of the first block.
         models = [square_model("a"), short]
-        (msg, idx, _, led), ref = self.reference_and_streamed_errors(models, [35, 40], rng)
-        assert (msg, idx, led) == ref[:2] + ref[3:]
-        assert "returned shape (6,) for 7 inputs" in msg
+        (msg, idx, _, led), ref = self.streamed_and_reference_errors(models, [35, 40], rng)
+        assert (idx, led) == (ref[1], ref[3])
+        assert msg == "model 'short' returned shape (6,) for 7 inputs"
 
 
 def test_mfmc_peak_memory_near_output_size():
