@@ -3,8 +3,9 @@
 The streamed input layer (``mc.draw_evaluate``), the mixture log density
 and candidate reweighting are long numpy and scipy ufunc loops, which
 release the interpreter lock, so threads run them side by side.  Every
-work item writes its own slice of its caller's output and no reduction
-crosses two items, so results do not depend on the number of threads.
+work item writes its own slice of its caller's output, or returns its own
+partial sums for the caller to merge in item order; no reduction crosses
+two items, so results do not depend on the number of threads.
 Passes of at most ``_EVAL_CHUNK`` draws, or (component or candidate) ×
 sample pairs, stay on the calling thread, in serial order.
 

@@ -127,9 +127,10 @@ def _plan_dict(plan, omit: str) -> dict:
 
 @_method("mc", ("model", "input"), n=(int, True, None, 2), dump_samples=(bool, False, False))
 def _run_mc(cfg, bundle, rng, ledger) -> _Outputs:
-    report, y = _mc_run(bundle.model, bundle.input, cfg["n"], rng, ledger)
+    y = np.empty(cfg["n"]) if cfg["dump_samples"] else None
+    report = _mc_run(bundle.model, bundle.input, cfg["n"], rng, ledger, y)
     files = {}
-    if cfg["dump_samples"]:
+    if y is not None:
         x = draw_inputs(bundle.input, rng.split(0), cfg["n"], bundle.model.input_dim)
         files["samples.csv"] = ["index,input,output,weight"] + [
             f"{i},{float(x[i, 0])!r},{float(y[i])!r},1.0" for i in range(cfg["n"])

@@ -4,9 +4,9 @@ Five scalar families (normal, lognormal, gamma, weibull, uniform) with a
 common two-parameter interface.  Gamma and Weibull use the shape/scale
 parameterization.  Sampling is inverse-CDF on counter-based uniform
 draws, so sample i of a stream is reproducible in isolation.  ``draw_into``
-draws in blocks of ``_EVAL_CHUNK`` draw indices and runs the ppf in place
-into the output, so no full-size uniform array exists; results do not
-depend on the block size.
+draws in blocks of ``_EVAL_CHUNK`` draw indices into a reused per-thread
+buffer (``_borrowed``) and runs the ppf in place into the output, so no
+full-size uniform array exists; results do not depend on the block size.
 
 The ``family_logpdf`` / ``family_ppf`` kernels broadcast over parameter
 arrays as well as argument arrays; mixtures and evidence integrals reuse
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,9 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # block, through which every estimator with a ``Distribution`` input draws
 # and evaluates; ``_threads`` reads it as its fan-out threshold.
 _EVAL_CHUNK = 65536
+
+# Each thread's reusable block buffers, by slot name (``_borrowed``).
+_scratch = threading.local()
 
 # Newton tolerance on the per-datum profile score for gamma/weibull fits.
 _SCORE_TOL = 1e-10
@@ -311,25 +316,52 @@ def sample(dist: Distribution, rng: RngStream, n: int) -> np.ndarray:
     return draw_into(dist, rng, np.empty(n))
 
 
+@contextmanager
+def _borrowed(slot: str, size: int):
+    """A float64 buffer of ``size`` elements, for one block.
+
+    Up to ``_EVAL_CHUNK`` elements it is a view of this thread's buffer in
+    ``slot``, which is taken out of the slot while in use: a draw nested on
+    the same thread (a model or ppf that runs an estimator) finds the slot
+    empty and allocates its own, so it cannot overwrite the caller's block.
+    Reusing the buffer keeps blocks from turning into page faults, since
+    glibc hands freed block-sized arrays back to the kernel.  A larger
+    request gets a fresh array that is not kept.
+    """
+    if size > _EVAL_CHUNK:
+        yield np.empty(size)
+        return
+    buf = getattr(_scratch, slot, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(_EVAL_CHUNK)
+    setattr(_scratch, slot, None)
+    try:
+        yield buf[:size]
+    finally:
+        setattr(_scratch, slot, buf)
+
+
 def draw_into(dist, rng: RngStream, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous float64 array ``out`` with inverse-CDF draws,
     in flat order, at draw indices [counter, counter + out.size), and
     return it.
 
-    Blocks of ``_EVAL_CHUNK`` draw indices are drawn one at a time, each
-    ``Distribution`` block through its ppf straight into ``out``, so only
-    one block of uniforms exists at a time.  Draws are counter-based, so
-    the values do not depend on the block size.  ``dist`` may be any
-    object with a ``ppf(u)``.
+    Blocks of ``_EVAL_CHUNK`` draw indices are drawn one at a time into
+    this thread's borrowed uniform buffer (``_borrowed``), each
+    ``Distribution`` block through its ppf straight into ``out``, so no
+    uniform array is allocated per block.  Draws are counter-based, so the
+    values do not depend on the block size.  ``dist`` may be any object
+    with a ``ppf(u)``.
     """
     flat = out.reshape(-1)
-    for lo in range(0, flat.size, _EVAL_CHUNK):
-        block = flat[lo : lo + _EVAL_CHUNK]
-        u = rng.advance(lo).uniforms(block.size)
-        if isinstance(dist, Distribution):
-            dist.ppf(u, out=block)
-        else:
-            block[:] = dist.ppf(u)
+    with _borrowed("u", min(flat.size, _EVAL_CHUNK)) as scratch:
+        for lo in range(0, flat.size, _EVAL_CHUNK):
+            block = flat[lo : lo + _EVAL_CHUNK]
+            u = rng.advance(lo).uniforms(block.size, out=scratch[: block.size])
+            if isinstance(dist, Distribution):
+                dist.ppf(u, out=block)
+            else:
+                block[:] = dist.ppf(u)
     return out
 
 

@@ -9,9 +9,13 @@ two-level estimator is MLMC with one correction and lives in ``mlmc``.
 Every estimator with a ``Distribution`` input (MC, CV, MFMC, MLMC and
 two-level) goes through ``draw_evaluate``: it draws and evaluates the
 input matrix in blocks of ``_EVAL_CHUNK`` draws (at least 1 024 rows), so
-the full matrix never exists.  Row i always consumes the same draw
-indices, so every result is independent of the block size; a call of
-more than ``_EVAL_CHUNK`` draws runs its blocks on every usable core.
+the full matrix never exists.  MC, CV and MFMC keep no outputs either:
+each block is reduced to its moments or prefix sums as it is evaluated,
+and the blocks are merged in block order.  Row i always consumes the same
+draw indices, so every output is independent of the block size; a sum
+over more than one block depends on the block boundaries, fixed by
+``_block_rows``, in its last bits only.  A call of more than
+``_EVAL_CHUNK`` draws runs its blocks on every usable core.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from time import perf_counter
 import numpy as np
 
 from ._threads import fan_out, workers
-from .distributions import _EVAL_CHUNK, Distribution, draw_into
+from .distributions import _EVAL_CHUNK, Distribution, _borrowed, draw_into
 from .exceptions import EstimatorError, EvaluationError, InvalidParameterError
 from .models import CostLedger, Model, evaluate, nonfinite_output
 from .reports import EstimateReport
@@ -31,10 +35,15 @@ from .rng import RngStream
 _MAIN, _PILOT = 0, 1
 
 
-def draw_inputs(dist: Distribution, rng: RngStream, n: int, dim: int = 1) -> np.ndarray:
+def draw_inputs(
+    dist: Distribution, rng: RngStream, n: int, dim: int = 1, buf: np.ndarray | None = None
+) -> np.ndarray:
     """(n, dim) i.i.d. input matrix; row i consumes draw indices
-    [i*dim, (i+1)*dim), so each row is reproducible in isolation."""
-    return draw_into(dist, rng, np.empty((n, dim)))
+    [i*dim, (i+1)*dim), so each row is reproducible in isolation.  With
+    ``buf`` (a float64 array of at least n*dim elements) the matrix is
+    drawn into its first n*dim elements."""
+    out = np.empty((n, dim)) if buf is None else buf[: n * dim].reshape(n, dim)
+    return draw_into(dist, rng, out)
 
 
 def _block_rows(dim: int) -> int:
@@ -46,17 +55,31 @@ def _block_rows(dim: int) -> int:
 
 
 def draw_evaluate(
-    models, counts, dist: Distribution, rng: RngStream, ledger: CostLedger | None = None
-) -> list[np.ndarray]:
+    models,
+    counts,
+    dist: Distribution,
+    rng: RngStream,
+    ledger: CostLedger | None = None,
+    reduce=None,
+) -> list:
     """Outputs of ``models[j]`` on the first ``counts[j]`` rows of
-    ``draw_inputs(dist, rng, max(counts), dim)``, without building it.
+    ``draw_inputs(dist, rng, max(counts), dim)``, without building it,
+    each block handed to ``reduce``.
 
     The rows go in blocks of ``_EVAL_CHUNK`` draws (``_block_rows``); each
-    block is drawn once, at its own draw indices, and evaluated by every
-    model that needs its rows, in model order, writing the outputs by
-    index.  A call of more than ``_EVAL_CHUNK`` draws spreads its blocks
-    over the usable cores (``_threads``), so every ``fn`` may run on two
-    blocks at once; the outputs do not depend on the thread count.
+    block is drawn once, at its own draw indices, into a reused per-thread
+    buffer when it holds at most ``_EVAL_CHUNK`` draws, and evaluated by
+    every model that needs its rows, in model order.  ``reduce(j, lo, y)``
+    gets model j's outputs ``y`` on rows [lo, lo + y.size) of each block
+    that has rows for it, on the thread that evaluated them, and the call
+    returns one list per block, in block order, of those results by model
+    (None where a model has no rows in the block); the caller merges them
+    in that order.  Without ``reduce`` the outputs are stored: the callback
+    writes each block into one array per model, and the arrays are
+    returned.  A call of more than ``_EVAL_CHUNK`` draws spreads its blocks
+    over the usable cores (``_threads``), so every ``fn`` and ``reduce``
+    may run on two blocks at once; blocks are fixed by ``_block_rows``, so
+    the results do not depend on the thread count.
 
     The ledger is charged once per model with its full count and the
     seconds of its evaluations summed over blocks, so its work sums match
@@ -69,41 +92,91 @@ def draw_evaluate(
     dim = models[0].input_dim
     n = max(counts)
     rows = _block_rows(dim)
-    ys = [np.empty(c) for c in counts]
+    ys = None
+    if reduce is None:
+        ys = [np.empty(c) for c in counts]
 
-    def block(lo: int) -> tuple[list[float], tuple[int, Exception] | None]:
-        """Seconds per model on rows [lo, lo + rows), and the first
-        failure there with its model index: later models skip the block."""
+        def reduce(j, lo, y):
+            ys[j][lo : lo + y.size] = y
+
+    def block(lo: int) -> tuple[list[float], list, tuple[int, Exception] | None]:
+        """Seconds per model on rows [lo, lo + rows), the results of
+        ``reduce`` by model, and the first failure there with its model
+        index: later models skip the block."""
         hi = min(lo + rows, n)
-        x = draw_inputs(dist, rng.advance(lo * dim), hi - lo, dim)
         seconds = [0.0] * len(models)
-        for j, c in enumerate(counts):
-            if c <= lo:
-                continue
-            m = min(c, hi) - lo
-            started = perf_counter()
-            try:
-                ys[j][lo : lo + m] = evaluate(models[j], x[:m])
-            except Exception as exc:
-                if isinstance(exc, EvaluationError) and exc.index is not None:
-                    exc = nonfinite_output(models[j], lo + exc.index, exc.x)  # index it globally
-                return seconds, (j, exc)
-            seconds[j] += perf_counter() - started
-        return seconds, None
+        results = [None] * len(models)
+        with _borrowed("x", (hi - lo) * dim) as buf:
+            x = draw_inputs(dist, rng.advance(lo * dim), hi - lo, dim, buf)
+            for j, c in enumerate(counts):
+                if c <= lo:
+                    continue
+                m = min(c, hi) - lo
+                started = perf_counter()
+                try:
+                    y = evaluate(models[j], x[:m])
+                    seconds[j] += perf_counter() - started
+                    results[j] = reduce(j, lo, y)
+                except Exception as exc:
+                    if isinstance(exc, EvaluationError) and exc.index is not None:
+                        exc = nonfinite_output(models[j], lo + exc.index, exc.x)  # index it globally
+                    return seconds, results, (j, exc)
+        return seconds, results, None
 
     done = fan_out(block, list(range(0, n, rows)), workers(n * dim))
     # The lowest failing model stops the walk at its first failing block,
     # as a serial loop of one ``evaluate`` per model would.
     stop, error = len(models), None
-    for _, failed in done:
+    for _, _, failed in done:
         if failed is not None and failed[0] < stop:
             stop, error = failed
     if ledger is not None:
         for j in range(stop):
-            ledger.charge(models[j], counts[j], sum(s[j] for s, _ in done))
+            ledger.charge(models[j], counts[j], sum(s[j] for s, _, _ in done))
     if error is not None:
         raise error
-    return ys
+    return ys if ys is not None else [results for _, results, _ in done]
+
+
+@dataclass
+class _Moments:
+    """Count, mean and sum of squared deviations (M2) of a stream of
+    samples, which it does not keep.  ``of`` takes a batch's mean and M2 in
+    one pass, and ``merge`` adds another batch's by the pairwise update of
+    Chan, Golub & LeVeque (1983), so a batch costs O(batch).  One batch
+    gives ``np.mean`` and ``np.var`` (M2 / (n - ddof)) bit for bit; merges
+    move only the last bits.  MC and CV merge ``draw_evaluate``'s blocks
+    into one, and each MLMC level its top-up batches."""
+
+    n: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+
+    @classmethod
+    def of(cls, y: np.ndarray) -> "_Moments":
+        mean = np.add.reduce(y) / y.size
+        d = np.subtract(y, mean)
+        return cls(y.size, float(mean), float(np.add.reduce(np.square(d, out=d))))
+
+    @classmethod
+    def merged(cls, parts) -> "_Moments":
+        acc = cls()
+        for part in parts:
+            acc.merge(part)
+        return acc
+
+    def add(self, y: np.ndarray) -> None:
+        self.merge(_Moments.of(y))
+
+    def merge(self, other: "_Moments") -> None:
+        if self.n:
+            n = self.n + other.n
+            delta = other.mean - self.mean
+            self.mean = self.mean + delta * (other.n / n)
+            self.m2 = self.m2 + other.m2 + delta * delta * (self.n * other.n / n)
+            self.n = n
+        else:
+            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
 
 
 def mc_estimate(
@@ -118,7 +191,7 @@ def mc_estimate(
     The sampling-variance estimate uses the unbiased 1/(n-1) form; the
     biased 1/n variant is reported as a diagnostic.
     """
-    return _mc_run(model, input, n, rng, ledger)[0]
+    return _mc_run(model, input, n, rng, ledger)
 
 
 def _mc_run(
@@ -127,28 +200,37 @@ def _mc_run(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-) -> tuple[EstimateReport, np.ndarray]:
-    """``mc_estimate`` and the n model outputs it averages, row i of them
-    on row i of ``draw_inputs(input, rng.split(0), n, model.input_dim)``."""
+    samples: np.ndarray | None = None,
+) -> EstimateReport:
+    """``mc_estimate``, which reduces each block of outputs to its moments.
+    With ``samples`` (n floats) it also writes the outputs there, row i of
+    them on row i of ``draw_inputs(input, rng.split(0), n, model.input_dim)``."""
     if n < 2:
         raise InvalidParameterError("mc_estimate needs n >= 2 for a variance estimate")
     ledger = ledger if ledger is not None else CostLedger()
-    (y,) = draw_evaluate([model], [n], input, rng.split(_MAIN), ledger)
-    return _mean_report(ledger, rng.seed, "mc", y, {}), y
+
+    def moments(j: int, lo: int, y: np.ndarray) -> _Moments:
+        if samples is not None:
+            samples[lo : lo + y.size] = y
+        return _Moments.of(y)
+
+    blocks = draw_evaluate([model], [n], input, rng.split(_MAIN), ledger, moments)
+    return _mean_report(ledger, rng.seed, "mc", _Moments.merged(b[0] for b in blocks), {})
 
 
 def _mean_report(
-    ledger: CostLedger, seed: int, method: str, y: np.ndarray, diagnostics: dict
+    ledger: CostLedger, seed: int, method: str, m: _Moments, diagnostics: dict
 ) -> EstimateReport:
-    """The report of the sample mean of ``y`` (MC and CV): its variance is
-    zeta_sq / n, zeta_sq the 1/(n-1) sample variance, and the diagnostics
-    add zeta_sq and its biased 1/n variant to ``diagnostics``."""
-    zeta_sq = float(np.var(y, ddof=1))
+    """The report of a sample mean (MC and CV) from its moments: its
+    variance is zeta_sq / n, zeta_sq = M2 / (n - 1) the unbiased sample
+    variance, and the diagnostics add zeta_sq and its biased M2 / n
+    variant to ``diagnostics``."""
+    zeta_sq = m.m2 / (m.n - 1)
     return EstimateReport.from_ledger(
         ledger, seed, method,
-        estimate=float(np.mean(y)),
-        estimator_variance=zeta_sq / y.size,
-        diagnostics=diagnostics | {"zeta_sq": zeta_sq, "zeta_sq_biased": float(np.var(y))},
+        estimate=m.mean,
+        estimator_variance=zeta_sq / m.n,
+        diagnostics=diagnostics | {"zeta_sq": zeta_sq, "zeta_sq_biased": m.m2 / m.n},
     )
 
 
@@ -204,6 +286,21 @@ def cv_estimate(
         rho_hat = cov / np.sqrt(var_y * var_g) if var_y > 0.0 else 0.0
     lam = float(lam)
 
-    y, g = draw_evaluate([model, cfg.control], [n, n], input, rng.split(_MAIN), ledger)
-    adjusted = y - lam * (g - cfg.control_mean)
-    return _mean_report(ledger, rng.seed, "cv", adjusted, {"lambda": lam, "rho_pilot": rho_hat})
+    # Each block's model outputs wait for its control outputs, evaluated
+    # next on the same thread, and the block reduces to the moments of
+    # y - lambda (g - control_mean).
+    held = {}
+
+    def adjusted(j: int, lo: int, y: np.ndarray) -> _Moments | None:
+        if j == 0:
+            held[lo] = y
+            return None
+        return _Moments.of(held.pop(lo) - lam * (y - cfg.control_mean))
+
+    blocks = draw_evaluate(
+        [model, cfg.control], [n, n], input, rng.split(_MAIN), ledger, adjusted
+    )
+    return _mean_report(
+        ledger, rng.seed, "cv", _Moments.merged(b[1] for b in blocks),
+        {"lambda": lam, "rho_pilot": rho_hat},
+    )

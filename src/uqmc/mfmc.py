@@ -1,6 +1,8 @@
 """Multifidelity Monte Carlo: pilot statistics, surrogate-ordering
 validation, closed-form coefficient/allocation optimum, and the
-estimator with exact prefix reuse of low-fidelity outputs.
+estimator with exact prefix reuse of low-fidelity outputs.  The main
+sample keeps no outputs, only each model's sums over the prefixes the
+estimator averages (``_prefix_sums``).
 """
 
 from __future__ import annotations
@@ -227,18 +229,37 @@ def mfmc_plan(stats: PilotStats, budget: float) -> MfmcPlan:
     )
 
 
+def _prefix_cuts(n) -> list[tuple[int, ...]]:
+    """Per model in plan order, the prefix counts the estimator averages
+    its outputs over: n[0] for the high-fidelity model, and n[i] and
+    n[i + 1] for surrogate i."""
+    return [(n[0],)] + [(n[i], n[i + 1]) for i in range(len(n) - 1)]
+
+
+def _prefix_sums(y: np.ndarray, lo: int, cuts) -> dict:
+    """{c: sum of the outputs of rows below c} over a block ``y`` of
+    outputs that starts at row ``lo``, for each cut c past ``lo``."""
+    return {c: np.add.reduce(y[: c - lo]) for c in cuts if c > lo}
+
+
+def _combine(sums: list[dict], n, beta) -> float:
+    """The estimator from prefix sums, ``sums[j][c]`` the sum of model j's
+    first c outputs: the hi mean on n[0] samples plus beta-weighted
+    differences of each surrogate's n[i+1]-mean and n[i]-prefix-mean."""
+    est = float(sums[0][n[0]] / n[0])
+    for i, s in enumerate(sums[1:]):
+        est += beta[i] * (float(s[n[i + 1]] / n[i + 1]) - float(s[n[i]] / n[i]))
+    return est
+
+
 def combine_multifidelity(
     y_hi: np.ndarray, y_lows: list[np.ndarray], n: tuple[int, ...], beta
 ) -> float:
-    """Assemble the estimator from stored outputs with prefix reuse:
-    hi mean on n[0] samples plus beta-weighted differences of each
-    surrogate's n[i]-mean and n[i-1]-prefix-mean."""
-    est = float(np.mean(y_hi[: n[0]]))
-    for i, y in enumerate(y_lows):
-        est += beta[i] * (
-            float(np.mean(y[: n[i + 1]])) - float(np.mean(y[: n[i]]))
-        )
-    return est
+    """Assemble the estimator from stored outputs with prefix reuse: the
+    ``_combine`` rule of ``mfmc_estimate`` on their prefix sums.  With
+    every count in one ``draw_evaluate`` block the two agree bit for bit."""
+    cuts = _prefix_cuts(n)
+    return _combine([_prefix_sums(y, 0, c) for y, c in zip([y_hi, *y_lows], cuts)], n, beta)
 
 
 def mfmc_estimate(
@@ -278,8 +299,19 @@ def mfmc_estimate(
 
         models = {m.id: m for m in ensemble.all_models}
         kept = [ensemble.high] + [models[i] for i in stats.low_ids]
-        y_hi, *y_lows = draw_evaluate(kept, plan.n, input, rng.split(_MAIN), ledger)
-        estimate = combine_multifidelity(y_hi, y_lows, plan.n, plan.beta)
+        # Each block of each model's outputs reduces to its prefix sums,
+        # merged in block order; no output is kept.
+        cuts = _prefix_cuts(plan.n)
+        blocks = draw_evaluate(
+            kept, plan.n, input, rng.split(_MAIN), ledger,
+            lambda j, lo, y: _prefix_sums(y, lo, cuts[j]),
+        )
+        sums: list[dict] = [{} for _ in kept]
+        for block in blocks:
+            for total, part in zip(sums, block):
+                for c, v in (part or {}).items():
+                    total[c] = total[c] + v if c in total else v
+        estimate = _combine(sums, plan.n, plan.beta)
         est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(plan.beta))
 
     report = EstimateReport.from_ledger(

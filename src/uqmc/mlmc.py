@@ -28,13 +28,13 @@ and a level whose few samples happen to vary little is not starved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .distributions import Distribution
 from .exceptions import BudgetError, InvalidParameterError
-from .mc import draw_evaluate
+from .mc import _Moments, draw_evaluate
 from .models import CostLedger, LevelHierarchy, Model
 from .reports import EstimateReport
 from .rng import RngStream
@@ -99,7 +99,7 @@ def level_statistics(
         raise InvalidParameterError(f"level {level} outside hierarchy 0..{h.max_level}")
     if n < 2:
         raise InvalidParameterError("level_statistics needs n >= 2")
-    acc = _LevelAccumulator(level, h.coupled_cost(level))
+    acc = _LevelAccumulator(level=level, cost=h.coupled_cost(level))
     acc.add(coupled_sample(h, level, n, rng, ledger))
     return acc.stats
 
@@ -189,29 +189,13 @@ def floor_variances(stats: list[LevelStats], beta: float) -> list[LevelStats]:
 
 
 @dataclass
-class _LevelAccumulator:
-    """Count, mean and sum of squared deviations (M2) of one level's
-    correction samples.  ``add`` takes a batch's mean and M2 in one pass and
-    merges them by the pairwise update of Chan, Golub & LeVeque (1983), so
-    a top-up costs O(batch).  One batch gives ``np.mean`` and
-    ``np.var(ddof=1)`` bit for bit; merges move only the last bits."""
+class _LevelAccumulator(_Moments):
+    """The count, mean and M2 of one level's correction samples
+    (``mc._Moments``): ``add`` merges a top-up batch into them, so a level
+    keeps no samples and a top-up costs O(batch)."""
 
-    level: int
-    cost: float
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, y: np.ndarray) -> None:
-        mean = np.add.reduce(y) / y.size
-        d = np.subtract(y, mean)
-        mean, m2 = float(mean), float(np.add.reduce(np.square(d, out=d)))
-        if self.n:
-            n = self.n + y.size
-            delta = mean - self.mean
-            mean = self.mean + delta * (y.size / n)
-            m2 = self.m2 + m2 + delta * delta * (self.n * y.size / n)
-        self.n, self.mean, self.m2 = self.n + y.size, mean, m2
+    level: int = field(kw_only=True)
+    cost: float = field(kw_only=True)
 
     @property
     def stats(self) -> LevelStats:

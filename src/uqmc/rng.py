@@ -74,29 +74,32 @@ class RngStream:
         """Copy of this stream with the next n draw indices consumed."""
         return replace(self, counter=(self.counter + n) & _MASK64)
 
-    def _raw(self, n: int) -> np.ndarray:
-        """Raw 64-bit outputs for draw indices [counter, counter+n)."""
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n doubles in (0, 1), one per draw index: ((raw >> 11) + 0.5) * 2^-53
+        of the raw 64-bit Philox output at each index.
+
+        They are written into ``out`` when it is given (a C-contiguous
+        float64 array of n elements) and into a new array otherwise.  The
+        generator skips the ``counter & 3`` lanes of its first block before
+        numpy's fused ``random(out=)`` writes (raw >> 11) * 2^-53; adding
+        2^-54 then rounds as the formula does, so the draws are the same
+        bits either way.
+        """
         if n < 0:
             raise ValueError("draw count must be non-negative")
-        if n == 0:
-            return np.empty(0, dtype=np.uint64)
-        first_block = self.counter >> 2
-        lane = self.counter & 3
-        n_blocks = (lane + n + 3) >> 2
-        bg = Philox(
-            counter=[first_block & _MASK64, 0, 0, 0],
-            key=_philox_key(self.seed, self.stream_id),
-        )
-        raw = bg.random_raw(4 * n_blocks)
-        return raw[lane : lane + n]
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in (0, 1), one per draw index."""
-        raw = self._raw(n)
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        out = np.empty(n) if out is None else out
+        if n:
+            gen = self.generator()
+            if self.counter & 3:
+                gen.bit_generator.random_raw(self.counter & 3, output=False)
+            gen.random(out=out)
+            out += 2.0**-54
+        return out
 
     def generator(self) -> Generator:
-        """numpy Generator positioned at this stream state.
+        """numpy Generator at lane 0 of the Philox block that holds this
+        stream's next draw index (``counter >> 2``); ``uniforms`` skips the
+        lanes before it.
 
         For sequential consumers (MCMC chains, rejection loops) where
         per-index stability is not needed; determinism still holds for a

@@ -69,6 +69,28 @@ def test_known_values_frozen():
 def test_negative_draw_count_rejected():
     with pytest.raises(ValueError):
         RngStream(seed=0).uniforms(-1)
+    with pytest.raises(ValueError):
+        RngStream(seed=0).uniforms(-1, out=np.empty(0))
+
+
+@pytest.mark.parametrize("n", [1, 7, 65_536, 100_001])
+def test_uniforms_into_a_buffer_match_the_raw_formula(n):
+    # ``uniforms`` skips counter & 3 lanes of a Philox block and lets numpy
+    # write (raw >> 11) * 2^-53 before adding 2^-54; that rounds as the
+    # formula ((raw >> 11) + 0.5) * 2^-53 on the raw outputs does.
+    from numpy.random import Philox
+
+    from uqmc.rng import _philox_key
+
+    for counter in range(8):
+        s = RngStream(seed=77, stream_id=2**63 + 9, counter=counter)
+        bg = Philox(counter=[counter >> 2, 0, 0, 0], key=_philox_key(s.seed, s.stream_id))
+        raw = bg.random_raw(counter % 4 + n)[counter % 4 :]
+        want = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        buf = np.full(n, np.nan)
+        assert s.uniforms(n, out=buf) is buf
+        assert np.array_equal(buf, want)
+        assert np.array_equal(s.uniforms(n), want)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**53, 2**63, 2**64 - 1])
