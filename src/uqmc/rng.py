@@ -9,6 +9,7 @@ advanced copy, and splitting never touches the parent.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,12 @@ def _mix64(z: int) -> int:
 
 
 def _philox_key(seed: int, stream_id: int) -> np.ndarray:
-    """The Philox key of a stream, as two ``uint64`` words.
+    """The Philox key of a stream, as two ``uint64`` words."""
+    return np.array(_key_words(seed, stream_id), dtype=np.uint64)
+
+
+def _key_words(seed: int, stream_id: int) -> tuple[int, int]:
+    """The two words of a stream's Philox key, as Python ints.
 
     Streams were first keyed with the list ``[seed, stream_id]``, which
     numpy reads as int64 when both words are below 2^63 and as float64
@@ -45,7 +51,31 @@ def _philox_key(seed: int, stream_id: int) -> np.ndarray:
     words = (seed, stream_id & _MASK64)
     if words[1] >= 1 << 63:
         words = tuple(int(float(w)) & _MASK64 for w in words)
-    return np.array(words, dtype=np.uint64)
+    return words
+
+
+_local = threading.local()
+
+
+def _thread_generator(block: int, key: tuple[int, int]) -> Generator:
+    """This thread's Generator, its one Philox reset to lane 0 of ``block``
+    under ``key``: the state ``Philox(counter=[block, 0, 0, 0], key=key)``
+    starts in, without building a Philox (whose constructor also seeds an
+    unused ``SeedSequence`` from OS entropy).  Each thread has its own, so
+    threads drawing at the same time never share a state.
+    """
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = Generator(Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [block, 0, 0, 0], "key": list(key)},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 @dataclass(frozen=True)
@@ -79,27 +109,30 @@ class RngStream:
         of the raw 64-bit Philox output at each index.
 
         They are written into ``out`` when it is given (a C-contiguous
-        float64 array of n elements) and into a new array otherwise.  The
-        generator skips the ``counter & 3`` lanes of its first block before
-        numpy's fused ``random(out=)`` writes (raw >> 11) * 2^-53; adding
-        2^-54 then rounds as the formula does, so the draws are the same
-        bits either way.
+        float64 array of n elements) and into a new array otherwise.  They
+        come from this thread's Philox (``_thread_generator``), reset to the
+        block that holds ``counter``; it skips the ``counter & 3`` lanes of
+        that block before numpy's fused ``random(out=)`` writes
+        (raw >> 11) * 2^-53, and adding 2^-54 then rounds as the formula
+        does, so the draws are the same bits either way.
         """
         if n < 0:
             raise ValueError("draw count must be non-negative")
         out = np.empty(n) if out is None else out
         if n:
-            gen = self.generator()
+            block = (self.counter >> 2) & _MASK64
+            gen = _thread_generator(block, _key_words(self.seed, self.stream_id))
             if self.counter & 3:
-                gen.bit_generator.random_raw(self.counter & 3, output=False)
+                gen.bit_generator.random_raw(self.counter & 3)
             gen.random(out=out)
             out += 2.0**-54
         return out
 
     def generator(self) -> Generator:
-        """numpy Generator at lane 0 of the Philox block that holds this
-        stream's next draw index (``counter >> 2``); ``uniforms`` skips the
-        lanes before it.
+        """A new numpy Generator at lane 0 of the Philox block that holds
+        this stream's next draw index (``counter >> 2``): the state that
+        ``uniforms`` resets its thread's Philox to before skipping the lanes
+        before that index.
 
         For sequential consumers (MCMC chains, rejection loops) where
         per-index stability is not needed; determinism still holds for a

@@ -422,6 +422,72 @@ class TestRandomnessLayout:
         assert not np.array_equal(post.samples[per_chain:], ref.samples[per_chain:])
 
 
+class TestPrefetch:
+    """A log-target call evaluates the accept/reject tree of up to ``depth``
+    steps; the chains walk it with the test of a call per step, so every
+    depth gives the draws of depth 1."""
+
+    # 750 burn-in steps and 7-step fetches: window and fetch edges cut the
+    # tree at every depth, and the last 50 burn-in steps end no window.
+    EDGE_OPTS = McmcOptions(burn_in=750, keep=150, thin=3)
+
+    @staticmethod
+    def _sample_at(monkeypatch, depth, families, priors, rngs):
+        monkeypatch.setattr(mcmc, "_BLOCK", 7)
+        monkeypatch.setattr(mcmc, "_depth", lambda cells: depth)
+        return sample_posteriors(families, POS_DATA, priors, TestPrefetch.EDGE_OPTS, rngs)
+
+    @staticmethod
+    def _assert_same(posts, refs):
+        for post, ref in zip(posts, refs, strict=True):
+            assert post.samples.tobytes() == ref.samples.tobytes()
+            assert post.acceptance_rate == ref.acceptance_rate
+            assert repr(post.diagnostics) == repr(ref.diagnostics)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_every_depth_draws_as_depth_one(self, monkeypatch, depth):
+        args = ([Family.GAMMA], [default_priors(Family.GAMMA, POS_DATA)], [RngStream(3)])
+        ref = self._sample_at(monkeypatch, 1, *args)
+        self._assert_same(self._sample_at(monkeypatch, depth, *args), ref)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_fused_families_draw_as_depth_one(self, monkeypatch, depth):
+        priors = _fused_case()
+        args = (list(Family), [priors[f] for f in Family],
+                [RngStream(11).split(i) for i in range(len(Family))])
+        ref = self._sample_at(monkeypatch, 1, *args)
+        self._assert_same(self._sample_at(monkeypatch, depth, *args), ref)
+
+    @staticmethod
+    def _count_kernel_calls(monkeypatch, family, data, opts):
+        calls = []
+        kernel = mcmc._logpdf_into
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(mcmc, "_logpdf_into", counted)
+        posterior_sample(family, data, default_priors(family, data), opts, RngStream(4))
+        return calls
+
+    def test_small_data_takes_four_steps_per_call(self, monkeypatch):
+        # One call at the MLE start, 25 per 100-step burn-in window over 7
+        # windows, and 29 for the 114 kept steps (28 of 4 and one of 2).
+        calls = self._count_kernel_calls(monkeypatch, Family.GAMMA, POS_DATA, PIN_OPTS)
+        assert len(calls) == 1 + 7 * 25 + 29
+        assert set(calls) == {4 * 15}  # 15 proposals per chain
+        assert mcmc._depth(4 * 5 * POS_DATA.n) == 4  # five fused families
+
+    def test_large_data_takes_one_step_per_call(self, monkeypatch):
+        data = Dataset(np.random.default_rng(8).normal(1.0, 2.0, 20_000))
+        opts = McmcOptions(burn_in=100, keep=20, thin=1)
+        calls = self._count_kernel_calls(monkeypatch, Family.NORMAL, data, opts)
+        assert len(calls) == 1 + 100 + 5
+        assert set(calls) == {4}
+        assert mcmc._depth(4 * 5 * 1_000_000) == 1
+
+
 class HalfCauchyScale:
     """A prior of a class the sampler does not batch: only logpdf and ppf."""
 

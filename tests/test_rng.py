@@ -158,3 +158,37 @@ def test_stream_ids_next_to_2_64_have_a_defined_key(stream_id):
     assert np.array_equal(
         RngStream(7, stream_id).generator().random(2), RngStream(7, 0).generator().random(2)
     )
+
+
+def test_threads_drawing_at_once_get_the_serial_bits():
+    # Each thread resets its own Philox; threads drawing different streams
+    # in lockstep, more of them than cores and switched often, must not
+    # see each other's state.
+    import sys
+    import threading
+
+    streams = [RngStream(31).split(0), RngStream(32, 2**63 + 5).advance(3), RngStream(33)]
+    calls = [(c, n) for c in range(0, 400, 7) for n in (1, 5, 8)]
+    want = [[s.advance(c).uniforms(n) for c, n in calls] for s in streams]
+    got = [[] for _ in streams]
+    barrier = threading.Barrier(len(streams), timeout=30)
+
+    def draw(i):
+        for c, n in calls:
+            barrier.wait()
+            got[i].append(streams[i].advance(c).uniforms(n))
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(streams))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w, g in zip(want, got):
+        assert len(g) == len(calls)
+        assert all(np.array_equal(a, b) for a, b in zip(w, g))
