@@ -8,7 +8,7 @@ two-level estimator is MLMC with one correction and lives in ``mlmc``.
 
 Every estimator with a ``Distribution`` input (MC, CV, MFMC, MLMC and
 two-level) goes through ``draw_evaluate``: it draws and evaluates the
-input matrix in blocks of ``_EVAL_CHUNK`` draws (at least 1 024 rows), so
+input matrix in blocks of ``_EVAL_CHUNK`` draws (at least one row), so
 the full matrix never exists.  MC, CV and MFMC keep no outputs either:
 each block is reduced to its moments or prefix sums as it is evaluated,
 and the blocks are merged in block order.  Row i always consumes the same
@@ -47,11 +47,11 @@ def draw_inputs(
 
 
 def _block_rows(dim: int) -> int:
-    """Rows per ``draw_evaluate`` block: ``_EVAL_CHUNK`` draws, but at
-    least ``_EVAL_CHUNK // 64`` rows (1 024).  A model such as GBM-Euler
-    loops over its input columns in Python, so blocks of fewer rows at a
-    fine level cost more interpreter time than the second core saves."""
-    return max(_EVAL_CHUNK // dim, _EVAL_CHUNK // 64, 1)
+    """Rows per ``draw_evaluate`` block: ``_EVAL_CHUNK`` draws (at least
+    one row), so every block of at most ``_EVAL_CHUNK`` input columns fits
+    the reused per-thread buffer, and a fine MLMC level of a few rows per
+    block still fans its blocks out over the usable cores."""
+    return max(_EVAL_CHUNK // dim, 1)
 
 
 def draw_evaluate(

@@ -263,12 +263,24 @@ def _gbm_euler(params: dict) -> ProblemBundle:
     def make_level(level: int) -> Model:
         steps = 2**level
         dt = horizon / steps
-        sqrt_dt = math.sqrt(dt)
+        c1, c2 = 1.0 + r * dt, sigma * math.sqrt(dt)
 
-        def fn(z: np.ndarray, _dt=dt, _sq=sqrt_dt, _steps=steps) -> np.ndarray:
-            s = np.full(z.shape[0], s0)
-            for j in range(_steps):
-                s = s * (1.0 + r * _dt + sigma * _sq * z[:, j])
+        def fn(z: np.ndarray) -> np.ndarray:
+            # s <- s * (c1 + c2 z_j), column by column.  Each panel of at
+            # most 128 columns holds its factors, with s multiplied into
+            # the first, and one multiply.reduce down axis 0 applies them in
+            # column order (numpy multiplies sequentially), so every product
+            # matches a column-by-column loop bit for bit at four numpy
+            # calls per panel instead of three per column.
+            n, cols = z.shape
+            s = s0
+            panel = np.empty((min(cols, 128), n))
+            for lo in range(0, cols, 128):
+                f = panel[: min(cols - lo, 128)]
+                np.multiply(z[:, lo : lo + 128].T, c2, out=f)
+                np.add(f, c1, out=f)
+                np.multiply(f[0], s, out=f[0])
+                s = np.multiply.reduce(f, axis=0)
             return s
 
         return Model(f"gbm_l{level}", fn, cost_per_eval=float(steps), input_dim=steps)
@@ -276,7 +288,9 @@ def _gbm_euler(params: dict) -> ProblemBundle:
     def coarsen(z: np.ndarray) -> np.ndarray:
         # Sum of two fine Brownian increments is one coarse increment;
         # in standardized units that is (z1 + z2) / sqrt(2).
-        return (z[:, 0::2] + z[:, 1::2]) / math.sqrt(2.0)
+        coarse = np.add(z[:, 0::2], z[:, 1::2])
+        coarse /= math.sqrt(2.0)
+        return coarse
 
     hierarchy = LevelHierarchy(
         levels=tuple(make_level(l) for l in range(max_level + 1)),

@@ -264,11 +264,13 @@ class TestFirstErrorWins:
 
 class TestBlocks:
     def test_fine_levels_split_into_draw_capped_blocks(self, monkeypatch):
-        # Blocks hold _EVAL_CHUNK draws (4 096 rows of level 4), but never
-        # fewer than 1 024 rows (level 8 has 256 input columns).
-        h = builtin_problem("gbm_euler", {"max_level": 8}).hierarchy
-        for level, n, rows in ((4, 10_000, 4096), (8, 2_500, 1024)):
+        # Blocks hold _EVAL_CHUNK draws at every level: 4 096 rows of level
+        # 4, 256 of level 8 and 16 of level 12, so 149 rows of level 12 run
+        # as 10 blocks, spread over both cores.
+        h = builtin_problem("gbm_euler", {"max_level": 12}).hierarchy
+        for level, n in ((4, 10_000), (8, 2_500), (12, 149)):
             dim = h.levels[level].input_dim
+            rows = _EVAL_CHUNK // dim
             got = []
             for k in (1, 2):
                 shapes = []
@@ -288,6 +290,7 @@ class TestBlocks:
                 assert calls == [(-(-n // rows), k)]
                 assert sorted(shapes) == sorted([(rows, dim)] * (n // rows) + [(n % rows, dim)])
             assert np.array_equal(got[0][0], got[1][0]) and got[0][1] == got[1][1]
+        assert calls == [(10, 2)]
 
     def test_calls_of_at_most_one_chunk_stay_inline(self, monkeypatch):
         model = square_model(dim=16)

@@ -130,6 +130,39 @@ class TestBuiltinProblems:
         with pytest.raises(InvalidParameterError, match="'gbm_l1' expects input_dim=2"):
             evaluate(wrong.coupled_models(2)[1], draw_inputs(h.input, RngStream(18), 5, 4))
 
+    def test_gbm_panels_match_a_step_by_step_loop(self):
+        # The level models reduce their steps in panels of columns; every
+        # output must equal the plain Euler loop bit for bit, starting from
+        # s0, at widths of one to many panels.  The inputs are overlapping
+        # windows of one normal vector, so that 1 000 rows of 2^14 columns
+        # take 170 kB, not 131 MB.
+        s0, r, sigma, horizon = 1.7, 0.05, 0.2, 2.0
+        params = {"s0": s0, "r": r, "sigma": sigma, "T": horizon, "max_level": 14}
+        h = builtin_problem("gbm_euler", params).hierarchy
+
+        def reference(z):
+            dt = horizon / z.shape[1]
+            s = np.full(z.shape[0], s0)
+            for j in range(z.shape[1]):
+                s = s * (1.0 + r * dt + sigma * math.sqrt(dt) * z[:, j])
+            return s
+
+        rng = np.random.default_rng(29)
+        for level, model in enumerate(h.levels):
+            for rows in (1, 16, 149, 1_000):
+                flat = rng.standard_normal(model.input_dim + 5 * rows)
+                z = np.lib.stride_tricks.sliding_window_view(flat, model.input_dim)[::5][:rows]
+                assert np.array_equal(model.fn(z), reference(z)), (level, rows)
+
+        # A non-finite input gives the loop's first non-finite output index.
+        model = h.levels[9]
+        z = rng.standard_normal((149, model.input_dim))
+        z[5, 300], z[148, 0] = np.inf, np.nan
+        bad = np.flatnonzero(~np.isfinite(reference(z)))
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(model, z)
+        assert exc.value.index == bad[0] == 5
+
     def test_gbm_euler_mean_matches_analytic(self):
         p = builtin_problem("gbm_euler", {"max_level": 6})
         m = p.hierarchy.levels[6]

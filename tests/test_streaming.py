@@ -430,6 +430,20 @@ def test_streamed_peak_memory_bounded_by_blocks(run):
     assert peak < 16 * _EVAL_CHUNK * 8
 
 
+def test_fine_level_peak_memory_bounded_by_blocks():
+    # 1 000 rows of level 12 are 4.1 million draws.  They go in blocks of
+    # _EVAL_CHUNK draws (16 rows), like every other call, so the peak stays
+    # under the same bound as the streamed estimators above.
+    h = builtin_problem("gbm_euler", {"max_level": 12}).hierarchy
+    tracemalloc.start()
+    try:
+        coupled_sample(h, 12, 1_000, RngStream(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _EVAL_CHUNK * 8
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc trims freed blocks")
 def test_streamed_blocks_reuse_their_buffers():
     # glibc gives a freed block-sized array back to the kernel, so a block
