@@ -42,6 +42,11 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # and evaluates; ``_threads`` reads it as its fan-out threshold.
 _EVAL_CHUNK = 65536
 
+# (row, point) pairs per block of a pass that lays parameter rows against
+# points: the mixture log density, the ``emsd`` integrand and the evidence
+# likelihoods (``_block_len``).  2 ** 18 pairs are 2 MiB of doubles a block.
+_BLOCK_PAIRS = 2**18
+
 # Each thread's reusable block buffers, by slot name (``_borrowed``).
 _scratch = threading.local()
 
@@ -99,6 +104,12 @@ def family_logpdf(family: Family, a, b, x) -> np.ndarray:
     lx, outside = _log_argument(x) if family.positive_support else (None, None)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _logpdf_into(family, a, b, x, lx, outside, np.empty(shape), np.empty(shape))
+
+
+def _block_len(n: int) -> int:
+    """Entries per block along one axis of a (row, point) pass whose other
+    axis holds ``n`` entries, all kept: ``_BLOCK_PAIRS // n``, at least 1."""
+    return max(1, _BLOCK_PAIRS // n)
 
 
 def _log_argument(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributions import Dataset, Family, data_in_support, family_logpdf, mle_fit
+from ..distributions import Dataset, Family, _block_len, data_in_support, family_logpdf, mle_fit
 from ..exceptions import EstimatorError, InvalidParameterError
 from ..rng import RngStream
 
@@ -81,10 +81,20 @@ def aic_weights(families, data: Dataset) -> ModelProbabilities:
 
 
 def _loglik_over_params(family: Family, data: Dataset, theta: np.ndarray) -> np.ndarray:
-    """Log likelihood of the dataset at each parameter row of theta (m, 2)."""
-    a = theta[:, 0][:, None]
-    b = theta[:, 1][:, None]
-    return np.sum(family_logpdf(family, a, b, data.values[None, :]), axis=1)
+    """Log likelihood of the dataset at each parameter row of theta (m, 2).
+
+    Every data column is kept and the rows go ``_block_len(data.n)`` at a
+    time, so a block holds at most ``distributions._BLOCK_PAIRS`` (row,
+    datum) pairs however many rows there are.  Each row sums its own data
+    in one call, so the sums do not depend on the block height.
+    """
+    x = data.values[None, :]
+    step = _block_len(data.n)
+    out = np.empty(theta.shape[0])
+    for lo in range(0, theta.shape[0], step):
+        t = theta[lo : lo + step]
+        out[lo : lo + step] = np.sum(family_logpdf(family, t[:, :1], t[:, 1:], x), axis=1)
+    return out
 
 
 def model_evidence(

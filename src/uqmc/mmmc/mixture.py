@@ -25,13 +25,15 @@ reweighting exactly, up to rounding.
 ``MixtureDensity.logpdf`` writes one row per component with the shared
 family kernel ``distributions._logpdf_into`` (log x computed once per
 chunk) and reduces the rows with ``_logsumexp_columns``, a numpy
-log-sum-exp with the arithmetic of ``scipy.special.logsumexp``.  The
-chunks of ``_CHUNK`` points are spread over the usable cores by
-``_threads.fan_out``; each writes its own slice of the result, and every
-sum runs down one column, so the values do not depend on the chunk size
-or the thread count.  ``_CHUNK`` is 1024 so that two chunks in flight
-(a components × ``_CHUNK`` row block and its work buffer each) hold less
-memory than one chunk of 4096 did on one thread.
+log-sum-exp with the arithmetic of ``scipy.special.logsumexp``.  A chunk
+holds every component row against ``_block_len(n_components)`` points, so
+at most ``distributions._BLOCK_PAIRS`` (row, point) pairs whatever the
+component count: its row block and work buffer stay a few MiB per thread.
+The chunks are spread over the usable cores by ``_threads.fan_out``; each
+writes its own slice of the result, and every sum adds down one column in
+row order (``_column_sums``, one-point chunks included), so the values do
+not depend on the chunk width or the thread count.  The ``emsd`` integrand
+takes its points in chunks of the same budget against its widest family.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from numpy.polynomial.legendre import leggauss
 from ..distributions import (
     Distribution,
     Family,
+    _block_len,
     _log_argument,
     _logpdf_into,
     family_logpdf,
@@ -56,7 +59,6 @@ from .ensemble import CandidateModelSet, thin_evenly
 from .inference import ModelProbabilities
 from .mcmc import ParameterPosterior
 
-_CHUNK = 1024
 _RULE_TOL = 1e-6
 # Panel edges sit at these quantiles of every density in an integral.  The
 # outermost bound the interval.  Half a decade apart in the tails, they keep
@@ -105,17 +107,18 @@ class MixtureDensity:
         return self._support
 
     def logpdf(self, x) -> np.ndarray:
-        """log Σ_i w_i p_i(x), in chunks of ``_CHUNK`` points: one row per
-        component (grouped by family), reduced by ``_logsumexp_columns``.
-        Chunks run on ``_threads.fan_out``; each writes only its own slice
-        of the result."""
+        """log Σ_i w_i p_i(x), in chunks of ``_block_len(n_components)``
+        points: one row per component (grouped by family), reduced by
+        ``_logsumexp_columns``.  Chunks run on ``_threads.fan_out``; each
+        writes only its own slice of the result."""
         x = np.asarray(x, dtype=np.float64)
         flat = np.atleast_1d(x).ravel()
         out = np.empty(flat.size)
         widest = max(a.shape[0] for _, a, _, _ in self._groups)
+        step = _block_len(self.n_components)
 
         def chunk(lo: int) -> None:
-            xs = flat[None, lo : lo + _CHUNK]
+            xs = flat[None, lo : lo + step]
             arg = _log_argument(xs)
             rows = np.empty((self.n_components, xs.size))
             tmp = np.empty((widest, xs.size))
@@ -126,9 +129,9 @@ class MixtureDensity:
                     _logpdf_into(fam, a, b, xs, *arg, block, tmp[: a.shape[0]])
                 block += log_w
                 r += a.shape[0]
-            out[lo : lo + _CHUNK] = _logsumexp_columns(rows)
+            out[lo : lo + step] = _logsumexp_columns(rows)
 
-        chunks = list(range(0, flat.size, _CHUNK))
+        chunks = list(range(0, flat.size, step))
         fan_out(chunk, chunks, workers(self.n_components * flat.size))
         return out.reshape(x.shape) if x.ndim else np.float64(out[0])
 
@@ -177,10 +180,23 @@ def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
         np.copyto(a, -np.inf, where=top)
         a -= a_max
         np.exp(a, out=a)
-        s = a.sum(axis=0)
+        s = _column_sums(a)
         np.divide(s, m, out=s, where=s != 0.0)
         out = np.log1p(s) + np.log(m) + a_max
     return np.where(np.isfinite(out), out, a_max)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Σ_i a[i, j] for every column j, adding the rows in order.
+
+    numpy sums each column of a block of two or more columns row by row,
+    but the single column of an (m, 1) block pairwise.  That column goes
+    through a cumulative sum, which adds in row order too, so the sum at a
+    point does not depend on how many points share its block.
+    """
+    if a.shape[1] == 1:
+        return np.cumsum(a[:, 0])[-1:]
+    return a.sum(axis=0)
 
 
 def optimal_mixture(
@@ -247,20 +263,25 @@ def emsd(q: MixtureDensity, targets: CandidateModelSet) -> float:
     """Total expected mean squared difference between q and the target
     ensemble: sum over families of the average of 0.5 * integral of
     (p - q)^2 over the entries of that family (Monte Carlo over
-    parameters, the panel rule over the argument)."""
+    parameters, the panel rule over the argument).  The integrand takes
+    ``_block_len(m)`` points at a time, m the largest family's entry count,
+    against every entry row of each family, and averages each column in
+    row order (``_column_sums``)."""
     groups = targets.by_family()
     if not groups:
         raise InvalidParameterError("target set is empty")
     params = [(fam, np.array([d.params for d in ds])) for fam, ds in groups.items()]
+    step = _block_len(max(p.shape[0] for _, p in params))
 
     def integrand(x: np.ndarray) -> np.ndarray:
         qx = q.pdf(x)
         out = np.zeros(x.size)
-        for lo in range(0, x.size, _CHUNK):
-            xs, qs = x[lo : lo + _CHUNK], qx[lo : lo + _CHUNK]
+        for lo in range(0, x.size, step):
+            xs, qs = x[lo : lo + step], qx[lo : lo + step]
             for fam, p in params:
                 d = np.exp(family_logpdf(fam, p[:, :1], p[:, 1:], xs)) - qs
-                out[lo : lo + _CHUNK] += np.mean(d * d, axis=0)
+                d *= d
+                out[lo : lo + step] += _column_sums(d) / p.shape[0]
         return 0.5 * out
 
     return _integrate(integrand, list(targets.entries) + list(q.components))

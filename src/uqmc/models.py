@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Dataset, Distribution, Family
+from .distributions import _EVAL_CHUNK, Dataset, Distribution, Family
 from .exceptions import EvaluationError, InvalidParameterError
 
 
@@ -266,18 +266,21 @@ def _gbm_euler(params: dict) -> ProblemBundle:
         c1, c2 = 1.0 + r * dt, sigma * math.sqrt(dt)
 
         def fn(z: np.ndarray) -> np.ndarray:
-            # s <- s * (c1 + c2 z_j), column by column.  Each panel of at
-            # most 128 columns holds its factors, with s multiplied into
+            # s <- s * (c1 + c2 z_j), column by column.  Each panel of
+            # ``width`` columns holds its factors, with s multiplied into
             # the first, and one multiply.reduce down axis 0 applies them in
             # column order (numpy multiplies sequentially), so every product
             # matches a column-by-column loop bit for bit at four numpy
-            # calls per panel instead of three per column.
+            # calls per panel instead of three per column.  A panel is 128
+            # columns wide, or holds _EVAL_CHUNK factors when that is wider,
+            # so a block of few rows pays for few panels.
             n, cols = z.shape
+            width = max(128, _EVAL_CHUNK // max(n, 1))
             s = s0
-            panel = np.empty((min(cols, 128), n))
-            for lo in range(0, cols, 128):
-                f = panel[: min(cols - lo, 128)]
-                np.multiply(z[:, lo : lo + 128].T, c2, out=f)
+            panel = np.empty((min(cols, width), n))
+            for lo in range(0, cols, width):
+                f = panel[: min(cols - lo, width)]
+                np.multiply(z[:, lo : lo + width].T, c2, out=f)
                 np.add(f, c1, out=f)
                 np.multiply(f[0], s, out=f[0])
                 s = np.multiply.reduce(f, axis=0)

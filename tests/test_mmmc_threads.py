@@ -18,7 +18,7 @@ import pytest
 
 from uqmc import Distribution, Family, Model, RngStream
 from uqmc.cli import run_config, validate_config
-from uqmc.distributions import _EVAL_CHUNK
+from uqmc.distributions import _EVAL_CHUNK, _block_len
 from uqmc.exceptions import EstimatorError
 from uqmc.mmmc import (
     CandidateModelSet,
@@ -83,15 +83,16 @@ def both_ways(monkeypatch, fn):
 
 class TestBitIdentical:
     def test_mixture_logpdf(self, monkeypatch):
-        comps = all_families(8)
+        comps = all_families(60)
         comps += comps[:5]  # repeated components
         q = MixtureDensity(tuple(comps), np.arange(1.0, len(comps) + 1.0))
         x = RngStream(41).uniforms(N) * 12.0 - 4.0  # negative x: -inf rows
         x[[3, 1500, 4097]] = [np.nan, np.inf, -np.inf]
         assert q.n_components * N > _EVAL_CHUNK
+        assert _block_len(q.n_components) == 859  # 305 rows x 859 points
         calls = counting_fan_out(monkeypatch)
         one, two = both_ways(monkeypatch, lambda: q.logpdf(x))
-        assert calls == [(5, 1), (5, 2)]
+        assert calls == [(6, 1), (6, 2)]
         assert np.array_equal(one, two, equal_nan=True)
         assert np.isnan(one[3]) and np.isneginf(one[4097])
         # No chunk boundary shows: odd slices give the same values.
