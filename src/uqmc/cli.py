@@ -223,7 +223,8 @@ def _run_mlmc(cfg, bundle, rng, ledger) -> _Outputs:
         f"{s.level},{s.mean!r},{s.variance!r},{s.cost!r},{s.n}" for s in res.levels
     ]
     return _Outputs(
-        res.report.to_dict(), plan=_plan_dict(res.plan, "flags"), files={"levels.csv": levels}
+        res.report.to_dict(), plan=_plan_dict(res.plan, "flags"), files={"levels.csv": levels},
+        meta={"mlmc_rounds": [dataclasses.asdict(r) for r in res.rounds]},
     )
 
 

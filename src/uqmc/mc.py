@@ -9,11 +9,13 @@ two-level estimator is MLMC with one correction and lives in ``mlmc``.
 Every estimator with a ``Distribution`` input (MC, CV, MFMC, MLMC and
 two-level) goes through ``draw_evaluate``: it draws and evaluates the
 input matrix in blocks of ``_EVAL_CHUNK`` draws (at least one row), so
-the full matrix never exists.  MC, CV and MFMC keep no outputs either:
-each block is reduced to its moments or prefix sums as it is evaluated,
-and the blocks are merged in block order.  Row i always consumes the same
-draw indices, so every output is independent of the block size; a sum
-over more than one block depends on the block boundaries, fixed by
+the full matrix never exists.  The estimators keep no outputs either:
+each block is reduced to its moments (MC, CV, each MLMC and two-level
+batch) or prefix sums (MFMC) as it is evaluated, and the blocks are
+merged in block order.  Only the CV, MFMC and two-level pilots, and an
+``mc`` run that dumps its samples, store outputs.  Row i always consumes
+the same draw indices, so every output is independent of the block size;
+a sum over more than one block depends on the block boundaries, fixed by
 ``_block_rows``, in its last bits only.  A call of more than
 ``_EVAL_CHUNK`` draws runs its blocks on every usable core.
 """
@@ -70,11 +72,12 @@ def draw_evaluate(
     block is drawn once, at its own draw indices, into a reused per-thread
     buffer when it holds at most ``_EVAL_CHUNK`` draws, and evaluated by
     every model that needs its rows, in model order.  ``reduce(j, lo, y)``
-    gets model j's outputs ``y`` on rows [lo, lo + y.size) of each block
-    that has rows for it, on the thread that evaluated them, and the call
-    returns one list per block, in block order, of those results by model
-    (None where a model has no rows in the block); the caller merges them
-    in that order.  Without ``reduce`` the outputs are stored: the callback
+    gets model j's outputs ``y`` (``evaluate``'s copy, which it may
+    overwrite) on rows [lo, lo + y.size) of each block that has rows for
+    it, on the thread that evaluated them, and the call returns one list
+    per block, in block order, of those results by model (None where a
+    model has no rows in the block); the caller merges them in that
+    order.  Without ``reduce`` the outputs are stored: the callback
     writes each block into one array per model, and the arrays are
     returned.  A call of more than ``_EVAL_CHUNK`` draws spreads its blocks
     over the usable cores (``_threads``), so every ``fn`` and ``reduce``
@@ -141,12 +144,13 @@ def draw_evaluate(
 @dataclass
 class _Moments:
     """Count, mean and sum of squared deviations (M2) of a stream of
-    samples, which it does not keep.  ``of`` takes a batch's mean and M2 in
-    one pass, and ``merge`` adds another batch's by the pairwise update of
-    Chan, Golub & LeVeque (1983), so a batch costs O(batch).  One batch
-    gives ``np.mean`` and ``np.var`` (M2 / (n - ddof)) bit for bit; merges
-    move only the last bits.  MC and CV merge ``draw_evaluate``'s blocks
-    into one, and each MLMC level its top-up batches."""
+    samples, which it does not keep.  ``of`` takes a block's mean and M2,
+    and ``merge`` adds another block's by the pairwise update of Chan,
+    Golub & LeVeque (1983), so a block costs O(block).  One block gives
+    ``np.mean`` and ``np.var`` (M2 / (n - ddof)) bit for bit; merges move
+    only the last bits.  MC, CV and every MLMC batch merge
+    ``draw_evaluate``'s blocks into one, and each MLMC level its top-up
+    batches."""
 
     n: int = 0
     mean: float = 0.0
@@ -154,8 +158,11 @@ class _Moments:
 
     @classmethod
     def of(cls, y: np.ndarray) -> "_Moments":
+        """The moments of the float64 array ``y``, whose elements it
+        overwrites with their squared deviations, so no second block is
+        allocated."""
         mean = np.add.reduce(y) / y.size
-        d = np.subtract(y, mean)
+        d = np.subtract(y, mean, out=y)
         return cls(y.size, float(mean), float(np.add.reduce(np.square(d, out=d))))
 
     @classmethod
@@ -164,9 +171,6 @@ class _Moments:
         for part in parts:
             acc.merge(part)
         return acc
-
-    def add(self, y: np.ndarray) -> None:
-        self.merge(_Moments.of(y))
 
     def merge(self, other: "_Moments") -> None:
         if self.n:

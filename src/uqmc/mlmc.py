@@ -7,8 +7,10 @@ coupled corrections Y_l = M(l) - M(l-1), drawn by ``coupled_sample``:
 the models of ``LevelHierarchy.coupled_models(l)`` go through
 ``mc.draw_evaluate``, the draw-and-evaluate walk of every estimator with
 a ``Distribution`` input, so a batch's input matrix is drawn and
-coarsened block by block and never held whole; a level keeps only its
-count, mean and M2, never its samples.  Substream layout:
+coarsened block by block and never held whole.  Each block of
+corrections is reduced to its count, mean and M2 as it is evaluated, so
+neither a batch nor a level keeps its samples; only the two-level pilot
+does.  Substream layout:
 
 - ``mlmc_estimate`` draws level l on split(l), its counter continuing
   across top-up rounds, so adding samples or levels never perturbs draws
@@ -66,11 +68,24 @@ class MlmcPlan:
     flags: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class MlmcRound:
+    """One round of ``mlmc_estimate``: the sample count of each level
+    0..len(n) - 1 after the round, the variances V_l it allocated by
+    (``floor_variances``, with a new level's extrapolated), and the
+    remaining bias ``rem`` when the round ran the bias test."""
+
+    n: tuple[int, ...]
+    variance: tuple[float, ...]
+    rem: float | None = None
+
+
 @dataclass
 class MlmcResult:
     report: EstimateReport
     plan: MlmcPlan
     levels: list[LevelStats]
+    rounds: list[MlmcRound]
 
 
 def coupled_sample(
@@ -79,12 +94,31 @@ def coupled_sample(
     n: int,
     rng: RngStream,
     ledger: CostLedger | None = None,
-) -> np.ndarray:
-    """n draws of the level correction Y_l, both models evaluated on the
-    same underlying inputs."""
+) -> _Moments:
+    """The count, mean and M2 of n draws of the level correction Y_l, both
+    models evaluated on the same underlying inputs.
+
+    Each ``draw_evaluate`` block is reduced as it is evaluated: level 0's
+    outputs, or the fine outputs minus the coarse ones, taken in place in
+    the fine block.  The blocks' moments merge in block order, so no
+    batch of samples is built.  A batch of more than one block
+    (``mc._block_rows`` of the level's input dimension) moves against the
+    moments of the whole batch in its last bits only, and never with the
+    thread count."""
     models = h.coupled_models(level)
-    y, *yc = draw_evaluate(models, [n] * len(models), h.input, rng, ledger)
-    return y - yc[0] if yc else y
+    fine: dict[int, np.ndarray] = {}
+
+    def correction(j: int, lo: int, y: np.ndarray) -> _Moments | None:
+        if j + 1 < len(models):  # the coarse outputs come next, on this thread
+            fine[lo] = y
+            return None
+        if j:
+            f = fine.pop(lo)
+            y = np.subtract(f, y, out=f)
+        return _Moments.of(y)
+
+    blocks = draw_evaluate(models, [n] * len(models), h.input, rng, ledger, correction)
+    return _Moments.merged(b[-1] for b in blocks)
 
 
 def level_statistics(
@@ -94,13 +128,14 @@ def level_statistics(
     rng: RngStream,
     ledger: CostLedger | None = None,
 ) -> LevelStats:
-    """Mean/variance of Y_l from n fresh coupled samples."""
+    """Mean/variance of Y_l from n fresh coupled samples, reduced block by
+    block (``coupled_sample``)."""
     if not 0 <= level <= h.max_level:
         raise InvalidParameterError(f"level {level} outside hierarchy 0..{h.max_level}")
     if n < 2:
         raise InvalidParameterError("level_statistics needs n >= 2")
     acc = _LevelAccumulator(level=level, cost=h.coupled_cost(level))
-    acc.add(coupled_sample(h, level, n, rng, ledger))
+    acc.merge(coupled_sample(h, level, n, rng, ledger))
     return acc.stats
 
 
@@ -191,8 +226,8 @@ def floor_variances(stats: list[LevelStats], beta: float) -> list[LevelStats]:
 @dataclass
 class _LevelAccumulator(_Moments):
     """The count, mean and M2 of one level's correction samples
-    (``mc._Moments``): ``add`` merges a top-up batch into them, so a level
-    keeps no samples and a top-up costs O(batch)."""
+    (``mc._Moments``), into which each top-up batch's moments merge, so a
+    level keeps no samples."""
 
     level: int = field(kw_only=True)
     cost: float = field(kw_only=True)
@@ -238,7 +273,8 @@ def mlmc_estimate(
     draw its variance is extrapolated as V_{L-1} / 2^beta, and its first
     batch is the count the allocation then gives it, at least 2.  The
     returned ``plan`` is ``mlmc_allocation`` over the final sample
-    statistics, with no floor or extrapolation.
+    statistics, with no floor or extrapolation, and ``rounds`` holds one
+    ``MlmcRound`` per round.
 
     With ``fixed_level`` set, the level set 0..fixed_level is frozen, each
     level starts from ``initial_samples``, and the full eps^2 variance
@@ -281,12 +317,17 @@ def mlmc_estimate(
         if max_cost is not None and ledger.total() + need * acc.cost > max_cost:
             raise BudgetError(f"mlmc would exceed max_cost={max_cost}")
         stream = rng.split(acc.level).advance(acc.n * h.levels[acc.level].input_dim)
-        acc.add(coupled_sample(h, acc.level, need, stream, ledger))
+        acc.merge(coupled_sample(h, acc.level, need, stream, ledger))
 
     with ledger.phase("pilot"):
         for lv in range(top + 1):
             add_level(lv)
             top_up(accs[-1], initial_samples)
+
+    trace: list[MlmcRound] = []
+
+    def log_round(alloc: list[LevelStats], rem: float | None = None) -> None:
+        trace.append(MlmcRound(tuple(a.n for a in accs), tuple(s.variance for s in alloc), rem))
 
     alpha_hat = rem = None
     converged = not adaptive
@@ -305,16 +346,17 @@ def mlmc_estimate(
             if any(w > acc.n for w, acc in zip(want, accs)):
                 for acc, w in zip(accs, want):
                     top_up(acc, max(w, 2))
+                log_round(alloc)
                 continue
-            if not adaptive:
-                break
-            if len(stats) < 3:
-                converged = False
-                flags.append("bias_untested")
-                break
-            rem, alpha_hat = remaining_bias(stats)
-            converged = bool(rem < eps / _ADAPT_SPLIT)
+            tested = adaptive and len(stats) >= 3
+            if tested:
+                rem, alpha_hat = remaining_bias(stats)
+                converged = bool(rem < eps / _ADAPT_SPLIT)
+            log_round(alloc, rem)
             if converged:
+                break
+            if not tested:
+                flags.append("bias_untested")
                 break
             if len(accs) - 1 >= avail:
                 flags.append("bias_target_unmet")
@@ -347,7 +389,7 @@ def mlmc_estimate(
             "rounds": rounds,
         },
     )
-    return MlmcResult(report, plan, stats)
+    return MlmcResult(report, plan, stats, trace)
 
 
 def two_level_estimate(

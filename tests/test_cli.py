@@ -110,6 +110,33 @@ class TestRun:
         assert lines[0] == "level,mean,variance,cost,n"
         assert len(lines) - 1 == report["result"]["diagnostics"]["levels_used"]
 
+    @pytest.mark.parametrize("extra", [{}, {"fixed_level": 3}], ids=["adaptive", "fixed_level"])
+    def test_mlmc_rounds_in_run_meta(self, tmp_path, extra):
+        # One record per round; the last holds the counts of levels.csv.
+        cfg = {"method": "mlmc", "problem": "gbm_euler", "eps": 0.02, "seed": 2, **extra}
+        code, report = run_cli(tmp_path, cfg)
+        assert code == 0
+        d = report["result"]["diagnostics"]
+        rounds = json.loads((tmp_path / "out/run_meta.json").read_text())["mlmc_rounds"]
+        rows = [r.split(",") for r in (tmp_path / "out/levels.csv").read_text().split()[1:]]
+        assert len(rounds) == d["rounds"] >= 2
+        assert rounds[-1]["n"] == [int(row[4]) for row in rows]
+        for before, after in zip(rounds, rounds[1:]):
+            assert after["n"][: len(before["n"])] >= before["n"]
+        # The last round draws nothing: it allocates by the reported
+        # variances, floored for levels >= 2 in an adaptive run.
+        reported = [float(row[2]) for row in rows]
+        assert rounds[-1]["variance"][:2] == reported[:2]
+        assert all(v >= r for v, r in zip(rounds[-1]["variance"], reported))
+        assert all(len(r["variance"]) == len(r["n"]) for r in rounds)
+        rems = [r["rem"] for r in rounds if r["rem"] is not None]
+        if extra:
+            assert rounds[-1]["variance"] == reported and rems == []
+        else:
+            # One bias test per level added, and the passing one.
+            assert rems[-1] == d["bias_estimate"] and len(rems) == d["levels_used"] - 2
+        assert "mlmc_rounds" not in json.dumps(report)
+
     @pytest.mark.parametrize(
         "extra, divisor",
         [({}, math.sqrt(2.0)), ({"fixed_level": 2}, 1.0)],

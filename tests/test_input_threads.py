@@ -40,6 +40,7 @@ from test_streaming import (
     GBM,
     POLY,
     assert_close,
+    mlmc_parts,
     reference_draw_evaluate,
     square_model,
     use_small_chunks,
@@ -84,7 +85,7 @@ def three_ways(monkeypatch, fn):
 
 
 class TestBitIdentical:
-    # MC, CV and MFMC merge sums block by block: at one block size the
+    # Every estimator merges sums block by block: at one block size the
     # threads give the same bits, and another block size moves only the
     # last bits (``test_streaming.ULPS``) with the same ledger.
 
@@ -123,14 +124,17 @@ class TestBitIdentical:
 
     def test_mlmc(self, monkeypatch):
         def run(ledger):
-            result = mlmc_estimate(
-                GBM.hierarchy, 0.02, RngStream(64), initial_samples=20, ledger=ledger
+            return mlmc_parts(
+                mlmc_estimate(GBM.hierarchy, 0.02, RngStream(64), initial_samples=20, ledger=ledger)
             )
-            return result.report.to_dict(), result.plan, result.levels
 
         a, b, c = three_ways(monkeypatch, run)
-        assert a == b == c
-        assert len(a[0][2]) >= 3
+        assert b == c
+        assert a[1] == b[1]
+        assert a[0]["plan"]["n_per_level"] == b[0]["plan"]["n_per_level"]
+        assert [s["n"] for s in a[0]["levels"]] == [s["n"] for s in b[0]["levels"]]
+        assert_close(a[0], b[0])
+        assert len(a[0]["levels"]) >= 3
 
     def test_two_level(self, monkeypatch):
         coarse, fine = GBM.hierarchy.levels[1:3]
@@ -142,13 +146,16 @@ class TestBitIdentical:
             ).to_dict()
 
         a, b, c = three_ways(monkeypatch, run)
-        assert a == b == c
+        assert b == c
+        assert a[1] == b[1]
+        assert_close(a[0], b[0])
 
 
 def test_more_threads_than_cores_switching_often(monkeypatch):
     # Four threads on CHUNK-draw blocks, switching every microsecond: the
     # outputs and the ledger match one thread's, so no block's write or
-    # seconds are lost.
+    # seconds are lost, and no coupled block's fine outputs are lost or
+    # paired with another block's coarse ones.
     models = [square_model("a", dim=2), square_model("b", 0.5, dim=2)]
 
     def run(k):
@@ -156,6 +163,7 @@ def test_more_threads_than_cores_switching_often(monkeypatch):
             use_cores(mp, k)
             ledger = CostLedger()
             ys = draw_evaluate(models, [500, 333], DISTS[2], RngStream(70), ledger)
+            ys.append(coupled_sample(GBM.hierarchy, 1, 500, RngStream(71)))
         return ys, ledger.as_dict(), set(ledger.wall_time)
 
     one = run(1)
@@ -165,7 +173,8 @@ def test_more_threads_than_cores_switching_often(monkeypatch):
         four = run(4)
     finally:
         sys.setswitchinterval(interval)
-    assert all(np.array_equal(a, b) for a, b in zip(one[0], four[0]))
+    assert all(np.array_equal(a, b) for a, b in zip(one[0][:2], four[0][:2]))
+    assert one[0][2] == four[0][2] and one[0][2].n == 500
     want = {"counts": {"a": 500, "b": 333}, "work": {"a": 500.0, "b": 166.5}, "total": 666.5}
     assert one[1:] == four[1:] == (want, {"a", "b"})
 

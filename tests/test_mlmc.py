@@ -32,19 +32,23 @@ def identical_hierarchy(n_levels=3):
 
 
 def merged_stats(level, batches, cost):
-    """Reference for ``mlmc._LevelAccumulator``: each batch's ``np.mean``
-    and sum of squared deviations, merged batch by batch by the pairwise
-    update of Chan, Golub & LeVeque (1983)."""
+    """Reference for ``mlmc._LevelAccumulator``: each batch's moments (an
+    array's ``np.mean`` and sum of squared deviations, or the count, mean
+    and M2 that ``coupled_sample`` returns), merged batch by batch by the
+    pairwise update of Chan, Golub & LeVeque (1983)."""
     n, mean, m2 = 0, 0.0, 0.0
     for y in batches:
-        b_mean = float(np.mean(y))
-        b_m2 = float(np.sum((y - b_mean) ** 2))
+        if isinstance(y, np.ndarray):
+            size, b_mean = y.size, float(np.mean(y))
+            b_m2 = float(np.sum((y - b_mean) ** 2))
+        else:
+            size, b_mean, b_m2 = y.n, y.mean, y.m2
         if n:
-            total = n + y.size
+            total = n + size
             delta = b_mean - mean
-            b_mean = mean + delta * (y.size / total)
-            b_m2 = m2 + b_m2 + delta * delta * (n * y.size / total)
-        n, mean, m2 = n + y.size, b_mean, b_m2
+            b_mean = mean + delta * (size / total)
+            b_m2 = m2 + b_m2 + delta * delta * (n * size / total)
+        n, mean, m2 = n + size, b_mean, b_m2
     return LevelStats(level, mean, m2 / (n - 1) if n > 1 else 0.0, cost, n)
 
 
@@ -262,8 +266,8 @@ class TestMlmcEstimate:
 
 
 class TestLevelStatsCache:
-    """Each batch is merged into its level's count, mean and M2 once, as
-    it is added."""
+    """Each batch's moments are merged into its level's count, mean and M2
+    once, as it is added."""
 
     def test_one_stats_pass_per_batch(self, monkeypatch):
         import uqmc.mlmc
@@ -278,7 +282,7 @@ class TestLevelStatsCache:
             return wrapped
 
         acc = uqmc.mlmc._LevelAccumulator
-        monkeypatch.setattr(acc, "add", counting("passes", acc.add))
+        monkeypatch.setattr(acc, "merge", counting("passes", acc.merge))
         monkeypatch.setattr(
             uqmc.mlmc, "coupled_sample", counting("batches", uqmc.mlmc.coupled_sample)
         )
@@ -289,13 +293,13 @@ class TestLevelStatsCache:
     def test_cached_stats_bit_identical(self, monkeypatch):
         import uqmc.mlmc
 
-        batches: dict[int, list] = {}
+        batches: dict[int, list] = {}  # each batch's moments, by level
         draw = uqmc.mlmc.coupled_sample
 
         def recording(h, level, n, rng, ledger=None):
-            y = draw(h, level, n, rng, ledger)
-            batches.setdefault(level, []).append(y)
-            return y
+            m = draw(h, level, n, rng, ledger)
+            batches.setdefault(level, []).append(m)
+            return m
 
         monkeypatch.setattr(uqmc.mlmc, "coupled_sample", recording)
         eps = 0.01
@@ -317,6 +321,7 @@ BATCH_SIZES = (1, 1, 2, 5, 100, 3, 4097, 1, 70_000)
 def test_level_stats_bit_identical_to_reference_merge():
     # After every batch the accumulator holds the reference merge's bits
     # and three numbers, not the samples.
+    from uqmc.mc import _Moments
     from uqmc.mlmc import _LevelAccumulator
 
     rng = np.random.default_rng(3)
@@ -324,7 +329,7 @@ def test_level_stats_bit_identical_to_reference_merge():
     parts = []
     for size in BATCH_SIZES:
         parts.append(rng.standard_normal(size) * 1e3 + 7.0)
-        acc.add(parts[-1])
+        acc.merge(_Moments.of(parts[-1].copy()))
         assert acc.n == sum(p.size for p in parts)
         assert acc.stats == merged_stats(1, parts, 2.0)
         assert not any(isinstance(v, np.ndarray) for v in vars(acc).values())
@@ -338,6 +343,7 @@ def test_merged_level_stats_match_numpy_of_concatenation(offset):
     # order, and that rounding grows with the offset of the data (in
     # standard deviations).  So the relative tolerance is 8 ulp scaled by
     # 1 + offset; over seeds 0-49 the worst case was 2.4 ulp scaled so.
+    from uqmc.mc import _Moments
     from uqmc.mlmc import _LevelAccumulator
 
     rtol = 8 * np.finfo(float).eps * (1.0 + offset)
@@ -346,7 +352,7 @@ def test_merged_level_stats_match_numpy_of_concatenation(offset):
     parts = []
     for size in BATCH_SIZES:
         parts.append(2.5 * (rng.standard_normal(size) + offset))
-        acc.add(parts[-1])
+        acc.merge(_Moments.of(parts[-1].copy()))
         y = np.concatenate(parts)
         s = acc.stats
         assert s.n == y.size
@@ -357,11 +363,12 @@ def test_merged_level_stats_match_numpy_of_concatenation(offset):
 
 @pytest.mark.parametrize("size", [1, 2, 5, 4097, 70_000])
 def test_one_batch_is_numpy_bit_for_bit(size):
+    from uqmc.mc import _Moments
     from uqmc.mlmc import _LevelAccumulator
 
     y = np.random.default_rng(size).standard_normal(size) * 1e3 + 7.0
     acc = _LevelAccumulator(level=0, cost=1.0)
-    acc.add(y)
+    acc.merge(_Moments.of(y.copy()))
     assert acc.mean == float(np.mean(y))
     assert acc.stats.variance == (float(np.var(y, ddof=1)) if size > 1 else 0.0)
 
@@ -424,9 +431,9 @@ class TestNewLevels:
         draw, allocate = uqmc.mlmc.coupled_sample, uqmc.mlmc.mlmc_allocation
 
         def recording_draw(h, level, n, rng, ledger=None):
-            y = draw(h, level, n, rng, ledger)
-            events.append(("draw", level, y))
-            return y
+            m = draw(h, level, n, rng, ledger)
+            events.append(("draw", level, m))  # the batch's moments
+            return m
 
         def recording_allocate(stats, eps):
             plan = allocate(stats, eps)
@@ -459,11 +466,11 @@ class TestNewLevels:
             )
             assert event[1] == expected
             first = next(e[2] for e in events[i:] if e[0] == "draw" and e[1] == new_level)
-            assert first.size == max(2, event[2].n_per_level[-1])
+            assert first.n == max(2, event[2].n_per_level[-1])
             checked += 1
         assert checked == len(res.levels) - 3
         first_sizes = [
-            next(e[2].size for e in events if e[0] == "draw" and e[1] == lv)
+            next(e[2].n for e in events if e[0] == "draw" and e[1] == lv)
             for lv in range(3, len(res.levels))
         ]
         assert 100 not in first_sizes
