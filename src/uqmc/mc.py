@@ -10,14 +10,15 @@ Every estimator with a ``Distribution`` input (MC, CV, MFMC, MLMC and
 two-level) goes through ``draw_evaluate``: it draws and evaluates the
 input matrix in blocks of ``_EVAL_CHUNK`` draws (at least one row), so
 the full matrix never exists.  The estimators keep no outputs either:
-each block is reduced to its moments (MC, CV, each MLMC and two-level
-batch) or prefix sums (MFMC) as it is evaluated, and the blocks are
-merged in block order.  Only the CV, MFMC and two-level pilots, and an
-``mc`` run that dumps its samples, store outputs.  Row i always consumes
-the same draw indices, so every output is independent of the block size;
-a sum over more than one block depends on the block boundaries, fixed by
-``_block_rows``, in its last bits only.  A call of more than
-``_EVAL_CHUNK`` draws runs its blocks on every usable core.
+each block is reduced once, with every model's outputs on its rows, to
+its moments (MC, CV, each MLMC and two-level batch) or prefix sums
+(MFMC), and the blocks are merged in block order.  Only the CV, MFMC and
+two-level pilots, and an ``mc`` run that dumps its samples, store
+outputs.  Row i always consumes the same draw indices, so every output
+is independent of the block size; a sum over more than one block depends
+on the block boundaries, fixed by ``_block_rows``, in its last bits only.
+A call of more than ``_EVAL_CHUNK`` draws runs its blocks on every
+usable core.
 """
 
 from __future__ import annotations
@@ -71,13 +72,13 @@ def draw_evaluate(
     The rows go in blocks of ``_EVAL_CHUNK`` draws (``_block_rows``); each
     block is drawn once, at its own draw indices, into a reused per-thread
     buffer when it holds at most ``_EVAL_CHUNK`` draws, and evaluated by
-    every model that needs its rows, in model order.  ``reduce(j, lo, y)``
-    gets model j's outputs ``y`` (``evaluate``'s copy, which it may
-    overwrite) on rows [lo, lo + y.size) of each block that has rows for
-    it, on the thread that evaluated them, and the call returns one list
-    per block, in block order, of those results by model (None where a
-    model has no rows in the block); the caller merges them in that
-    order.  Without ``reduce`` the outputs are stored: the callback
+    every model that needs its rows, in model order.  Then ``reduce(lo,
+    ys)`` runs once for the block, on the thread that evaluated it:
+    ``ys[j]`` is model j's outputs (``evaluate``'s copy, which it may
+    overwrite) on rows [lo, lo + ys[j].size), or None where model j's
+    count ends before the block.  The call returns the results of
+    ``reduce``, one per block in block order; the caller merges them in
+    that order.  Without ``reduce`` the outputs are stored: the callback
     writes each block into one array per model, and the arrays are
     returned.  A call of more than ``_EVAL_CHUNK`` draws spreads its blocks
     over the usable cores (``_threads``), so every ``fn`` and ``reduce``
@@ -89,42 +90,43 @@ def draw_evaluate(
     one ``evaluate`` call per model.  Errors of every kind match them too:
     the lowest failing model in order raises the error of its first
     failing block, a non-finite output with its global sample index, and
-    only the models before it are charged.  A shape error names the rows
-    of the block it came from.
+    only the models before it are charged.  A block in which a model
+    failed is not reduced.  A shape error names the rows of the block it
+    came from.
     """
     dim = models[0].input_dim
     n = max(counts)
     rows = _block_rows(dim)
-    ys = None
+    stored = None
     if reduce is None:
-        ys = [np.empty(c) for c in counts]
+        stored = [np.empty(c) for c in counts]
 
-        def reduce(j, lo, y):
-            ys[j][lo : lo + y.size] = y
+        def reduce(lo, ys):
+            for out, y in zip(stored, ys):
+                if y is not None:
+                    out[lo : lo + y.size] = y
 
-    def block(lo: int) -> tuple[list[float], list, tuple[int, Exception] | None]:
-        """Seconds per model on rows [lo, lo + rows), the results of
-        ``reduce`` by model, and the first failure there with its model
-        index: later models skip the block."""
+    def block(lo: int) -> tuple[list[float], object, tuple[int, Exception] | None]:
+        """Seconds per model on rows [lo, lo + rows), the result of
+        ``reduce``, and the first failure there with its model index:
+        later models skip the block, and it is not reduced."""
         hi = min(lo + rows, n)
         seconds = [0.0] * len(models)
-        results = [None] * len(models)
+        ys = [None] * len(models)
         with _borrowed("x", (hi - lo) * dim) as buf:
             x = draw_inputs(dist, rng.advance(lo * dim), hi - lo, dim, buf)
             for j, c in enumerate(counts):
                 if c <= lo:
                     continue
-                m = min(c, hi) - lo
                 started = perf_counter()
                 try:
-                    y = evaluate(models[j], x[:m])
-                    seconds[j] += perf_counter() - started
-                    results[j] = reduce(j, lo, y)
+                    ys[j] = evaluate(models[j], x[: min(c, hi) - lo])
                 except Exception as exc:
                     if isinstance(exc, EvaluationError) and exc.index is not None:
                         exc = nonfinite_output(models[j], lo + exc.index, exc.x)  # index it globally
-                    return seconds, results, (j, exc)
-        return seconds, results, None
+                    return seconds, None, (j, exc)
+                seconds[j] += perf_counter() - started
+        return seconds, reduce(lo, ys), None
 
     done = fan_out(block, list(range(0, n, rows)), workers(n * dim))
     # The lowest failing model stops the walk at its first failing block,
@@ -138,7 +140,7 @@ def draw_evaluate(
             ledger.charge(models[j], counts[j], sum(s[j] for s, _, _ in done))
     if error is not None:
         raise error
-    return ys if ys is not None else [results for _, results, _ in done]
+    return stored if stored is not None else [result for _, result, _ in done]
 
 
 @dataclass
@@ -213,13 +215,14 @@ def _mc_run(
         raise InvalidParameterError("mc_estimate needs n >= 2 for a variance estimate")
     ledger = ledger if ledger is not None else CostLedger()
 
-    def moments(j: int, lo: int, y: np.ndarray) -> _Moments:
+    def moments(lo: int, ys: list) -> _Moments:
+        (y,) = ys
         if samples is not None:
             samples[lo : lo + y.size] = y
         return _Moments.of(y)
 
     blocks = draw_evaluate([model], [n], input, rng.split(_MAIN), ledger, moments)
-    return _mean_report(ledger, rng.seed, "mc", _Moments.merged(b[0] for b in blocks), {})
+    return _mean_report(ledger, rng.seed, "mc", _Moments.merged(blocks), {})
 
 
 def _mean_report(
@@ -290,21 +293,11 @@ def cv_estimate(
         rho_hat = cov / np.sqrt(var_y * var_g) if var_y > 0.0 else 0.0
     lam = float(lam)
 
-    # Each block's model outputs wait for its control outputs, evaluated
-    # next on the same thread, and the block reduces to the moments of
-    # y - lambda (g - control_mean).
-    held = {}
-
-    def adjusted(j: int, lo: int, y: np.ndarray) -> _Moments | None:
-        if j == 0:
-            held[lo] = y
-            return None
-        return _Moments.of(held.pop(lo) - lam * (y - cfg.control_mean))
-
     blocks = draw_evaluate(
-        [model, cfg.control], [n, n], input, rng.split(_MAIN), ledger, adjusted
+        [model, cfg.control], [n, n], input, rng.split(_MAIN), ledger,
+        lambda lo, ys: _Moments.of(ys[0] - lam * (ys[1] - cfg.control_mean)),
     )
     return _mean_report(
-        ledger, rng.seed, "cv", _Moments.merged(b[1] for b in blocks),
+        ledger, rng.seed, "cv", _Moments.merged(blocks),
         {"lambda": lam, "rho_pilot": rho_hat},
     )

@@ -304,12 +304,12 @@ def mfmc_estimate(
         cuts = _prefix_cuts(plan.n)
         blocks = draw_evaluate(
             kept, plan.n, input, rng.split(_MAIN), ledger,
-            lambda j, lo, y: _prefix_sums(y, lo, cuts[j]),
+            lambda lo, ys: [{} if y is None else _prefix_sums(y, lo, c) for y, c in zip(ys, cuts)],
         )
         sums: list[dict] = [{} for _ in kept]
         for block in blocks:
             for total, part in zip(sums, block):
-                for c, v in (part or {}).items():
+                for c, v in part.items():
                     total[c] = total[c] + v if c in total else v
         estimate = _combine(sums, plan.n, plan.beta)
         est_var = estimator_variance(stats, np.array(plan.n, dtype=float), np.array(plan.beta))

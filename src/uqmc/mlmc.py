@@ -8,9 +8,9 @@ the models of ``LevelHierarchy.coupled_models(l)`` go through
 ``mc.draw_evaluate``, the draw-and-evaluate walk of every estimator with
 a ``Distribution`` input, so a batch's input matrix is drawn and
 coarsened block by block and never held whole.  Each block of
-corrections is reduced to its count, mean and M2 as it is evaluated, so
-neither a batch nor a level keeps its samples; only the two-level pilot
-does.  Substream layout:
+corrections is reduced to its count, mean and M2 once both levels have
+evaluated it, so neither a batch nor a level keeps its samples; only the
+two-level pilot does.  Substream layout:
 
 - ``mlmc_estimate`` draws level l on split(l), its counter continuing
   across top-up rounds, so adding samples or levels never perturbs draws
@@ -98,27 +98,20 @@ def coupled_sample(
     """The count, mean and M2 of n draws of the level correction Y_l, both
     models evaluated on the same underlying inputs.
 
-    Each ``draw_evaluate`` block is reduced as it is evaluated: level 0's
-    outputs, or the fine outputs minus the coarse ones, taken in place in
-    the fine block.  The blocks' moments merge in block order, so no
-    batch of samples is built.  A batch of more than one block
-    (``mc._block_rows`` of the level's input dimension) moves against the
-    moments of the whole batch in its last bits only, and never with the
-    thread count."""
+    Each ``draw_evaluate`` block is reduced once both models have been
+    evaluated on it: level 0's outputs, or the fine outputs minus the
+    coarse ones, taken in place in the fine block.  The blocks' moments
+    merge in block order, so no batch of samples is built.  A batch of
+    more than one block (``mc._block_rows`` of the level's input
+    dimension) moves against the moments of the whole batch in its last
+    bits only, and never with the thread count."""
+
+    def correction(lo: int, ys: list) -> _Moments:
+        return _Moments.of(np.subtract(ys[0], ys[1], out=ys[0]) if level else ys[0])
+
     models = h.coupled_models(level)
-    fine: dict[int, np.ndarray] = {}
-
-    def correction(j: int, lo: int, y: np.ndarray) -> _Moments | None:
-        if j + 1 < len(models):  # the coarse outputs come next, on this thread
-            fine[lo] = y
-            return None
-        if j:
-            f = fine.pop(lo)
-            y = np.subtract(f, y, out=f)
-        return _Moments.of(y)
-
     blocks = draw_evaluate(models, [n] * len(models), h.input, rng, ledger, correction)
-    return _Moments.merged(b[-1] for b in blocks)
+    return _Moments.merged(blocks)
 
 
 def level_statistics(

@@ -86,15 +86,17 @@ class MixtureDensity:
         w = w / np.sum(w)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
-        groups: dict[Family, list[int]] = {}
-        for i, c in enumerate(comps):
-            groups.setdefault(c.family, []).append(i)
+        position = {fam: i for i, fam in enumerate(Family)}
+        codes = np.array([position[c.family] for c in comps])
+        params = np.array([c.params for c in comps])
         grouped = []
-        for fam, idx in groups.items():
-            params = np.array([comps[i].params for i in idx])
+        for fam in dict.fromkeys(c.family for c in comps):  # logpdf rows: first-seen order
+            idx = np.flatnonzero(codes == position[fam])
             log_w = np.log(np.maximum(w[idx], 1e-300))
-            grouped.append((fam, params[:, :1], params[:, 1:], log_w[:, None]))
+            grouped.append((fam, params[idx, :1], params[idx, 1:], log_w[:, None]))
         object.__setattr__(self, "_groups", grouped)
+        object.__setattr__(self, "_params", params)
+        object.__setattr__(self, "_codes", codes)
         los, his = zip(*(c.support() for c in comps))
         object.__setattr__(self, "_support", (min(los), max(his)))
 
@@ -148,14 +150,12 @@ class MixtureDensity:
         cum[-1] = 1.0
         idx = np.searchsorted(cum, u[:n], side="right")
         out = np.empty(n)
-        a = np.array([c.params[0] for c in self.components])
-        b = np.array([c.params[1] for c in self.components])
-        fams = np.array([list(Family).index(c.family) for c in self.components])
+        codes = self._codes[idx]
         for fi, fam in enumerate(Family):
-            mask = fams[idx] == fi
+            mask = codes == fi
             if np.any(mask):
                 sel = idx[mask]
-                out[mask] = family_ppf(fam, a[sel], b[sel], u[n:][mask])
+                out[mask] = family_ppf(fam, self._params[sel, 0], self._params[sel, 1], u[n:][mask])
         return out
 
     def to_json(self) -> dict:

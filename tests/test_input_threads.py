@@ -271,6 +271,85 @@ class TestFirstErrorWins:
         )
 
 
+class TestReduceContract:
+    """``reduce(lo, ys)`` runs once per block, on the thread that evaluated
+    it, after every model with rows there, with None for each model whose
+    count ends before the block.  Counts fall across the models, as an
+    MFMC plan's do."""
+
+    @staticmethod
+    def walk(monkeypatch, k, models, counts, rng):
+        """draw_evaluate on k cores, with a reduce that checks that its
+        thread has just evaluated the block's models, in order, and returns
+        ``lo`` and the outputs as lists; the result (or the error's type and
+        message), the ledger, and each call's ``lo`` and None pattern."""
+        done = threading.local()
+
+        def recorded(j, m):
+            def fn(x):
+                y = m.fn(x)
+                done.models = getattr(done, "models", []) + [j]
+                return y
+
+            return Model(m.id, fn, m.cost_per_eval)
+
+        calls = []
+
+        def reduce(lo, ys):
+            assert done.models == [j for j, c in enumerate(counts) if c > lo]
+            done.models = []
+            calls.append((lo, [y is None for y in ys]))
+            return lo, [None if y is None else y.tolist() for y in ys]
+
+        with monkeypatch.context() as mp:
+            use_cores(mp, k)
+            fans = counting_fan_out(mp)
+            ledger = CostLedger()
+            wrapped = [recorded(j, m) for j, m in enumerate(models)]
+            try:
+                out = draw_evaluate(wrapped, counts, DISTS[0], rng, ledger, reduce)
+            except Exception as exc:
+                out = (type(exc), str(exc))
+        assert fans == [(-(-max(counts) // CHUNK), k)]
+        return out, ledger.as_dict(), sorted(calls)
+
+    def test_one_call_per_block_with_every_model(self, monkeypatch):
+        rng, counts = RngStream(79), [3 * CHUNK, 3 * CHUNK // 2, CHUNK // 2]
+        models = [square_model(f"m{j}", cost=j + 1.0) for j in range(3)]
+        x = draw_inputs(DISTS[0], rng, max(counts))[:, 0]
+        one, two = (self.walk(monkeypatch, k, models, counts, rng) for k in (1, 2))
+        assert one == two
+        blocks, ledger, calls = one
+        assert calls == [
+            (0, [False, False, False]),
+            (CHUNK, [False, False, True]),
+            (2 * CHUNK, [False, True, True]),
+        ]
+        assert [lo for lo, _ in blocks] == [0, CHUNK, 2 * CHUNK]  # in block order
+        for lo, ys in blocks:
+            for c, y in zip(counts, ys):
+                assert (y is None) == (c <= lo)
+                assert y is None or y == (x[lo : min(c, lo + CHUNK)] ** 2).tolist()
+        assert ledger["counts"] == dict(zip(["m0", "m1", "m2"], counts))
+
+    @pytest.mark.parametrize("exc", [None, ValueError("b broke")], ids=["nonfinite", "raises"])
+    def test_failed_block_is_not_reduced(self, monkeypatch, exc):
+        # "b" fails in block 2: blocks 0 and 1 are reduced, block 2 is not,
+        # and the error and the ledger are those of the stored form.
+        rng, counts = RngStream(80), [3 * CHUNK, 5 * CHUNK // 2, CHUNK // 2]
+        x = draw_inputs(DISTS[0], rng, max(counts))
+        models = [square_model("a"), failing_on(x[[2 * CHUNK + 1]], "b", exc), square_model("c")]
+        ledger = CostLedger()
+        with pytest.raises(Exception) as stored:
+            draw_evaluate(models, counts, DISTS[0], rng, ledger)
+        assert ledger.as_dict()["counts"] == {"a": 3 * CHUNK}
+        for k in (1, 2):
+            error, led, calls = self.walk(monkeypatch, k, models, counts, rng)
+            assert error == (type(stored.value), str(stored.value))
+            assert led == ledger.as_dict()
+            assert [lo for lo, _ in calls] == [0, CHUNK]
+
+
 class TestBlocks:
     def test_fine_levels_split_into_draw_capped_blocks(self, monkeypatch):
         # Blocks hold _EVAL_CHUNK draws at every level: 4 096 rows of level

@@ -69,12 +69,12 @@ def small_chunks(monkeypatch):
 
 def reference_draw_evaluate(models, counts, dist, rng, ledger=None, reduce=None):
     """Draw the whole input matrix, then evaluate each model on its prefix;
-    ``reduce`` gets each model's whole output as one block, so MC, CV and
+    ``reduce`` gets every model's whole output as one block, so MC, CV and
     MFMC reduce it with numpy over the whole array."""
     dim = models[0].input_dim
     x = dist.ppf(rng.uniforms(max(counts) * dim)).reshape(-1, dim)
     ys = [evaluate(m, x[:c], ledger) for m, c in zip(models, counts)]
-    return ys if reduce is None else [[reduce(j, 0, y) for j, y in enumerate(ys)]]
+    return ys if reduce is None else [reduce(0, ys)]
 
 
 # MC, CV, MFMC, MLMC and two-level merge per-block sums in block order, so
@@ -346,8 +346,9 @@ class TestStreamedErrors:
 
 
 class TestReduction:
-    """MC, CV and MFMC reduce each block of outputs as it is evaluated
-    (``draw_evaluate``'s ``reduce``) and merge the blocks in block order."""
+    """MC, CV and MFMC reduce each block of outputs once all its models
+    have been evaluated (``draw_evaluate``'s ``reduce``) and merge the
+    blocks in block order."""
 
     @pytest.mark.parametrize("offset", [0.0, 1.0, 1e3])
     def test_multi_block_merge_matches_numpy_of_concatenation(self, small_chunks, offset):
@@ -460,7 +461,7 @@ def test_fine_level_peak_memory_bounded_by_blocks():
 
 @pytest.mark.parametrize("level, n", [(0, 2_000_000), (1, 500_000)])
 def test_level_batch_peak_memory_bounded_by_blocks(level, n):
-    # MLMC batches reduce each block of corrections as it is evaluated.
+    # MLMC batches reduce each block of corrections once it is evaluated.
     # Stored, 2 000 000 level-0 corrections would take 16 MB, and 500 000
     # at level 1 three arrays (fine, coarse and their difference) of 4 MB;
     # streamed, both stay under the bound above.
@@ -496,7 +497,7 @@ for seed in (77, 78):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     draw_evaluate(
         [by_id["poly_lo2"], by_id["poly_hi"]], [4_000_000, 200_000], poly.input,
-        RngStream(seed), reduce=lambda j, lo, y: float(np.add.reduce(y)),
+        RngStream(seed), reduce=lambda lo, ys: [float(np.add.reduce(y)) for y in ys if y is not None],
     )
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
