@@ -35,7 +35,7 @@ from .exceptions import (
 from .mc import ControlVariateConfig, _mc_run, cv_estimate, draw_inputs
 from .mfmc import mfmc_estimate
 from .mlmc import mlmc_estimate, two_level_estimate
-from .mmmc import RHAT_LIMIT, McmcOptions, run_multimodel
+from .mmmc import EVIDENCE_SE_LIMIT, RHAT_LIMIT, McmcOptions, run_multimodel
 from .models import _BUILTINS, CostLedger, ProblemBundle, builtin_problem
 from .reports import _plain
 from .rng import SEED_LIMIT, RngStream
@@ -304,11 +304,34 @@ def _run_mmmc(cfg, bundle, rng, ledger) -> _Outputs:
         ledger=ledger,
     )
     result = run.report.to_dict()
-    flags = [
-        f"mcmc_rhat_high:{fam.value}"
-        for fam, post in run.posteriors.items()
-        if any(v > RHAT_LIMIT for v in post.diagnostics["rhat"].values())
-    ]
+    if cfg["inference"] == "aic":  # Metropolis posteriors
+        flags = [
+            f"mcmc_rhat_high:{fam.value}"
+            for fam, post in run.posteriors.items()
+            if any(v > RHAT_LIMIT for v in post.diagnostics["rhat"].values())
+        ]
+        summaries = {
+            fam.value: {
+                "mean": np.mean(post.samples, axis=0).tolist(),
+                "acceptance_rate": post.acceptance_rate,
+                "rhat": post.diagnostics["rhat"],
+                "ess_bulk": post.diagnostics["ess_bulk"],
+            }
+            for fam, post in run.posteriors.items()
+        }
+    else:  # importance posteriors
+        flags = [
+            f"evidence_se_high:{fam.value}"
+            for fam, post in run.posteriors.items()
+            if post.diagnostics["evidence_se"] > EVIDENCE_SE_LIMIT
+        ]
+        summaries = {
+            fam.value: {
+                "mean": np.mean(post.samples, axis=0).tolist(),
+                **{k: post.diagnostics[k] for k in ("ess", "log_evidence", "evidence_se")},
+            }
+            for fam, post in run.posteriors.items()
+        }
     # An overflowed weight gives an infinite estimate, and np.quantile NaN
     # between two infinite order statistics; the report writes each as null.
     values = [*result["estimates"], *result["ess"], *result["quantiles"].values()]
@@ -320,15 +343,6 @@ def _run_mmmc(cfg, bundle, rng, ledger) -> _Outputs:
         files["estimates.csv"] = ["index,estimate,ess"] + [
             f"{j},{float(est[j])!r},{float(ess[j])!r}" for j in range(est.size)
         ]
-    summaries = {
-        fam.value: {
-            "mean": np.mean(post.samples, axis=0).tolist(),
-            "acceptance_rate": post.acceptance_rate,
-            "rhat": post.diagnostics["rhat"],
-            "ess_bulk": post.diagnostics["ess_bulk"],
-        }
-        for fam, post in run.posteriors.items()
-    }
     return _Outputs(
         result,
         flags=flags,

@@ -3,7 +3,14 @@ small datasets and propagate the full candidate ensemble through a model
 with one importance-sampled loop."""
 
 from .ensemble import CandidateModelSet, build_candidate_set, candidate_set_from_posteriors
-from .inference import ModelProbabilities, aic_weights, bayes_weights, model_evidence
+from .inference import (
+    EVIDENCE_SE_LIMIT,
+    ModelProbabilities,
+    aic_weights,
+    bayes_posteriors,
+    bayes_weights,
+    model_evidence,
+)
 from .mcmc import (
     RHAT_LIMIT,
     McmcOptions,
@@ -38,6 +45,7 @@ from .workflow import (
 __all__ = [
     "CandidateModelSet",
     "DEFAULT_FAMILIES",
+    "EVIDENCE_SE_LIMIT",
     "LogUniformPrior",
     "McmcOptions",
     "MixtureDensity",
@@ -51,6 +59,7 @@ __all__ = [
     "RHAT_LIMIT",
     "UniformPrior",
     "aic_weights",
+    "bayes_posteriors",
     "bayes_weights",
     "build_candidate_set",
     "bulk_ess",

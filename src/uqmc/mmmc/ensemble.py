@@ -50,8 +50,9 @@ def build_candidate_set(
     posterior draws (with replacement).
 
     Entries repeat: draws with replacement repeat, and so do the stored
-    Metropolis draws themselves, since a rejected proposal keeps the
-    previous state.  ``reweight`` weights each distinct entry once."""
+    posterior draws themselves, since a rejected Metropolis proposal keeps
+    the previous state and resampling repeats heavy importance draws.
+    ``reweight`` weights each distinct entry once."""
     if size < 1:
         raise InvalidParameterError("candidate set size must be >= 1")
     for fam, p in zip(probabilities.families, probabilities.pi):

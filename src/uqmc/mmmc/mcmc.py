@@ -1,4 +1,6 @@
-"""Random-walk Metropolis sampling of distribution parameters.
+"""Random-walk Metropolis sampling of distribution parameters, the
+parameter posteriors of ``inference: "aic"`` runs (under ``"bayes"`` the
+importance sampler of ``inference`` gives them).
 
 ``_CHAINS`` (4) chains per family, and the chains of every family sampled
 in one ``sample_posteriors`` call, advance in one lockstep loop.  Each
@@ -85,12 +87,14 @@ class McmcOptions:
 
 @dataclass
 class ParameterPosterior:
-    """Thinned post-burn-in parameter draws for one family, chain-major."""
+    """Equal-weight parameter draws for one family: thinned post-burn-in
+    Metropolis draws, chain-major, or resampled importance draws
+    (``inference``), which have no acceptance rate or chain."""
 
     family: Family
     samples: np.ndarray  # (keep, 2)
-    acceptance_rate: float
-    chain_length: int  # steps per chain, burn-in included
+    acceptance_rate: float = math.nan
+    chain_length: int = 0  # steps per chain, burn-in included
     diagnostics: dict = field(default_factory=dict)
 
     @property

@@ -1,9 +1,10 @@
 """Per-parameter priors for Bayesian inference over distribution families.
 
-A coordinate prior exposes logpdf(x) and ppf(u); evidence integrals draw
-prior samples through ppf on counter-based uniforms.  Point-mass priors
-mark a coordinate as fixed, which the MCMC sampler excludes from the
-walk (that is how "known sigma" setups are expressed).
+A coordinate prior exposes logpdf(x) and ppf(u); the importance sampler
+of the Bayesian evidence draws its prior component through ppf on
+counter-based uniforms.  Point-mass priors mark a coordinate as fixed,
+which both posterior samplers leave out of their coordinates (that is how
+"known sigma" setups are expressed).
 
 The uniform, log-uniform and normal priors keep their log density as a
 static ``_formula(x, *params)`` that broadcasts over arrays of parameters,

@@ -12,7 +12,7 @@ from ..exceptions import InvalidParameterError
 from ..models import CostLedger, Model
 from ..rng import RngStream
 from .ensemble import CandidateModelSet, build_candidate_set
-from .inference import ModelProbabilities, aic_weights, bayes_weights
+from .inference import ModelProbabilities, aic_weights, bayes_posteriors
 from .mcmc import McmcOptions, ParameterPosterior, sample_posteriors
 from .mixture import MixtureDensity, optimal_mixture
 from .priors import default_priors
@@ -51,9 +51,13 @@ def quantify_input_uncertainty(
     """Model probabilities plus parameter posteriors for every family
     with positive probability.
 
-    ``families`` must be distinct.  The ledger's ``inference`` phase times
-    the model probabilities, its ``mcmc`` phase the posterior sampling;
-    neither evaluates the model, so no work is charged."""
+    ``families`` must be distinct.  Under ``inference="aic"`` the ledger's
+    ``inference`` phase times the AIC weights and its ``mcmc`` phase the
+    Metropolis walk (``mcmc``).  Under ``"bayes"`` one importance sampler
+    per family gives its evidence and ``mcmc.keep`` posterior rows
+    (``bayes_posteriors``), timed as the ``inference`` phase alone;
+    ``burn_in`` and ``thin`` are not read.  Neither phase evaluates the
+    model, so no work is charged."""
     ledger = ledger if ledger is not None else CostLedger()
     families = [Family(f) for f in families]
     if len(set(families)) != len(families):
@@ -61,14 +65,15 @@ def quantify_input_uncertainty(
     with ledger.phase("inference"):
         if priors is None:
             priors = {f: default_priors(f, data) for f in families if data_in_support(f, data)}
-        if inference == "aic":
-            probabilities = aic_weights(families, data)
-        elif inference == "bayes":
-            probabilities = bayes_weights(
-                families, data, priors, model_priors, n_ev, rng.split(_EVIDENCE_SPLIT)
+        if inference == "bayes":
+            # Family i draws on rng.split(_EVIDENCE_SPLIT).split(i).
+            return bayes_posteriors(
+                families, data, priors, model_priors, n_ev, mcmc.keep,
+                rng.split(_EVIDENCE_SPLIT),
             )
-        else:
+        if inference != "aic":
             raise InvalidParameterError("inference must be 'aic' or 'bayes'")
+        probabilities = aic_weights(families, data)
 
     # Family i, if its probability is positive, samples on
     # rng.split(_MCMC_SPLIT + i); all of them in one lockstep loop.
@@ -103,8 +108,8 @@ def run_multimodel(
     """The full single-loop pipeline for one dataset and one model.
 
     The ledger holds the ``n`` model evaluations and the wall seconds of
-    the phases ``inference``, ``mcmc``, ``candidates_mixture``, ``draw``
-    and ``reweight``."""
+    the phases ``inference``, ``mcmc`` (``inference="aic"`` only),
+    ``candidates_mixture``, ``draw`` and ``reweight``."""
     ledger = ledger if ledger is not None else CostLedger()
     probabilities, posteriors = quantify_input_uncertainty(
         data,

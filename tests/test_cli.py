@@ -407,6 +407,42 @@ class TestRun:
         if keep == 50:
             assert high  # 13 draws per chain do not mix
 
+    def test_mmmc_bayes_evidence_in_report_and_flags(self, tmp_path):
+        cfg = {
+            "method": "mmmc",
+            "problem": "smalldata_demo",
+            "inference": "bayes",
+            "families": ["normal", "uniform"],
+            "samples": 500,
+            "ensemble_size": 10,
+            "n_ev": 2000,
+            "mcmc": {"keep": 50},
+            "seed": 3,
+        }
+        code, report = run_cli(tmp_path, cfg)
+        assert code == 0
+        jsonschema.validate(report, SCHEMA)
+        summaries = report["diagnostics"]["posterior_summaries"]
+        assert set(summaries) == {"normal", "uniform"}
+        for summary in summaries.values():
+            assert set(summary) == {"mean", "ess", "log_evidence", "evidence_se"}
+        # The uniform family's MLE sits on the edge of its support, so its
+        # draws come from the prior alone.
+        assert summaries["normal"]["evidence_se"] < 0.1 < summaries["uniform"]["evidence_se"]
+        assert report["diagnostics"]["flags"] == ["evidence_se_high:uniform"]
+        meta = json.loads((tmp_path / "out/run_meta.json").read_text())
+        assert set(meta["phase_s"]) == {
+            "inference", "candidates_mixture", "draw", "reweight", "write"
+        }
+        # burn_in and thin are validated but not read.
+        code, other = run_cli(
+            tmp_path, cfg | {"mcmc": {"keep": 50, "burn_in": 1, "thin": 7}}, out="other"
+        )
+        assert code == 0
+        assert {k: v for k, v in other.items() if k != "config"} == {
+            k: v for k, v in report.items() if k != "config"
+        }
+
     def test_mmmc_external_csv_data(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("# demo data\n1.2\n2.1\n0.8\n1.7\n2.6\n1.1\n0.9\n1.4\n2.0\n1.6\n")
@@ -603,6 +639,10 @@ DEMO_DIGESTS = {
         "report.json": "a7f52db1a6dcf96ed42803308b3ebb841aa7ec944fdf805ae223f449697c9f88",
         "levels.csv": "032c75b978fc995a79cacf3b0bdd17a0ed718964ec49e86301e3883aef57ec20",
     },
+    "mmmc_bayes": {
+        "report.json": "835143f43728bbb06aaeba1f62505d19a5442ec57b512721f12087025d5da431",
+        "estimates.csv": "e76bf4e7faef1a0c32348437835031174ef17d3d8cffad6d908b165ec41703e0",
+    },
     "mmmc_smalldata": {
         "report.json": "4d73f6fedde1a1ad6281bb051553e1134581298ec82039f07a3a9b46ccdf0910",
         "estimates.csv": "814fb38fe6171008f524be7f516abe3f4ab722545d78853a054e11abb0e3042a",
@@ -628,6 +668,7 @@ FLAGS = (
     "dropped:",
     "all_surrogates_dropped",
     "mcmc_rhat_high:",
+    "evidence_se_high:",
     "nonfinite_estimates",
 )
 

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
+from scipy.stats import truncnorm
 
 from uqmc import Dataset, Family, RngStream, builtin_problem
+from uqmc.distributions import family_logpdf
 from uqmc.exceptions import EstimatorError, InvalidParameterError
 from uqmc.mmmc import (
     RHAT_LIMIT,
@@ -18,6 +21,7 @@ from uqmc.mmmc import (
     PointMassPrior,
     UniformPrior,
     aic_weights,
+    bayes_posteriors,
     bayes_weights,
     bulk_ess,
     default_priors,
@@ -115,8 +119,129 @@ class TestModelEvidence:
     def test_prior_missing_likelihood_support_raises(self):
         # Uniform-family parameters that can never cover the data range.
         prior = [UniformPrior(10.0, 11.0), UniformPrior(12.0, 13.0)]
-        with pytest.raises(EstimatorError):
+        with pytest.raises(EstimatorError, match="every prior draw for uniform has zero"):
             model_evidence(Family.UNIFORM, POS_DATA, prior, 1000, RngStream(4))
+
+
+class TestImportanceSampler:
+    """The defensive importance sampler behind ``model_evidence`` and
+    ``bayes_posteriors``."""
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_truncated_normal_closed_form(self, seed):
+        # Known sigma 1 and a uniform prior on mu that cuts the posterior on
+        # both sides: the evidence and the truncated-normal posterior of mu
+        # have closed forms.
+        lo, hi = -0.2, 0.6
+        x = MIXED_DATA.values
+        n, xbar = x.size, float(np.mean(x))
+        sd = 1.0 / math.sqrt(n)
+        a, b = (lo - xbar) / sd, (hi - xbar) / sd
+        log_z = (
+            -0.5 * n * math.log(2.0 * math.pi)
+            - 0.5 * float(np.sum((x - xbar) ** 2))
+            + 0.5 * math.log(2.0 * math.pi / n)
+            + math.log(ndtr(b) - ndtr(a))
+            - math.log(hi - lo)
+        )
+        prior = [UniformPrior(lo, hi), PointMassPrior(1.0)]
+        keep = 2000
+        _, posts = bayes_posteriors(
+            [Family.NORMAL], MIXED_DATA, [prior], None, 10_000, keep, RngStream(seed)
+        )
+        post = posts[Family.NORMAL]
+        diag = post.diagnostics
+        assert diag["prior_share"] == 0.1  # the Gaussian component was used
+        assert abs(diag["log_evidence"] - log_z) < 3.0 * diag["evidence_se"]
+        assert np.all(post.samples[:, 1] == 1.0)
+        mu = post.samples[:, 0]
+        exact = truncnorm(a, b, loc=xbar, scale=sd)
+        # Monte Carlo error of a resampled mean: the importance ESS, then
+        # the resampling of keep rows.
+        tol = 3.0 * exact.std() * math.sqrt(1.0 / diag["ess"] + 1.0 / keep)
+        assert abs(float(np.mean(mu)) - exact.mean()) < tol
+        assert abs(float(np.std(mu)) - exact.std()) < tol
+
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_two_log_coordinates_match_quadrature(self, seed):
+        # Gamma's log shape and log scale are strongly correlated; a 300 x
+        # 300 trapezoid grid in those coordinates (Jacobian included) gives
+        # the evidence and the posterior means to about 1e-7.
+        prior = default_priors(Family.GAMMA, POS_DATA)
+        g0, g1 = np.linspace(-3.0, 5.0, 300), np.linspace(-4.0, 4.0, 300)
+        p0, p1 = np.meshgrid(g0, g1, indexing="ij")
+        t0, t1 = np.exp(p0), np.exp(p1)
+        lp = (
+            np.sum(family_logpdf(Family.GAMMA, t0[..., None], t1[..., None], POS_DATA.values),
+                   axis=-1)
+            + prior[0].logpdf(t0) + prior[1].logpdf(t1) + p0 + p1
+        )
+        m = float(np.max(lp))
+        f = np.exp(lp - m)
+        log_z = m + math.log(float(np.sum(f)) * (g0[1] - g0[0]) * (g1[1] - g1[0]))
+        means = [float(np.sum(f * p0) / np.sum(f)), float(np.sum(f * p1) / np.sum(f))]
+        sds = [math.sqrt(float(np.sum(f * (p - mu) ** 2) / np.sum(f))) for p, mu in zip((p0, p1), means)]
+
+        keep = 2000
+        _, posts = bayes_posteriors(
+            [Family.GAMMA], POS_DATA, [prior], None, 10_000, keep, RngStream(seed)
+        )
+        post = posts[Family.GAMMA]
+        diag = post.diagnostics
+        assert diag["prior_share"] == 0.1
+        assert diag["ess"] > 5000  # a good proposal: ESS/N 0.64 on these data
+        assert abs(diag["log_evidence"] - log_z) < 3.0 * diag["evidence_se"]
+        walk = np.log(post.samples)
+        for j in range(2):
+            tol = 3.0 * sds[j] * math.sqrt(1.0 / diag["ess"] + 1.0 / keep)
+            assert abs(float(np.mean(walk[:, j])) - means[j]) < tol
+
+    def test_pinned_family_posterior_is_the_point(self):
+        prior = [PointMassPrior(0.0), PointMassPrior(1.0)]
+        _, posts = bayes_posteriors(
+            [Family.NORMAL], Dataset([0.0]), [prior], None, 1000, 7, RngStream(1)
+        )
+        post = posts[Family.NORMAL]
+        assert post.samples.tolist() == [[0.0, 1.0]] * 7
+        assert post.diagnostics["log_evidence"] == pytest.approx(-0.9189385332046727, abs=1e-12)
+        assert post.diagnostics["evidence_se"] == 0.0
+        assert post.diagnostics["ess"] == 1000.0
+
+    @pytest.mark.parametrize(
+        "family, prior",
+        [
+            # The MLE sits on the edge of the support: no Hessian there.
+            (Family.UNIFORM, default_priors(Family.UNIFORM, POS_DATA)),
+            # Pulled to the prior median, mu is far from the data and the
+            # Hessian there is indefinite.
+            (Family.NORMAL, [UniformPrior(10.0, 11.0), LogUniformPrior(0.01, 100.0)]),
+        ],
+        ids=["uniform", "prior_excludes_mle"],
+    )
+    def test_prior_monte_carlo_fallback(self, family, prior):
+        n, keep = 2000, 100
+        _, posts = bayes_posteriors([family], POS_DATA, [prior], None, n, keep, RngStream(3))
+        post = posts[family]
+        assert post.diagnostics["prior_share"] == 1.0
+        # Prior Monte Carlo on family 0's stream: n rows of two coordinate
+        # uniforms, then the resampling uniform.
+        u = RngStream(3).split(0).uniforms(2 * n + 1)
+        theta = np.column_stack([prior[j].ppf(u[:-1].reshape(n, 2)[:, j]) for j in range(2)])
+        with np.errstate(over="ignore"):
+            ll = np.array([np.sum(family_logpdf(family, a, b, POS_DATA.values)) for a, b in theta])
+        m = float(np.max(ll))
+        w = np.exp(ll - m)
+        assert post.diagnostics["log_evidence"] == pytest.approx(
+            m + math.log(float(np.mean(w))), rel=1e-12
+        )
+        assert post.diagnostics["evidence_se"] == pytest.approx(
+            float(np.std(w, ddof=1)) / math.sqrt(n) / float(np.mean(w)), rel=1e-9
+        )
+        # Systematic resampling: row k lies where the cumulative weight
+        # passes (u + k) / keep of the total.
+        cum = np.cumsum(w) / np.sum(w)
+        picks = np.searchsorted(cum, (u[-1] + np.arange(keep)) / keep, side="right")
+        assert post.samples.tolist() == theta[picks].tolist()
 
 
 class TestBayesWeights:
@@ -542,8 +667,8 @@ class TestFusedChains:
         bundle = builtin_problem("smalldata_demo")
         opts = McmcOptions(burn_in=200, keep=50, thin=2)
         rng = RngStream(5)
-        run = run_multimodel(bundle.model, bundle.dataset, inference="bayes", ensemble_size=10,
-                             n=500, n_ev=1000, mcmc=opts, rng=rng)
+        run = run_multimodel(bundle.model, bundle.dataset, inference="aic", ensemble_size=10,
+                             n=500, mcmc=opts, rng=rng)
         probs = run.probabilities
         assert len(run.posteriors) == int(np.count_nonzero(probs.pi)) >= 2
         for i, fam in enumerate(probs.families):

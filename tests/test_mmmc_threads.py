@@ -115,14 +115,16 @@ class TestBitIdentical:
         assert np.all(np.isfinite(one.estimates))
 
     def test_mmmc_demo_digests(self, monkeypatch, tmp_path):
-        (path,) = [p for p in DEMO_CONFIGS if p.stem == "mmmc_smalldata"]
         force_cores(monkeypatch, 2)
-        calls = counting_fan_out(monkeypatch)
-        _, code = run_config(validate_config(path.read_text()), tmp_path)
-        assert code == 0
-        assert any(items > 1 and k == 2 for items, k in calls)
-        for name, digest in DEMO_DIGESTS["mmmc_smalldata"].items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        for demo in ("mmmc_smalldata", "mmmc_bayes"):
+            (path,) = [p for p in DEMO_CONFIGS if p.stem == demo]
+            calls = counting_fan_out(monkeypatch)
+            _, code = run_config(validate_config(path.read_text()), tmp_path / demo)
+            assert code == 0
+            assert any(items > 1 and k == 2 for items, k in calls)
+            for name, digest in DEMO_DIGESTS[demo].items():
+                out = tmp_path / demo / name
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (demo, name)
 
 
 def poisoned(monkeypatch, q, candidates, seed):
