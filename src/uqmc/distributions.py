@@ -9,11 +9,23 @@ buffer (``_borrowed``) and runs the ppf in place into the output, so no
 full-size uniform array exists; results do not depend on the block size.
 
 The ``family_logpdf`` / ``family_ppf`` kernels broadcast over parameter
-arrays as well as argument arrays; mixtures and evidence integrals reuse
-them to evaluate many parameter vectors at once.  Each log-density formula
-lives once, in ``_logpdf_into``, which writes into caller buffers;
-``family_logpdf`` allocates them, and importance reweighting reuses them
-across candidates.
+arrays as well as argument arrays; evidence integrals, ``emsd`` and the
+Metropolis walk reuse them to evaluate many parameter vectors at once.
+
+Each log density has two forms.  The direct form, ``_logpdf_into``, writes
+one formula per family into caller buffers; ``family_logpdf`` allocates
+them.  The natural form writes the normal, lognormal, gamma and weibull
+log densities as θ·T(x): natural parameters θ per parameter row
+(``_natural_params``) against a few statistics T per point
+(``_natural_stats``), so a block of rows x points is one small matrix
+product (``_natural_logpdf_into``, through ``_matmul``); weibull also
+subtracts exp(k·log x − k·log λ), a second product.  Normal and lognormal
+statistics are centred on a location the caller picks, so a location of
+1e6 with a scale of 1 cancels no digits.  The mixture log density and the
+importance weights use the natural form; uniform rows take the direct
+form inside it.  ``tests/test_natural_form.py`` holds the two forms to
+within 1e-12 of each other, relative to max(1, |log density|), with the
+same -inf and NaN.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, ndtri, polygamma, psi
@@ -46,6 +59,11 @@ _EVAL_CHUNK = 65536
 # points: the mixture log density, the ``emsd`` integrand and the evidence
 # likelihoods (``_block_len``).  2 ** 18 pairs are 2 MiB of doubles a block.
 _BLOCK_PAIRS = 2**18
+
+# Multiply-adds per dgemm call of ``_matmul``, at most.  OpenBLAS keeps a
+# dgemm of up to 2 ** 18 on the calling thread, so a call inside
+# ``_threads.fan_out`` starts no threads of its own.
+_GEMM_MNK = 2**18
 
 # Each thread's reusable block buffers, by slot name (``_borrowed``).
 _scratch = threading.local()
@@ -174,6 +192,150 @@ def _logpdf_into(family: Family, a, b, x, lx, outside, out, tmp) -> np.ndarray:
         np.copyto(out, -np.inf, where=bad)
     if family.positive_support:
         np.copyto(out, -np.inf, where=outside)
+    return out
+
+
+class _Natural(NamedTuple):
+    """Natural parameters of R parameter rows of one family, a column per
+    row: ``theta`` (K, R) against the K columns of ``_natural_stats``;
+    weibull's ``exp_theta`` (2, R) against its first two, [1, log x]; and
+    ``bad``, the rows with invalid parameters, or None when there are none.
+    A uniform ``theta`` holds the rows (lower, upper, constant) instead."""
+
+    theta: np.ndarray
+    exp_theta: np.ndarray | None
+    bad: np.ndarray | None
+
+    def columns(self, lo: int, hi: int) -> "_Natural":
+        return _Natural(*(None if v is None else v[..., lo:hi] for v in self))
+
+
+def _natural_params(family: Family, a, b, centre: float = 0.0, const=0.0) -> _Natural:
+    """The natural parameters of the log densities of parameter rows (a, b)
+    plus ``const`` (a number or one per row), for statistics centred on
+    ``centre`` (read by normal and lognormal only).
+
+    With m = (a - centre) / b, the statistics' coefficients are
+    normal [const - m²/2 - log b - log √(2π), m/b, -1/(2b²), 1] on
+    [1, x - c, (x - c)², extra]; lognormal the same on [1, lx - c,
+    (lx - c)²], then -1 on lx and 1 on extra; gamma [const - log Γ(k) -
+    k log θ, k - 1, -1/θ, 1] on [1, lx, x, extra]; weibull [const +
+    log(k/λ) - (k - 1) log λ, k - 1, 1] on [1, lx, extra], less exp of
+    [-k log λ, k] on [1, lx].
+    """
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    const = np.broadcast_to(np.asarray(const, dtype=np.float64), a.shape)
+    if family is Family.UNIFORM:
+        return _Natural(np.stack([a, b, const]), None, None)
+    one = np.ones_like(a)
+    exp_theta = None  # theta and exp_theta are (R, K) arrays seen as (K, R): see ``_matmul``
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if family is Family.NORMAL or family is Family.LOGNORMAL:
+            inv = 1.0 / b
+            m = (a - centre) * inv
+            rows = [const - 0.5 * m * m - np.log(b) - _HALF_LOG_2PI, m * inv, -0.5 * inv * inv]
+            if family is Family.LOGNORMAL:
+                rows.append(-one)
+            bad = ~(b > 0.0)
+        elif family is Family.GAMMA:
+            rows = [const - gammaln(a) - a * np.log(b), a - 1.0, -1.0 / b]
+            bad = ~((a > 0.0) & (b > 0.0))
+        else:  # WEIBULL
+            log_b = np.log(b)
+            rows = [const + np.log(a / b) - (a - 1.0) * log_b, a - 1.0]
+            exp_theta = np.stack([-a * log_b, a], axis=1).T
+            bad = ~((a > 0.0) & (b > 0.0))
+    theta = np.stack(rows + [one], axis=1).T
+    return _Natural(theta, exp_theta, bad if bad.any() else None)
+
+
+def _natural_stats(family: Family, x, lx, outside, centre: float, extra) -> np.ndarray:
+    """The (P, K) statistics of ``family`` at the P points ``x``, against
+    which ``_natural_params`` are written: a leading 1, the family's
+    statistics, then ``extra``, a term per point with coefficient 1 in every
+    row (0, or minus the proposal log density for importance weights).
+
+    ``lx`` and ``outside`` come from ``_log_argument(x)``.  Where the density
+    is -inf at every parameter row (a positive-support family outside
+    (0, inf), +inf and NaN included; a normal at ±inf) the statistics are 0
+    and the extra term -inf; a normal at NaN gets NaN there.  Uniform
+    statistics are [x, extra], read by the direct form.  Callers hold
+    ``np.errstate`` ignoring invalid and overflow errors.
+    """
+    cols = [np.ones_like(x)]
+    if family is Family.UNIFORM:
+        cols = [x]
+    elif family is Family.NORMAL:
+        finite = np.isfinite(x)
+        d = np.where(finite, x - centre, 0.0)
+        cols += [d, d * d]
+        extra = extra - np.where(finite, 0.0, np.abs(x))
+    else:
+        if family is Family.LOGNORMAL:
+            d = np.where(outside, 0.0, lx - centre)
+            cols += [d, d * d, lx]
+        elif family is Family.GAMMA:
+            cols += [lx, np.where(outside, 0.0, x)]
+        else:  # WEIBULL
+            cols += [lx]
+        extra = extra + np.where(outside, -np.inf, 0.0)
+    return np.stack(cols + [extra]).T  # stored (K, P): see ``_matmul``
+
+
+def _natural_logpdf_into(family: Family, stats, natural: _Natural, out, tmp) -> np.ndarray:
+    """Write the log densities of ``natural``'s R rows at the P points of
+    ``stats`` (``_natural_stats``), plus each point's extra term, into the
+    (P, R) array ``out`` and return it; ``tmp`` is a (P, R) work buffer.
+
+    ``out`` and ``tmp`` may be C-ordered, or transposed views of (R, P)
+    arrays.  A value depends only on its row and point, not on the block
+    shape: ``_matmul`` calls dgemm on blocks of at least 2 x 2.  Callers
+    hold ``np.errstate`` ignoring divide, invalid and overflow errors.
+    """
+    if family is Family.UNIFORM:
+        lower, upper, const = natural.theta
+        _logpdf_into(family, lower, upper, stats[:, :1], None, None, out, tmp)
+        out += stats[:, 1:]
+        out += const
+        return out
+    _matmul(stats, natural.theta, out)
+    if natural.exp_theta is not None:
+        np.exp(_matmul(stats[:, :2], natural.exp_theta, tmp), out=tmp)
+        out -= tmp
+    if natural.bad is not None:
+        np.copyto(out, -np.inf, where=natural.bad)
+    return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` written into ``out`` and returned, by OpenBLAS dgemm calls
+    of at least 2 x 2 outputs and at most ``_GEMM_MNK`` multiply-adds.
+
+    dgemm computes every output with the same operations whatever the
+    block, so the values do not depend on the tiling; a 1-row or 1-column
+    product would go to gemv, which rounds differently, so it is padded to
+    2 and a last tile of one row or column overlaps its neighbour.  The
+    natural form stores statistics as (K, P) and parameters as (R, K)
+    arrays, and its callers pass transposed views of (R, P) outputs, so
+    numpy hands dgemm contiguous rows of all three.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    if m == 1 or n == 1:
+        padded = np.empty((max(m, 2), max(n, 2)))
+        a2 = np.repeat(a, 2, axis=0) if m == 1 else a
+        b2 = np.repeat(b, 2, axis=1) if n == 1 else b
+        _matmul(a2, b2, padded)
+        out[...] = padded[:m, :n]
+        return out
+    cols = min(n, max(2, _GEMM_MNK // (2 * k)))
+    rows = min(m, max(2, _GEMM_MNK // (k * cols)))
+    for j in range(0, n, cols):
+        j0 = min(j, n - 2)
+        for i in range(0, m, rows):
+            i0 = min(i, m - 2)
+            np.matmul(a[i0 : i + rows], b[:, j0 : j + cols], out=out[i0 : i + rows, j0 : j + cols])
     return out
 
 

@@ -22,18 +22,23 @@ scored in one positive-weight inner product, under which the average of
 the targets is still the exact minimiser: ``emsd`` ranks it against any
 reweighting exactly, up to rounding.
 
-``MixtureDensity.logpdf`` writes one row per component with the shared
-family kernel ``distributions._logpdf_into`` (log x computed once per
-chunk) and reduces the rows with ``_logsumexp_columns``, a numpy
-log-sum-exp with the arithmetic of ``scipy.special.logsumexp``.  A chunk
-holds every component row against ``_block_len(n_components)`` points, so
-at most ``distributions._BLOCK_PAIRS`` (row, point) pairs whatever the
-component count: its row block and work buffer stay a few MiB per thread.
-The chunks are spread over the usable cores by ``_threads.fan_out``; each
-writes its own slice of the result, and every sum adds down one column in
-row order (``_column_sums``, one-point chunks included), so the values do
-not depend on the chunk width or the thread count.  The ``emsd`` integrand
-takes its points in chunks of the same budget against its widest family.
+``MixtureDensity.logpdf`` writes each family's components with the
+natural form of ``distributions`` (one matrix product per family, log w
+folded into each component's constant, normal and lognormal statistics
+centred on the mean location of the mixture's components of that family)
+and reduces each point's components with a max-shifted log-sum-exp
+(``_logsumexp_columns``).  ``tests/test_natural_form.py`` holds it to the
+direct form, ``distributions._logpdf_into``, reduced by
+``scipy.special.logsumexp``.  A chunk holds every component row against
+``_block_len(n_components)`` points, so at most
+``distributions._BLOCK_PAIRS`` (row, point) pairs whatever the component
+count: its row block and work buffer stay a few MiB per thread.  The chunks
+are spread over the usable cores by ``_threads.fan_out``; each writes its
+own slice of the result, and every sum adds down one column in row order
+(``_column_sums``, one-point chunks included), so the values do not depend
+on the chunk width or the thread count.  The ``emsd`` integrand takes its
+points in chunks of the same budget against its widest family, through the
+direct form.
 """
 
 from __future__ import annotations
@@ -44,11 +49,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ..distributions import (
+    _EVAL_CHUNK,
     Distribution,
     Family,
     _block_len,
     _log_argument,
-    _logpdf_into,
+    _natural_logpdf_into,
+    _natural_params,
+    _natural_stats,
     family_logpdf,
     family_ppf,
 )
@@ -67,6 +75,8 @@ _RULE_TOL = 1e-6
 _TAILS = 10.0 ** np.arange(-12.0, -1.0, 0.5)
 _LEVELS = np.concatenate([_TAILS, np.arange(1, 10) / 10.0, 1.0 - _TAILS[::-1]])
 _ORDERS = (10, 20)
+# Draws per block of ``MixtureDensity.sample``'s inverse CDFs.
+_SAMPLE_BLOCK = _EVAL_CHUNK // 4
 
 
 @dataclass(frozen=True)
@@ -90,11 +100,17 @@ class MixtureDensity:
         codes = np.array([position[c.family] for c in comps])
         params = np.array([c.params for c in comps])
         grouped = []
-        for fam in dict.fromkeys(c.family for c in comps):  # logpdf rows: first-seen order
+        centres = {}
+        for fam in dict.fromkeys(c.family for c in comps):  # logpdf columns: first-seen order
             idx = np.flatnonzero(codes == position[fam])
+            if fam is Family.NORMAL or fam is Family.LOGNORMAL:
+                centres[fam] = float(np.mean(params[idx, 0]))
+            centre = centres.get(fam, 0.0)
             log_w = np.log(np.maximum(w[idx], 1e-300))
-            grouped.append((fam, params[idx, :1], params[idx, 1:], log_w[:, None]))
+            natural = _natural_params(fam, params[idx, 0], params[idx, 1], centre, log_w)
+            grouped.append((fam, natural, centre))
         object.__setattr__(self, "_groups", grouped)
+        object.__setattr__(self, "_centres", centres)
         object.__setattr__(self, "_params", params)
         object.__setattr__(self, "_codes", codes)
         los, his = zip(*(c.support() for c in comps))
@@ -110,28 +126,29 @@ class MixtureDensity:
 
     def logpdf(self, x) -> np.ndarray:
         """log Σ_i w_i p_i(x), in chunks of ``_block_len(n_components)``
-        points: one row per component (grouped by family), reduced by
-        ``_logsumexp_columns``.  Chunks run on ``_threads.fan_out``; each
-        writes only its own slice of the result."""
+        points: a (component, point) block in the natural form, one matrix
+        product per family, reduced by ``_logsumexp_columns``.  Chunks run on
+        ``_threads.fan_out``; each writes only its own slice of the result."""
         x = np.asarray(x, dtype=np.float64)
         flat = np.atleast_1d(x).ravel()
         out = np.empty(flat.size)
-        widest = max(a.shape[0] for _, a, _, _ in self._groups)
+        widest = max(natural.theta.shape[1] for _, natural, _ in self._groups)
         step = _block_len(self.n_components)
 
         def chunk(lo: int) -> None:
-            xs = flat[None, lo : lo + step]
-            arg = _log_argument(xs)
+            xs = flat[lo : lo + step]
+            lx, outside = _log_argument(xs)
+            zero = np.zeros(xs.size)
             rows = np.empty((self.n_components, xs.size))
             tmp = np.empty((widest, xs.size))
             r = 0
-            for fam, a, b, log_w in self._groups:
-                block = rows[r : r + a.shape[0]]
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    _logpdf_into(fam, a, b, xs, *arg, block, tmp[: a.shape[0]])
-                block += log_w
-                r += a.shape[0]
-            out[lo : lo + step] = _logsumexp_columns(rows)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for fam, natural, centre in self._groups:
+                    block = rows[r : r + natural.theta.shape[1]]
+                    stats = _natural_stats(fam, xs, lx, outside, centre, zero)
+                    _natural_logpdf_into(fam, stats, natural, block.T, tmp[: block.shape[0]].T)
+                    r += block.shape[0]
+                out[lo : lo + step] = _logsumexp_columns(rows)
 
         chunks = list(range(0, flat.size, step))
         fan_out(chunk, chunks, workers(self.n_components * flat.size))
@@ -142,7 +159,10 @@ class MixtureDensity:
 
     def sample(self, rng: RngStream, n: int) -> np.ndarray:
         """n draws; draw i selects its component and inverse-CDF position
-        from dedicated counters, so samples are order-independent."""
+        from dedicated counters, so samples are order-independent.  Blocks
+        of ``_SAMPLE_BLOCK`` draws run their per-family inverse CDFs on
+        ``_threads.fan_out``; each writes only its own slice, and every
+        draw is elementwise, so the values do not depend on the blocks."""
         if n < 1:
             raise InvalidParameterError("sample size must be >= 1")
         u = rng.uniforms(2 * n)
@@ -151,11 +171,18 @@ class MixtureDensity:
         idx = np.searchsorted(cum, u[:n], side="right")
         out = np.empty(n)
         codes = self._codes[idx]
-        for fi, fam in enumerate(Family):
-            mask = codes == fi
-            if np.any(mask):
-                sel = idx[mask]
-                out[mask] = family_ppf(fam, self._params[sel, 0], self._params[sel, 1], u[n:][mask])
+
+        def block(lo: int) -> None:
+            sl = slice(lo, lo + _SAMPLE_BLOCK)
+            for fi, fam in enumerate(Family):
+                mask = codes[sl] == fi
+                if np.any(mask):
+                    sel = idx[sl][mask]
+                    out[sl][mask] = family_ppf(
+                        fam, self._params[sel, 0], self._params[sel, 1], u[n:][sl][mask]
+                    )
+
+        fan_out(block, list(range(0, n, _SAMPLE_BLOCK)), workers(n))
         return out
 
     def to_json(self) -> dict:
@@ -166,24 +193,22 @@ class MixtureDensity:
 
 
 def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
-    """log Σ_i exp(a[i, j]) for every column j, overwriting ``a``.
+    """log Σ_i exp(a[i, j]) for every column j, overwriting ``a``:
+    log Σ_i exp(a[i, j] - m) + m for the column max m.
 
-    The arithmetic of ``scipy.special.logsumexp(a, axis=0)``: the m entries
-    equal to the column max are taken out of the shifted sum s, and the
-    result is log1p(s / m) + log(m) + max.  A column whose max is -inf,
-    +inf or NaN gives that max, as scipy's direct log(Σ exp a) does.
+    A column whose max is -inf, +inf or NaN is shifted by 0 instead and
+    gives -inf, +inf or NaN, as log Σ exp a does.  The sums add down each
+    column in row order (``_column_sums``), so a column's value does not
+    depend on how many columns share the block.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = a.max(axis=0)
-        top = a == a_max
-        m = top.sum(axis=0, dtype=np.float64)
-        np.copyto(a, -np.inf, where=top)
-        a -= a_max
-        np.exp(a, out=a)
-        s = _column_sums(a)
-        np.divide(s, m, out=s, where=s != 0.0)
-        out = np.log1p(s) + np.log(m) + a_max
-    return np.where(np.isfinite(out), out, a_max)
+    top = a.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    a -= shift
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):  # a column of -inf: log 0
+        out = np.log(_column_sums(a))
+    out += shift
+    return out
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:

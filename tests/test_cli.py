@@ -267,14 +267,14 @@ class TestRun:
         assert len(est_lines) - 1 == 30
 
     def test_mmmc_run_meta_phase_seconds(self, tmp_path, monkeypatch):
-        kernel = propagate._importance_weights
+        weigh = propagate._weigh_distinct
         passes = []
 
-        def counted(*args):
-            passes.append(args[-1])
-            return kernel(*args)
+        def counted(samples, candidates, index, *args):
+            passes.extend(index)
+            return weigh(samples, candidates, index, *args)
 
-        monkeypatch.setattr(propagate, "_importance_weights", counted)
+        monkeypatch.setattr(propagate, "_weigh_distinct", counted)
         cfg = {
             "method": "mmmc",
             "problem": "smalldata_demo",
@@ -292,7 +292,7 @@ class TestRun:
         }
         assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
         assert meta["wall_time_s"] >= 0.0
-        # One kernel pass per distinct candidate, and the sidecar says how many.
+        # Each distinct candidate weighed once, and the sidecar says how many.
         assert meta["distinct_candidates"] == len(passes) == len(set(passes))
         assert 1 <= len(passes) <= 10
         assert "distinct_candidates" not in json.dumps(report)
@@ -640,12 +640,12 @@ DEMO_DIGESTS = {
         "levels.csv": "032c75b978fc995a79cacf3b0bdd17a0ed718964ec49e86301e3883aef57ec20",
     },
     "mmmc_bayes": {
-        "report.json": "835143f43728bbb06aaeba1f62505d19a5442ec57b512721f12087025d5da431",
-        "estimates.csv": "e76bf4e7faef1a0c32348437835031174ef17d3d8cffad6d908b165ec41703e0",
+        "report.json": "b00e6e7ca71b5480c60b835eb103981ddfc05d5d2338045d6ea6f0d2ddb5b19d",
+        "estimates.csv": "36df915eb81345c8425c39373cc1b78afaf29a7ca3d90a9c6c093892a1a87969",
     },
     "mmmc_smalldata": {
-        "report.json": "4d73f6fedde1a1ad6281bb051553e1134581298ec82039f07a3a9b46ccdf0910",
-        "estimates.csv": "814fb38fe6171008f524be7f516abe3f4ab722545d78853a054e11abb0e3042a",
+        "report.json": "41a072a60d27d971663fd01bf9d214fb84c9d59780978704a538a012d35cdc7e",
+        "estimates.csv": "115974b1e0b02fec412e19b53ba3ade878582425c1e526dd3f0965dbad5d7395",
     },
     "two_level_gbm": {
         "report.json": "90d81947f23c219c7d8c5e2ee1b53c26649797b58b6c2fc34360811d0d5269ba",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uqmc import CostLedger, Distribution, Family, Model, RngStream, builtin_problem, mc_estimate
+from uqmc import _threads, distributions
 from uqmc.exceptions import EstimatorError, InvalidParameterError
 from uqmc.mmmc import (
     CandidateModelSet,
@@ -87,7 +88,7 @@ class TestIsEstimate:
             (
                 Distribution(Family.NORMAL, (0.5, 1.5)), N01, 61,
                 ("0x1.0321caabc0328p+0", "0x1.fbf9c86a00180p-13",
-                 "0x1.251a5e042f590p+11", "0x1.01b127e904a75p+0", "0x1.a862b4e2665aap+0"),
+                 "0x1.251a5e042f590p+11", "0x1.01b127e904a75p+0", "0x1.a862b4e2665a8p+0"),
             ),
             (
                 MixtureDensity(
@@ -97,7 +98,7 @@ class TestIsEstimate:
                 ),
                 Distribution(Family.NORMAL, (0.2, 1.2)), 62,
                 ("0x1.8251151d6e8a5p+0", "0x1.8c8837fa2d944p-12",
-                 "0x1.04ec449d044c8p+11", "0x1.f355721e70b1bp-1", "0x1.fd6a25d7cfdc8p+0"),
+                 "0x1.04ec449d044c7p+11", "0x1.f355721e70b1bp-1", "0x1.fd6a25d7cfdc6p+0"),
             ),
         ],
         ids=["distribution", "mixture"],
@@ -187,19 +188,27 @@ class TestReweightRepeats:
         assert len(set(rep.estimates.tolist())) == len(self.DISTINCT)
 
     def test_one_kernel_pass_per_distinct_candidate(self, monkeypatch):
-        kernel = propagate._importance_weights
-        passes = []
+        # 500 samples are one chunk: each distinct candidate is one kernel
+        # row, and the weighed candidates are the first occurrences.
+        kernel, weigh = propagate._logpdf_into, propagate._weigh_distinct
+        rows, weighed = [], []
 
-        def counted(*args):
-            passes.append(args[-1])
-            return kernel(*args)
+        def counted(family, stats, natural, out, tmp):
+            rows.append(out.shape[1])
+            return kernel(family, stats, natural, out, tmp)
 
-        monkeypatch.setattr(propagate, "_importance_weights", counted)
+        def recorded(samples, candidates, index, *args):
+            weighed.extend(index)
+            return weigh(samples, candidates, index, *args)
+
+        monkeypatch.setattr(propagate, "_logpdf_into", counted)
+        monkeypatch.setattr(propagate, "_weigh_distinct", recorded)
         samples = draw_propagation_samples(SQUARE, self.Q, 500, RngStream(33))
         targets = self.repeated()
         reweight(samples, targets)
         first = [targets.entries.index(d) for d in self.DISTINCT]
-        assert passes == sorted(first)
+        assert weighed == sorted(first)
+        assert sum(rows) == len(self.DISTINCT)
 
     def test_support_violation_names_first_index(self):
         q = MixtureDensity(
@@ -226,6 +235,79 @@ class TestReweightRepeats:
         targets = CandidateModelSet(entries=(gamma, gamma, normal, gamma, normal))
         with pytest.raises(EstimatorError, match=r"candidate 2 at sample 7 \(x="):
             reweight(samples, targets)
+
+
+class TestReweightInvariance:
+    """A candidate's estimate and ESS bits depend on nothing but the
+    candidate and the samples: not on the other candidates or their order,
+    the thread count, or the block budget."""
+
+    Q = TestReweightRepeats.Q
+
+    @staticmethod
+    def candidates():
+        out = []
+        for s in np.linspace(0.0, 1.0, 4):
+            out += [
+                Distribution(Family.NORMAL, (0.8 + 0.3 * s, 1.2 + 0.2 * s)),
+                Distribution(Family.LOGNORMAL, (0.1 + 0.1 * s, 0.4 + 0.1 * s)),
+                Distribution(Family.GAMMA, (2.5 + s, 0.5 + 0.1 * s)),
+                Distribution(Family.WEIBULL, (1.8 + 0.5 * s, 1.5 + 0.3 * s)),
+                Distribution(Family.UNIFORM, (0.2 * s, 2.5 + s)),
+            ]
+        return out
+
+    N = 10_000  # five chunks: two stripes of more than one chunk on two cores
+
+    def samples(self):
+        return draw_propagation_samples(SQUARE, self.Q, self.N, RngStream(34))
+
+    def bits(self, monkeypatch, entries, cores=2, budget=None):
+        """{candidate: (estimate, ESS) as hex} on ``cores`` usable cores
+        under a block budget of ``budget`` pairs (the default for None)."""
+        with monkeypatch.context() as m:
+            m.setattr(_threads, "_usable_cores", lambda: cores)
+            if budget is not None:
+                m.setattr(distributions, "_BLOCK_PAIRS", budget)
+            rep = reweight(self.samples(), CandidateModelSet(entries=tuple(entries)))
+        return {e: (rep.estimates[j].hex(), rep.ess[j].hex()) for j, e in enumerate(entries)}
+
+    def log_weights(self, entries):
+        """{candidate: its log weights' bytes, chunk by chunk}.  Estimates
+        average last-bit moves of single weights away, so the weights are
+        compared too."""
+        weights = propagate._WeightPass(self.samples(), entries)
+        out = {e: b"" for e in entries}
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for lo in range(0, self.N, propagate._CHUNK):
+                for rows, lw, _ in weights.blocks(lo):
+                    for j, row in zip(rows, lw):
+                        out[entries[j]] += row.tobytes()
+        return out
+
+    def test_other_candidates_and_their_order(self, monkeypatch):
+        cands = self.candidates()
+        full, full_lw = self.bits(monkeypatch, cands), self.log_weights(cands)
+        order = np.random.default_rng(5).permutation(len(cands))
+        for entries in ([cands[i] for i in order], [cands[i] for i in order[:7]], cands[:2]):
+            assert self.bits(monkeypatch, entries) == {e: full[e] for e in entries}
+            assert self.log_weights(entries) == {e: full_lw[e] for e in entries}
+
+    @pytest.mark.parametrize("cores, budget", [(1, None), (2, 1), (2, 7), (1, 7)])
+    def test_threads_and_block_budget(self, monkeypatch, cores, budget):
+        cands = self.candidates()
+        assert len(cands) * self.N > 65536  # two stripes on two cores
+        rows = []
+        kernel = propagate._logpdf_into
+
+        def counted(family, stats, natural, out, tmp):
+            rows.append(out.shape[1])
+            return kernel(family, stats, natural, out, tmp)
+
+        full = self.bits(monkeypatch, cands)
+        monkeypatch.setattr(propagate, "_logpdf_into", counted)
+        assert self.bits(monkeypatch, cands, cores, budget) == full
+        assert max(rows) == (1 if budget else 4)  # one-row blocks under a budget of 1 or 7
 
 
 class TestPropagate:
@@ -321,8 +403,8 @@ class TestPropagate:
     def test_reweight_pinned_mixed_families(self):
         # Five families over a mixture with a normal component, so some
         # draws are <= 0 and the positive-support candidates weight them 0.
-        # Digest and quantiles were recorded before the weight kernel was
-        # rewritten; any change in arithmetic order breaks them.
+        # Digest and quantiles were recorded with the natural-form weights;
+        # any change in arithmetic order breaks them.
         q = MixtureDensity(
             (
                 Distribution(Family.NORMAL, (1.0, 1.5)),
@@ -347,15 +429,15 @@ class TestPropagate:
         assert int(np.sum(samples.x <= 0.0)) == 299
         rep = reweight(samples, targets)
         digest = hashlib.sha256(rep.estimates.tobytes() + rep.ess.tobytes()).hexdigest()
-        assert digest == "259427d729409b431180a67d17aa3b072f5f3f718d993042a860bcdb3e6cd8ba"
+        assert digest == "05b14d686b5492d65494f3e6483276dfd387dc96f09eba8a917bf9622ef73cbf"
         assert rep.quantiles == {
-            "5%": 1.955437813512995,
-            "25%": 2.3530096757964225,
-            "50%": 2.7902092472948623,
+            "5%": 1.9554378135129948,
+            "25%": 2.353009675796422,
+            "50%": 2.790209247294862,
             "75%": 3.348724944915974,
             "95%": 5.668315899920205,
         }
-        assert rep.diagnostics == {"n_candidates": 25, "min_ess": 1176.300318624696}
+        assert rep.diagnostics == {"n_candidates": 25, "min_ess": 1176.3003186246956}
 
     def test_reweight_runtime_weight_violation_identified(self):
         # The proposal log density is -inf at drawn sample 7: the hull check

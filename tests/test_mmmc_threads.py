@@ -127,6 +127,19 @@ class TestBitIdentical:
                 assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (demo, name)
 
 
+class TestSampleBlocks:
+    def test_draws_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # The digest was recorded before the per-family inverse CDFs ran in
+        # blocks on the pool.
+        q = proposal()
+        calls = counting_fan_out(monkeypatch)
+        one, two = both_ways(monkeypatch, lambda: q.sample(RngStream(43), 100_003))
+        assert calls == [(7, 1), (7, 2)]
+        assert one.tobytes() == two.tobytes()
+        digest = "be9740493d71075d8162b11d76dbd6948b1c34d3534bd141f33f442d5b43d344"
+        assert hashlib.sha256(one.tobytes()).hexdigest() == digest
+
+
 def poisoned(monkeypatch, q, candidates, seed):
     """Proposal draws, with the log density of every gamma candidate NaN
     at sample 7.  At the draws of a positive-support proposal every kernel
