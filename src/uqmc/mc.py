@@ -11,14 +11,13 @@ two-level) goes through ``draw_evaluate``: it draws and evaluates the
 input matrix in blocks of ``_EVAL_CHUNK`` draws (at least one row), so
 the full matrix never exists.  The estimators keep no outputs either:
 each block is reduced once, with every model's outputs on its rows, to
-its moments (MC, CV, each MLMC and two-level batch) or prefix sums
-(MFMC), and the blocks are merged in block order.  Only the CV, MFMC and
-two-level pilots, and an ``mc`` run that dumps its samples, store
-outputs.  Row i always consumes the same draw indices, so every output
-is independent of the block size; a sum over more than one block depends
-on the block boundaries, fixed by ``_block_rows``, in its last bits only.
-A call of more than ``_EVAL_CHUNK`` draws runs its blocks on every
-usable core.
+its moments (MC, CV, their pilots, each MLMC and two-level batch) or
+prefix sums (MFMC's main sample), and the blocks are merged in block
+order.  Only an ``mc`` run that dumps its samples stores outputs.  Row i
+always consumes the same draw indices, so every output is independent of
+the block size; a sum over more than one block depends on the block
+boundaries, fixed by ``_block_rows``, in its last bits only.  A call of
+more than ``_EVAL_CHUNK`` draws runs its blocks on every usable core.
 """
 
 from __future__ import annotations
@@ -58,16 +57,11 @@ def _block_rows(dim: int) -> int:
 
 
 def draw_evaluate(
-    models,
-    counts,
-    dist: Distribution,
-    rng: RngStream,
-    ledger: CostLedger | None = None,
-    reduce=None,
+    models, counts, dist: Distribution, rng: RngStream, ledger: CostLedger | None, reduce
 ) -> list:
-    """Outputs of ``models[j]`` on the first ``counts[j]`` rows of
-    ``draw_inputs(dist, rng, max(counts), dim)``, without building it,
-    each block handed to ``reduce``.
+    """``reduce`` of the outputs of ``models[j]`` on the first ``counts[j]``
+    rows of ``draw_inputs(dist, rng, max(counts), dim)``, block by block,
+    without building it.
 
     The rows go in blocks of ``_EVAL_CHUNK`` draws (``_block_rows``); each
     block is drawn once, at its own draw indices, into a reused per-thread
@@ -78,9 +72,7 @@ def draw_evaluate(
     overwrite) on rows [lo, lo + ys[j].size), or None where model j's
     count ends before the block.  The call returns the results of
     ``reduce``, one per block in block order; the caller merges them in
-    that order.  Without ``reduce`` the outputs are stored: the callback
-    writes each block into one array per model, and the arrays are
-    returned.  A call of more than ``_EVAL_CHUNK`` draws spreads its blocks
+    that order.  A call of more than ``_EVAL_CHUNK`` draws spreads its blocks
     over the usable cores (``_threads``), so every ``fn`` and ``reduce``
     may run on two blocks at once; blocks are fixed by ``_block_rows``, so
     the results do not depend on the thread count.
@@ -97,14 +89,6 @@ def draw_evaluate(
     dim = models[0].input_dim
     n = max(counts)
     rows = _block_rows(dim)
-    stored = None
-    if reduce is None:
-        stored = [np.empty(c) for c in counts]
-
-        def reduce(lo, ys):
-            for out, y in zip(stored, ys):
-                if y is not None:
-                    out[lo : lo + y.size] = y
 
     def block(lo: int) -> tuple[list[float], object, tuple[int, Exception] | None]:
         """Seconds per model on rows [lo, lo + rows), the result of
@@ -140,32 +124,35 @@ def draw_evaluate(
             ledger.charge(models[j], counts[j], sum(s[j] for s, _, _ in done))
     if error is not None:
         raise error
-    return stored if stored is not None else [result for _, result, _ in done]
+    return [result for _, result, _ in done]
 
 
 @dataclass
 class _Moments:
-    """Count, mean and sum of squared deviations (M2) of a stream of
-    samples, which it does not keep.  ``of`` takes a block's mean and M2,
-    and ``merge`` adds another block's by the pairwise update of Chan,
-    Golub & LeVeque (1983), so a block costs O(block).  One block gives
-    ``np.mean`` and ``np.var`` (M2 / (n - ddof)) bit for bit; merges move
-    only the last bits.  MC, CV and every MLMC batch merge
-    ``draw_evaluate``'s blocks into one, and each MLMC level its top-up
-    batches."""
+    """Count, means and co-moments of k series, which it does not keep:
+    ``m2[i, j]`` sums (y_i - mean_i)(y_j - mean_j).  ``of`` takes a block's,
+    and ``merge`` adds another's by the pairwise update of Chan, Golub &
+    LeVeque (1983) in Pébay's co-moment form (SAND2008-6212).  One block
+    gives ``np.mean``, ``np.var`` and ``np.cov`` bit for bit; merges move
+    only the last bits.  MC, CV, MLMC, two-level and every pilot merge
+    their blocks so, and each MLMC level its top-up batches."""
 
     n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    mean: np.ndarray | float = 0.0  # (k,)
+    m2: np.ndarray | float = 0.0  # (k, k)
 
     @classmethod
-    def of(cls, y: np.ndarray) -> "_Moments":
-        """The moments of the float64 array ``y``, whose elements it
-        overwrites with their squared deviations, so no second block is
-        allocated."""
-        mean = np.add.reduce(y) / y.size
-        d = np.subtract(y, mean, out=y)
-        return cls(y.size, float(mean), float(np.add.reduce(np.square(d, out=d))))
+    def of(cls, *ys: np.ndarray) -> "_Moments":
+        """The moments of k float64 arrays of one length; a lone one is
+        overwritten.  numpy's arithmetic: the diagonal of M2 is a pairwise
+        sum, as in ``np.var``, the rest the ``np.dot`` of ``np.cov``, a
+        k-row dsyrk that OpenBLAS keeps on the calling thread (``_GEMM_MNK``)."""
+        y = np.stack(ys) if len(ys) > 1 else ys[0][None]
+        mean = np.add.reduce(y, axis=1) / y.shape[1]
+        d = np.subtract(y, mean[:, None], out=y)
+        m2 = np.dot(d, d.T) if len(ys) > 1 else np.empty((1, 1))
+        m2.flat[:: len(ys) + 1] = np.add.reduce(np.square(d, out=d), axis=1)
+        return cls(y.shape[1], mean, m2)
 
     @classmethod
     def merged(cls, parts) -> "_Moments":
@@ -179,10 +166,17 @@ class _Moments:
             n = self.n + other.n
             delta = other.mean - self.mean
             self.mean = self.mean + delta * (other.n / n)
-            self.m2 = self.m2 + other.m2 + delta * delta * (self.n * other.n / n)
+            self.m2 = self.m2 + other.m2 + np.multiply.outer(delta, delta) * (self.n * other.n / n)
             self.n = n
         else:
             self.n, self.mean, self.m2 = other.n, other.mean, other.m2
+
+    def var(self, i: int = 0, ddof: int = 1) -> float:
+        return float(self.m2[i, i] / (self.n - ddof))
+
+    def cov(self, i: int, j: int) -> float:
+        """The unbiased covariance, scaled by 1 / (n - 1) as ``np.cov`` does."""
+        return float(self.m2[i, j] * (1 / (self.n - 1)))
 
 
 def mc_estimate(
@@ -232,12 +226,12 @@ def _mean_report(
     variance is zeta_sq / n, zeta_sq = M2 / (n - 1) the unbiased sample
     variance, and the diagnostics add zeta_sq and its biased M2 / n
     variant to ``diagnostics``."""
-    zeta_sq = m.m2 / (m.n - 1)
+    zeta_sq = m.var()
     return EstimateReport.from_ledger(
         ledger, seed, method,
-        estimate=m.mean,
+        estimate=float(m.mean[0]),
         estimator_variance=zeta_sq / m.n,
-        diagnostics=diagnostics | {"zeta_sq": zeta_sq, "zeta_sq_biased": m.m2 / m.n},
+        diagnostics=diagnostics | {"zeta_sq": zeta_sq, "zeta_sq_biased": m.var(ddof=0)},
     )
 
 
@@ -281,15 +275,16 @@ def cv_estimate(
     lam = cfg.coef
     rho_hat = None
     if lam == "auto":
-        yp, gp = draw_evaluate(
-            [model, cfg.control], [cfg.pilot_n] * 2, input, rng.split(_PILOT), ledger
-        )
-        var_g = float(np.var(gp, ddof=1))
+        pilot = _Moments.merged(draw_evaluate(
+            [model, cfg.control], [cfg.pilot_n] * 2, input, rng.split(_PILOT), ledger,
+            lambda lo, ys: _Moments.of(*ys),
+        ))
+        var_g = pilot.var(1)
         if var_g == 0.0:
             raise EstimatorError("control variate is constant on the pilot sample")
-        cov = float(np.cov(yp, gp, ddof=1)[0, 1])
+        cov = pilot.cov(0, 1)
         lam = cov / var_g
-        var_y = float(np.var(yp, ddof=1))
+        var_y = pilot.var(0)
         rho_hat = cov / np.sqrt(var_y * var_g) if var_y > 0.0 else 0.0
     lam = float(lam)
 

@@ -1,8 +1,9 @@
 """Multifidelity Monte Carlo: pilot statistics, surrogate-ordering
 validation, closed-form coefficient/allocation optimum, and the
-estimator with exact prefix reuse of low-fidelity outputs.  The main
-sample keeps no outputs, only each model's sums over the prefixes the
-estimator averages (``_prefix_sums``).
+estimator with exact prefix reuse of low-fidelity outputs.  Neither
+sample keeps outputs: the pilot keeps every model's means and co-moments
+(``mc._Moments``), the main sample each model's sums over the prefixes
+the estimator averages (``_prefix_sums``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .exceptions import BudgetError, EstimatorError, InvalidParameterError
-from .mc import draw_evaluate
+from .mc import _Moments, draw_evaluate
 from .models import CostLedger, FidelityEnsemble
 from .reports import EstimateReport
 from .rng import RngStream
@@ -71,18 +72,19 @@ def pilot_statistics(
     if n_pilot < 10:
         raise InvalidParameterError("pilot needs n_pilot >= 10")
     models = ensemble.all_models
-    y_hi, *y_lows = draw_evaluate(models, [n_pilot] * len(models), input, rng, ledger)
-    var_hi = float(np.var(y_hi, ddof=1))
+    pilot = _Moments.merged(draw_evaluate(
+        models, [n_pilot] * len(models), input, rng, ledger, lambda lo, ys: _Moments.of(*ys)
+    ))
+    var_hi = pilot.var(0)
     if var_hi == 0.0:
         raise EstimatorError("high-fidelity model is constant on the pilot sample")
     sig_lo, rho = [], []
-    for m, y in zip(ensemble.lows, y_lows):
-        v = float(np.var(y, ddof=1))
+    for i, m in enumerate(ensemble.lows, 1):
+        v = pilot.var(i)
         if v == 0.0:
             raise EstimatorError(f"model '{m.id}' is constant on the pilot sample")
-        cov = float(np.cov(y_hi, y, ddof=1)[0, 1])
         sig_lo.append(math.sqrt(v))
-        rho.append(cov / math.sqrt(var_hi * v))
+        rho.append(pilot.cov(0, i) / math.sqrt(var_hi * v))
     return PilotStats(
         sigma_hi=math.sqrt(var_hi),
         sigma_lo=tuple(sig_lo),

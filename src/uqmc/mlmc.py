@@ -9,8 +9,9 @@ the models of ``LevelHierarchy.coupled_models(l)`` go through
 a ``Distribution`` input, so a batch's input matrix is drawn and
 coarsened block by block and never held whole.  Each block of
 corrections is reduced to its count, mean and M2 once both levels have
-evaluated it, so neither a batch nor a level keeps its samples; only the
-two-level pilot does.  Substream layout:
+evaluated it, and each block of the two-level pilot to the moments of its
+coarse outputs and corrections, so no batch, level or pilot keeps its
+samples.  Substream layout:
 
 - ``mlmc_estimate`` draws level l on split(l), its counter continuing
   across top-up rounds, so adding samples or levels never perturbs draws
@@ -95,16 +96,13 @@ def coupled_sample(
     rng: RngStream,
     ledger: CostLedger | None = None,
 ) -> _Moments:
-    """The count, mean and M2 of n draws of the level correction Y_l, both
-    models evaluated on the same underlying inputs.
-
-    Each ``draw_evaluate`` block is reduced once both models have been
-    evaluated on it: level 0's outputs, or the fine outputs minus the
-    coarse ones, taken in place in the fine block.  The blocks' moments
-    merge in block order, so no batch of samples is built.  A batch of
-    more than one block (``mc._block_rows`` of the level's input
-    dimension) moves against the moments of the whole batch in its last
-    bits only, and never with the thread count."""
+    """The moments (``mc._Moments``) of n draws of the level correction
+    Y_l, both models evaluated on the same inputs.  Each ``draw_evaluate``
+    block reduces once both models have evaluated it: level 0's outputs,
+    or the fine outputs minus the coarse ones, taken in place in the fine
+    block.  The blocks merge in block order, so no batch of samples is
+    built; over more than one block (``mc._block_rows``) the moments move
+    in their last bits only, and never with the thread count."""
 
     def correction(lo: int, ys: list) -> _Moments:
         return _Moments.of(np.subtract(ys[0], ys[1], out=ys[0]) if level else ys[0])
@@ -192,11 +190,17 @@ def remaining_bias(stats: list[LevelStats]) -> tuple[float, float]:
     return float(rem), alpha
 
 
-def mlmc_convergence_test(stats: list[LevelStats], eps: float) -> tuple[bool, float]:
-    """Remaining-bias test on the decay of the correction means: passes
-    when ``remaining_bias`` stays below eps/sqrt(2).  Returns (passed, alpha)."""
+def _bias_test(stats: list[LevelStats], eps: float) -> tuple[bool, float, float]:
+    """(passed, alpha, rem): MLMC's bias rule, passed when ``remaining_bias``
+    stays below eps/sqrt(2)."""
     rem, alpha = remaining_bias(stats)
-    return bool(rem < eps / _ADAPT_SPLIT), alpha
+    return bool(rem < eps / _ADAPT_SPLIT), alpha, rem
+
+
+def mlmc_convergence_test(stats: list[LevelStats], eps: float) -> tuple[bool, float]:
+    """Remaining-bias test on the decay of the correction means
+    (``_bias_test``).  Returns (passed, alpha)."""
+    return _bias_test(stats, eps)[:2]
 
 
 def variance_decay_rate(stats: list[LevelStats]) -> float:
@@ -227,8 +231,8 @@ class _LevelAccumulator(_Moments):
 
     @property
     def stats(self) -> LevelStats:
-        variance = self.m2 / (self.n - 1) if self.n > 1 else 0.0
-        return LevelStats(self.level, self.mean, variance, self.cost, self.n)
+        variance = self.var() if self.n > 1 else 0.0
+        return LevelStats(self.level, float(self.mean[0]), variance, self.cost, self.n)
 
 
 def _telescoped(
@@ -343,8 +347,7 @@ def mlmc_estimate(
                 continue
             tested = adaptive and len(stats) >= 3
             if tested:
-                rem, alpha_hat = remaining_bias(stats)
-                converged = bool(rem < eps / _ADAPT_SPLIT)
+                converged, alpha_hat, rem = _bias_test(stats, eps)
             log_round(alloc, rem)
             if converged:
                 break
@@ -415,11 +418,11 @@ def two_level_estimate(
         raise BudgetError(
             f"budget {budget} cannot cover a {pilot_n}-sample pilot plus 2 samples per term"
         )
-    y, yc = draw_evaluate(
-        h.coupled_models(1), [pilot_n] * 2, h.input, rng.split(_PILOT_STREAM), ledger
-    )
-    v0 = float(np.var(yc, ddof=1))
-    v1 = float(np.var(y - yc, ddof=1))
+    pilot = _Moments.merged(draw_evaluate(
+        h.coupled_models(1), [pilot_n] * 2, h.input, rng.split(_PILOT_STREAM), ledger,
+        lambda lo, ys: _Moments.of(ys[1], ys[0] - ys[1]),
+    ))
+    v0, v1 = pilot.var(0), pilot.var(1)
     remaining = budget - pilot_cost
 
     flags = []

@@ -6,6 +6,7 @@ one-core machine too.  Most tests also shrink the blocks to ``CHUNK``
 draws and the fan-out threshold with them, so that many blocks run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,9 +17,11 @@ import numpy as np
 import pytest
 
 import uqmc.mc
+import uqmc.mfmc
 from uqmc import (
     ControlVariateConfig,
     CostLedger,
+    LevelHierarchy,
     Model,
     RngStream,
     builtin_problem,
@@ -32,6 +35,7 @@ from uqmc import _threads
 from uqmc.distributions import _EVAL_CHUNK
 from uqmc.exceptions import EvaluationError
 from uqmc.mc import draw_evaluate, draw_inputs
+from uqmc.mfmc import estimator_variance, mfmc_plan
 from uqmc.mlmc import coupled_sample
 
 from test_streaming import (
@@ -40,6 +44,7 @@ from test_streaming import (
     GBM,
     POLY,
     assert_close,
+    draw_stored,
     mlmc_parts,
     reference_draw_evaluate,
     square_model,
@@ -110,17 +115,36 @@ class TestBitIdentical:
         assert_close(a[0], b[0])
 
     def test_mfmc(self, monkeypatch):
+        # The pilot of 20 rows is one block, then three, so its figures
+        # move in their last bits.  The plan's t, n_real and chi and the
+        # estimator variance go through 1 - rho_1^2, which magnifies those
+        # moves past ULPS (t[1] by 6e4 ulp at seed 63), so each run's plan
+        # and variance must be those of its own pilot statistics.
+        validated = []
+        validate = uqmc.mfmc.validate_ordering
+        monkeypatch.setattr(
+            uqmc.mfmc, "validate_ordering", lambda s: validated.append(validate(s)) or validated[-1]
+        )
+
         def run(ledger):
             report, plan = mfmc_estimate(
                 POLY.ensemble, POLY.input, 300.0, RngStream(63), n_pilot=20, ledger=ledger
             )
-            return report.to_dict(), plan
+            return report.to_dict(), plan, validated[-1]
 
         a, b, c = three_ways(monkeypatch, run)
         assert b == c
-        assert a[0][1] == b[0][1] and a[1] == b[1]  # the plan and the ledger
-        assert_close(a[0][0], b[0][0])
-        assert len(set(a[0][1].n)) == 3  # three prefix counts
+        assert a[1] == b[1]
+        for report, plan, stats in (a[0], b[0]):
+            assert plan == mfmc_plan(stats, plan.budget)
+            n, beta = np.array(plan.n, dtype=float), np.array(plan.beta)
+            assert report["estimator_variance"] == estimator_variance(stats, n, beta)
+            assert report["diagnostics"]["chi"] == plan.chi
+            del report["estimator_variance"], report["ci_95"], report["diagnostics"]["chi"]
+        (ra, pa, sa), (rb, pb, sb) = a[0], b[0]
+        assert (pa.n, pa.budget, pa.flags) == (pb.n, pb.budget, pb.flags)
+        assert_close((vars(sa), pa.beta, ra), (vars(sb), pb.beta, rb))
+        assert len(set(pa.n)) == 3  # three prefix counts
 
     def test_mlmc(self, monkeypatch):
         def run(ledger):
@@ -151,6 +175,36 @@ class TestBitIdentical:
         assert_close(a[0], b[0])
 
 
+def test_two_level_pilot_spanning_two_blocks(monkeypatch):
+    # A pilot of 50 rows of levels 10 and 11 is 102 400 draws: two blocks,
+    # one per core, whose moments merge.  The report is the same bytes on
+    # one core and on two, and the pilot variances are np.var's of the
+    # stored outputs but for the last bits.
+    h = builtin_problem("gbm_euler", {"max_level": 11}).hierarchy
+    pair = LevelHierarchy(h.levels[10:12], h.input, h.coarsen)
+    assert 50 * pair.levels[1].input_dim == 102_400
+
+    def run(k):
+        with monkeypatch.context() as mp:
+            use_cores(mp, k, small=False)
+            calls = counting_fan_out(mp)
+            report = two_level_estimate(
+                *pair.levels, h.input, 1000 * pair.coupled_cost(1), RngStream(82),
+                pilot_n=50, coarsen=h.coarsen,
+            )
+        assert calls[0] == (2, k)
+        return json.dumps(report.to_dict())
+
+    one, two = run(1), run(2)
+    assert one == two
+    y, yc = reference_draw_evaluate(
+        pair.coupled_models(1), [50, 50], h.input, RngStream(82).split(1)
+    )
+    diagnostics = json.loads(one)["diagnostics"]
+    assert_close(diagnostics["pilot_v0"], float(np.var(yc, ddof=1)))
+    assert_close(diagnostics["pilot_v1"], float(np.var(y - yc, ddof=1)))
+
+
 def test_more_threads_than_cores_switching_often(monkeypatch):
     # Four threads on CHUNK-draw blocks, switching every microsecond: the
     # outputs and the ledger match one thread's, so no block's write or
@@ -162,7 +216,7 @@ def test_more_threads_than_cores_switching_often(monkeypatch):
         with monkeypatch.context() as mp:
             use_cores(mp, k)
             ledger = CostLedger()
-            ys = draw_evaluate(models, [500, 333], DISTS[2], RngStream(70), ledger)
+            ys = draw_stored(models, [500, 333], DISTS[2], RngStream(70), ledger)
             ys.append(coupled_sample(GBM.hierarchy, 1, 500, RngStream(71)))
         return ys, ledger.as_dict(), set(ledger.wall_time)
 
@@ -200,11 +254,11 @@ def two_block_errors(monkeypatch, make_models):
     rng, n = RngStream(66), 2 * CHUNK
     x = draw_inputs(DISTS[0], rng, n, 1)
     out = []
-    for k, walk in ((1, draw_evaluate), (2, draw_evaluate), (1, reference_draw_evaluate)):
+    for k, walk in ((1, draw_stored), (2, draw_stored), (1, reference_draw_evaluate)):
         # Each thread's first block waits for the other's: block 0 and
         # block 1 run on two threads at once.
         threads = set()
-        barrier = threading.Barrier(k if walk is draw_evaluate else 1)
+        barrier = threading.Barrier(k if walk is draw_stored else 1)
 
         def seen(z):
             threads.add(threading.get_ident())
@@ -217,7 +271,7 @@ def two_block_errors(monkeypatch, make_models):
             ledger = CostLedger()
             with pytest.raises(Exception) as err:
                 walk(models, [n] * len(models), DISTS[0], rng, ledger)
-        assert len(threads) == (k if walk is draw_evaluate else 1)
+        assert len(threads) == (k if walk is draw_stored else 1)
         out.append((type(err.value), str(err.value), ledger.as_dict()["counts"]))
     return out
 
@@ -341,7 +395,7 @@ class TestReduceContract:
         models = [square_model("a"), failing_on(x[[2 * CHUNK + 1]], "b", exc), square_model("c")]
         ledger = CostLedger()
         with pytest.raises(Exception) as stored:
-            draw_evaluate(models, counts, DISTS[0], rng, ledger)
+            draw_stored(models, counts, DISTS[0], rng, ledger)
         assert ledger.as_dict()["counts"] == {"a": 3 * CHUNK}
         for k in (1, 2):
             error, led, calls = self.walk(monkeypatch, k, models, counts, rng)
@@ -385,8 +439,8 @@ class TestBlocks:
         with monkeypatch.context() as mp:
             use_cores(mp, 2, small=False)
             calls = counting_fan_out(mp)
-            draw_evaluate([model], [_EVAL_CHUNK // 16], DISTS[0], RngStream(68))
-            draw_evaluate([model], [_EVAL_CHUNK // 16 + 1], DISTS[0], RngStream(68))
+            draw_stored([model], [_EVAL_CHUNK // 16], DISTS[0], RngStream(68))
+            draw_stored([model], [_EVAL_CHUNK // 16 + 1], DISTS[0], RngStream(68))
         assert calls == [(1, 1), (2, 2)]
 
 
@@ -408,8 +462,9 @@ outer = Model("outer", fn, 1.0)
 out = []
 for k in (1, 2):
     _threads._usable_cores = lambda: k
-    (y,) = draw_evaluate([outer], [2 * {_EVAL_CHUNK} + 3], N01, RngStream(69))
-    out.append(y)
+    n = 2 * {_EVAL_CHUNK} + 3
+    blocks = draw_evaluate([outer], [n], N01, RngStream(69), None, lambda lo, ys: ys[0])
+    out.append(np.concatenate(blocks))
 print(np.array_equal(*out), out[0].size)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
