@@ -1,8 +1,10 @@
 """Fan-out of independent numpy passes over the usable cores.
 
-The streamed input layer (``mc.draw_evaluate``), the mixture log density
-and candidate reweighting are long numpy and scipy ufunc loops, which
-release the interpreter lock, so threads run them side by side.  Every
+The streamed input layer (``mc.draw_evaluate``, all of an MLMC round's
+level batches in one fan-out), the mixture log density, candidate
+reweighting and the Bayes evidence samplers (one item per family,
+``mmmc.inference.bayes_posteriors``) are long numpy and scipy ufunc loops,
+which release the interpreter lock, so threads run them side by side.  Every
 work item writes its own slice of its caller's output, or returns its own
 partial sums for the caller to merge in item order; no reduction crosses
 two items, so results do not depend on the number of threads.

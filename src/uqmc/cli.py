@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .mfmc import mfmc_estimate
 from .mlmc import mlmc_estimate, two_level_estimate
 from .mmmc import EVIDENCE_SE_LIMIT, RHAT_LIMIT, McmcOptions, run_multimodel
 from .models import _BUILTINS, CostLedger, ProblemBundle, builtin_problem
-from .reports import _plain
+from .reports import _plain, report_json
 from .rng import SEED_LIMIT, RngStream
 
 # key -> (type, required, default[, minimum]); bool keys also accept JSON
@@ -462,7 +463,7 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
     write_started = time.perf_counter()
     try:
         path = out_dir / "report.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        path.write_text(report_json(report) + "\n")
         written.append(path)
         for name, rows in out.files.items():
             p = out_dir / name
@@ -471,6 +472,7 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
         # Measured seconds go to run_meta.json only, so report.json stays
         # byte-identical across reruns.
         meta = {
+            "platform": _platform(),
             "wall_time_s": wall,
             "model_s": dict(ledger.wall_time),
             "s_per_unit": {k: v / ledger.work[k] for k, v in ledger.wall_time.items()},
@@ -483,6 +485,39 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[dict, int]:
             p.unlink(missing_ok=True)
         raise
     return report, (3 if "bias_target_unmet" in flags else 0)
+
+
+@functools.cache
+def _platform() -> dict:
+    """What the last bits of a report's floats depend on besides config and
+    seed: the numpy version, numpy's enabled CPU dispatch targets and the
+    core OpenBLAS picked for this CPU (None where numpy bundles no
+    OpenBLAS that names it).  Read once per process, at the first
+    ``run_meta.json`` written, so ``import uqmc`` pays nothing for it."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    enabled = umath.__cpu_features__
+    return {
+        "numpy": np.__version__,
+        "cpu_dispatch": [f for f in umath.__cpu_dispatch__ if enabled.get(f)],
+        "openblas_core": _openblas_core(),
+    }
+
+
+def _openblas_core() -> str | None:
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*")):
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            try:
+                fn = getattr(ctypes.CDLL(str(lib)), name)
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
 
 
 def _summary_line(report: dict) -> str:

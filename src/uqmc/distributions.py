@@ -479,6 +479,46 @@ class Distribution:
         return cls(fam, params)
 
 
+def _invalid_rows(family: Family, p: np.ndarray) -> np.ndarray:
+    """The rows of the (m, 2) float64 array ``p`` that ``Distribution``
+    rejects as parameters of ``family``: not finite, a required-positive
+    parameter not positive, or a uniform with lower >= upper."""
+    bad = ~np.isfinite(p).all(axis=1)
+    if family is Family.UNIFORM:
+        bad |= ~(p[:, 0] < p[:, 1])
+    for j, positive in enumerate(family.positive_params):
+        if positive:
+            bad |= ~(p[:, j] > 0.0)
+    return bad
+
+
+def distributions_of(family, rows) -> list[Distribution]:
+    """``[Distribution(family, tuple(row)) for row in rows]`` for an (m, 2)
+    array of parameter rows, validated as one array rather than row by row.
+
+    The instances are built without ``Distribution.__post_init__``, with
+    the same field values: the ``Family`` member and a tuple of two Python
+    floats.  When any row is invalid, the first one is passed to
+    ``Distribution``, which raises its own error with its own message.
+    """
+    fam = Family(family)
+    p = np.asarray(rows, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != fam.param_count:
+        bad = np.ones(len(p), dtype=bool)
+    else:
+        bad = _invalid_rows(fam, p)
+    if bad.any():
+        Distribution(fam, tuple(p[int(np.argmax(bad))]))  # raises
+    new, put = Distribution.__new__, object.__setattr__
+    out = []
+    for row in p.tolist():
+        d = new(Distribution)
+        put(d, "family", fam)
+        put(d, "params", tuple(row))
+        out.append(d)
+    return out
+
+
 # -- module-level operations ----------------------------------------------
 
 

@@ -86,15 +86,32 @@ def draw_evaluate(
     failed is not reduced.  A shape error names the rows of the block it
     came from.
     """
-    dim = models[0].input_dim
-    n = max(counts)
-    rows = _block_rows(dim)
+    return draw_evaluate_walks([(models, counts, dist, rng, reduce)], ledger)[0]
 
-    def block(lo: int) -> tuple[list[float], object, tuple[int, Exception] | None]:
-        """Seconds per model on rows [lo, lo + rows), the result of
-        ``reduce``, and the first failure there with its model index:
+
+def draw_evaluate_walks(walks, ledger: CostLedger | None) -> list[list]:
+    """``draw_evaluate`` of each walk (models, counts, dist, rng, reduce), the
+    blocks of every walk in one fan-out: one result list per walk, in walk
+    order.  Each walk keeps its own blocks, so no value depends on which
+    walks share the call or on the thread count.
+
+    The walks are then settled in order, each as ``draw_evaluate`` settles
+    its one: charged, and raising the error of its lowest failing model.
+    The first walk that fails raises, and no later walk is charged, as a
+    loop of one ``draw_evaluate`` per walk would leave the ledger.  An
+    error raised outside the models, by a draw or a ``reduce``, leaves the
+    fan-out before any walk is charged.
+    """
+    shapes = [(models[0].input_dim, max(counts)) for models, counts, *_ in walks]
+
+    def block(item: tuple[int, int]) -> tuple[list[float], object, tuple[int, Exception] | None]:
+        """Seconds per model of walk k on rows [lo, lo + rows), the result of
+        its ``reduce``, and the first failure there with its model index:
         later models skip the block, and it is not reduced."""
-        hi = min(lo + rows, n)
+        k, lo = item
+        models, counts, dist, rng, reduce = walks[k]
+        dim, n = shapes[k]
+        hi = min(lo + _block_rows(dim), n)
         seconds = [0.0] * len(models)
         ys = [None] * len(models)
         with _borrowed("x", (hi - lo) * dim) as buf:
@@ -112,19 +129,26 @@ def draw_evaluate(
                 seconds[j] += perf_counter() - started
         return seconds, reduce(lo, ys), None
 
-    done = fan_out(block, list(range(0, n, rows)), workers(n * dim))
-    # The lowest failing model stops the walk at its first failing block,
-    # as a serial loop of one ``evaluate`` per model would.
-    stop, error = len(models), None
-    for _, _, failed in done:
-        if failed is not None and failed[0] < stop:
-            stop, error = failed
-    if ledger is not None:
-        for j in range(stop):
-            ledger.charge(models[j], counts[j], sum(s[j] for s, _, _ in done))
-    if error is not None:
-        raise error
-    return [result for _, result, _ in done]
+    starts = [range(0, n, _block_rows(dim)) for dim, n in shapes]
+    items = [(k, lo) for k, walk in enumerate(starts) for lo in walk]
+    done = fan_out(block, items, workers(sum(dim * n for dim, n in shapes)))
+    results = []
+    end = 0
+    for (models, counts, *_), walk in zip(walks, starts):
+        mine, end = done[end : end + len(walk)], end + len(walk)
+        # The lowest failing model stops the walk at its first failing block,
+        # as a serial loop of one ``evaluate`` per model would.
+        stop, error = len(models), None
+        for _, _, failed in mine:
+            if failed is not None and failed[0] < stop:
+                stop, error = failed
+        if ledger is not None:
+            for j in range(stop):
+                ledger.charge(models[j], counts[j], sum(s[j] for s, _, _ in mine))
+        if error is not None:
+            raise error
+        results.append([result for _, result, _ in mine])
+    return results
 
 
 @dataclass

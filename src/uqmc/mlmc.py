@@ -15,7 +15,9 @@ samples.  Substream layout:
 
 - ``mlmc_estimate`` draws level l on split(l), its counter continuing
   across top-up rounds, so adding samples or levels never perturbs draws
-  already taken;
+  already taken; the top-ups of one round (or of the first pilot) are
+  drawn together by ``coupled_batches``, one fan-out over all their
+  blocks;
 - ``two_level_estimate`` draws its pilot on split(1), the coarse term
   Y_0 on split(2) and the correction Y_1 on split(3).
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .exceptions import BudgetError, InvalidParameterError
-from .mc import _Moments, draw_evaluate
+from .mc import _Moments, draw_evaluate, draw_evaluate_walks
 from .models import CostLedger, LevelHierarchy, Model
 from .reports import EstimateReport
 from .rng import RngStream
@@ -103,13 +105,28 @@ def coupled_sample(
     block.  The blocks merge in block order, so no batch of samples is
     built; over more than one block (``mc._block_rows``) the moments move
     in their last bits only, and never with the thread count."""
+    return coupled_batches(h, [(level, n, rng)], ledger)[0]
 
-    def correction(lo: int, ys: list) -> _Moments:
-        return _Moments.of(np.subtract(ys[0], ys[1], out=ys[0]) if level else ys[0])
 
-    models = h.coupled_models(level)
-    blocks = draw_evaluate(models, [n] * len(models), h.input, rng, ledger, correction)
-    return _Moments.merged(blocks)
+def coupled_batches(h: LevelHierarchy, batches, ledger: CostLedger | None = None) -> list[_Moments]:
+    """``coupled_sample`` of each batch (level, n, rng), the blocks of every
+    batch in one fan-out (``mc.draw_evaluate_walks``), so that the small
+    batches of coarse levels run side by side.  Each batch merges only its
+    own blocks, so its moments are ``coupled_sample``'s bit for bit.  The
+    ledger is charged and errors raised batch by batch in order, as one
+    ``coupled_sample`` per batch would."""
+
+    def correction(level: int):
+        def reduce(lo: int, ys: list) -> _Moments:
+            return _Moments.of(np.subtract(ys[0], ys[1], out=ys[0]) if level else ys[0])
+
+        return reduce
+
+    walks = []
+    for level, n, rng in batches:
+        models = h.coupled_models(level)
+        walks.append((models, [n] * len(models), h.input, rng, correction(level)))
+    return [_Moments.merged(blocks) for blocks in draw_evaluate_walks(walks, ledger)]
 
 
 def level_statistics(
@@ -307,19 +324,37 @@ def mlmc_estimate(
     def add_level(lv: int) -> None:
         accs.append(_LevelAccumulator(level=lv, cost=h.coupled_cost(lv)))
 
-    def top_up(acc: _LevelAccumulator, want: int) -> None:
-        need = want - acc.n
-        if need <= 0:
-            return
-        if max_cost is not None and ledger.total() + need * acc.cost > max_cost:
+    def top_up(wants) -> None:
+        """Draw each level up to its count in ``wants``, every batch in one
+        ``coupled_batches`` call.  ``max_cost`` is checked batch by batch in
+        level order, against the ledger as the batches before would leave
+        it: the batches before one that would pass it are drawn and
+        charged, then ``BudgetError`` is raised."""
+        batches, over = [], False
+        projected = CostLedger()
+        projected.work = dict(ledger.work)
+        for acc, want in zip(accs, wants):
+            need = want - acc.n
+            if need <= 0:
+                continue
+            if max_cost is not None and projected.total() + need * acc.cost > max_cost:
+                over = True
+                break
+            for model in h.coupled_models(acc.level):
+                projected.charge(model, need)
+            stream = rng.split(acc.level).advance(acc.n * h.levels[acc.level].input_dim)
+            batches.append((acc, need, stream))
+        if batches:
+            drawn = coupled_batches(h, [(acc.level, n, s) for acc, n, s in batches], ledger)
+            for (acc, _, _), moments in zip(batches, drawn):
+                acc.merge(moments)
+        if over:
             raise BudgetError(f"mlmc would exceed max_cost={max_cost}")
-        stream = rng.split(acc.level).advance(acc.n * h.levels[acc.level].input_dim)
-        acc.merge(coupled_sample(h, acc.level, need, stream, ledger))
 
     with ledger.phase("pilot"):
         for lv in range(top + 1):
             add_level(lv)
-            top_up(accs[-1], initial_samples)
+        top_up([initial_samples] * len(accs))
 
     trace: list[MlmcRound] = []
 
@@ -341,8 +376,7 @@ def mlmc_estimate(
                     alloc.append(LevelStats(new.level, 0.0, v_new, new.cost, 0))
             want = mlmc_allocation(alloc, eps_alloc).n_per_level
             if any(w > acc.n for w, acc in zip(want, accs)):
-                for acc, w in zip(accs, want):
-                    top_up(acc, max(w, 2))
+                top_up([max(w, 2) for w in want])
                 log_round(alloc)
                 continue
             tested = adaptive and len(stats) >= 3
@@ -388,6 +422,47 @@ def mlmc_estimate(
     return MlmcResult(report, plan, stats, trace)
 
 
+def _budget_allocation(v, c, budget: float) -> list[int]:
+    """Integer sample counts of terms with variances ``v`` and costs ``c``
+    per sample for a total cost of at most ``budget``: the budget form of
+    the ``mlmc_allocation`` rule, N_l = xi * sqrt(V_l / C_l) with
+    xi = B / sum(sqrt(V_l * C_l)), each count at least 2.
+
+    A term whose Lagrange count falls below the floor (a zero variance, or
+    one small against the others) is pinned at the floor, its cost is taken
+    out of B, and the other terms are solved again, at most once per term.
+    The free counts are floored to integers, and the leftover buys samples
+    of term 0.  ``BudgetError`` is raised only when the floors alone cost
+    more than the budget."""
+    floor = 2
+
+    def spent(n) -> float:
+        return sum(k * ci for k, ci in zip(n, c))
+
+    if spent([floor] * len(c)) > budget:
+        raise BudgetError(f"budget too small for {floor} samples per term after the pilot")
+    pinned = [False] * len(v)
+    while True:
+        left = budget - sum(floor * ci for ci, p in zip(c, pinned) if p)
+        root = sum(math.sqrt(vi * ci) for vi, ci, p in zip(v, c, pinned) if not p)
+        xi = left / root if root > 0.0 else 0.0
+        want = [0.0 if p else xi * math.sqrt(vi / ci) for vi, ci, p in zip(v, c, pinned)]
+        low = [i for i, w in enumerate(want) if not pinned[i] and w < floor]
+        if not low:
+            break
+        for i in low:
+            pinned[i] = True
+    n = [floor if p else int(w) for w, p in zip(want, pinned)]
+    spare = budget
+    for k, ci in zip(n, c):
+        spare -= k * ci
+    n[0] += max(0, int(spare // c[0]))
+    # Rounding in the solve can leave a count one sample over its share.
+    while spent(n) > budget:
+        n[max((i for i in range(len(n)) if n[i] > floor), key=lambda i: n[i] * c[i])] -= 1
+    return n
+
+
 def two_level_estimate(
     coarse: Model,
     fine: Model,
@@ -403,8 +478,9 @@ def two_level_estimate(
 
     A coupled pilot estimates V_0 and V_1; the budget B left after it is
     split by the budget form of the ``mlmc_allocation`` rule,
-    N_l = xi * sqrt(V_l / C_l) with xi = B / sum(sqrt(V_l * C_l)), each
-    count floored to 2 and the leftover spent on coarse samples.
+    N_l = xi * sqrt(V_l / C_l) with xi = B / sum(sqrt(V_l * C_l)).  A term
+    whose count falls below 2 is held at 2 and paid for first, the other
+    is solved on what is left, and the leftover buys coarse samples.
     ``coarsen`` is the hierarchy's map from fine to coarse inputs.
     """
     if pilot_n < 2:
@@ -432,16 +508,7 @@ def two_level_estimate(
         flags.append("zero_correction_variance")
         n0, n1 = max(2, int(remaining // c0)), 0
     else:
-        if v0 == 0.0:
-            # A constant coarse model needs only its floor of 2 samples.
-            n0_f, n1_f = 2.0, (remaining - 2 * c0) / c1
-        else:
-            xi = remaining / (math.sqrt(v0 * c0) + math.sqrt(v1 * c1))
-            n0_f, n1_f = xi * math.sqrt(v0 / c0), xi * math.sqrt(v1 / c1)
-        n0, n1 = max(2, int(n0_f)), max(2, int(n1_f))
-        if n0 * c0 + n1 * c1 > remaining:
-            raise BudgetError("budget too small for 2 samples per term after the pilot")
-        n0 += int((remaining - n0 * c0 - n1 * c1) // c0)
+        n0, n1 = _budget_allocation([v0, v1], [c0, c1], remaining)
 
     stats = [
         level_statistics(h, lv, n, rng.split(_TERM_STREAM + lv), ledger)

@@ -1,5 +1,10 @@
 """Finite representative sets of (family, parameters) models drawn from
-the quantified model-form and parameter uncertainty."""
+the quantified model-form and parameter uncertainty.
+
+Candidates are built a family at a time from arrays of parameter rows
+(``distributions.distributions_of``), which validates each family's rows
+as one array instead of running ``Distribution``'s checks entry by entry.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributions import Distribution, Family
+from ..distributions import Distribution, Family, _invalid_rows, distributions_of
 from ..exceptions import InvalidParameterError
 from ..rng import RngStream
 from .inference import ModelProbabilities
@@ -62,12 +67,22 @@ def build_candidate_set(
     cum = np.cumsum(probabilities.pi)
     cum[-1] = 1.0
     fam_idx = np.searchsorted(cum, u[:size], side="right")
-    entries = []
-    for i in range(size):
-        fam = probabilities.families[int(fam_idx[i])]
-        post = posteriors[fam]
-        row = min(int(u[size + i] * post.n_samples), post.n_samples - 1)
-        entries.append(Distribution(fam, tuple(post.samples[row])))
+    groups = []  # (family, entry positions, parameter rows), a family at a time
+    for k, fam in enumerate(probabilities.families):
+        at = np.flatnonzero(fam_idx == k)
+        if at.size:
+            post = posteriors[fam]
+            pick = np.minimum((u[size + at] * post.n_samples).astype(np.int64), post.n_samples - 1)
+            groups.append((fam, at, np.asarray(post.samples[pick], dtype=np.float64)))
+    # The first invalid entry raises, as it would built one at a time.
+    bad = [(at[m][0], fam, p[m][0]) for fam, at, p in groups if (m := _invalid_rows(fam, p)).any()]
+    if bad:
+        _, fam, row = min(bad, key=lambda b: b[0])
+        Distribution(fam, tuple(row))
+    entries: list = [None] * size
+    for fam, at, p in groups:
+        for i, d in zip(at.tolist(), distributions_of(fam, p)):
+            entries[i] = d
     return CandidateModelSet(entries=tuple(entries))
 
 
@@ -82,7 +97,7 @@ def candidate_set_from_posteriors(
         samples = post.samples
         if max_per_family is not None:
             samples = thin_evenly(samples, max_per_family)
-        entries.extend(Distribution(fam, tuple(row)) for row in samples)
+        entries.extend(distributions_of(fam, samples))
     if not entries:
         raise InvalidParameterError("no posterior samples to build a candidate set from")
     return CandidateModelSet(entries=tuple(entries))

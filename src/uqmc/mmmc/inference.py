@@ -30,6 +30,11 @@ its draws' coordinate uniforms (row-major, one per free coordinate) and
 then the resampling uniform from its stream.  A family with no free
 coordinate has the likelihood at its pinned point as its evidence, with
 standard error 0, and that point as every posterior row.
+
+``bayes_posteriors`` runs the families' samplers side by side on
+``_threads.fan_out``.  Family i reads only ``rng.split(i)``, so no draw
+depends on the thread that runs it, and the lowest failing family's error
+is raised, as a loop over the families in order would raise it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from scipy.special import ndtri
 
 from ..distributions import Dataset, Family, _block_len, data_in_support, family_logpdf, mle_fit
 from ..exceptions import EstimatorError, InvalidParameterError
+from .._threads import fan_out, workers
 from ..rng import RngStream
 from .mcmc import ParameterPosterior, _initial_point, _initial_scales, _prior_medians
 
@@ -315,7 +321,10 @@ def bayes_posteriors(
     ``priors`` maps each family to its per-parameter prior list (or is a
     list aligned with ``families``); ``model_priors`` (None for uniform) is
     one prior probability per family.  A zero model prior annihilates a
-    family regardless of its evidence.  Family i draws on ``rng.split(i)``.
+    family regardless of its evidence.  Family i draws on ``rng.split(i)``,
+    so the families' samplers run side by side on ``_threads.fan_out``
+    with no draw moving; when several fail, the lowest family's error is
+    raised, as a loop over them in order would raise it.
     """
     families = [Family(f) for f in families]
     if isinstance(priors, dict):
@@ -344,15 +353,20 @@ def bayes_posteriors(
     log_post = np.full(len(families), -np.inf)
     log_ev = np.full(len(families), -np.inf)
     ev_se = [float("nan")] * len(families)
-    draws = {}
-    infeasible = []
+    active, infeasible = [], []
     for i, fam in enumerate(families):
         if tilde[i] == 0.0:
             continue
-        if not data_in_support(fam, data):
+        if data_in_support(fam, data):
+            active.append(i)
+        else:
             infeasible.append(fam.value)
-            continue
-        draws[i] = _importance_draws(fam, data, prior_list[i], n_ev, rng.split(i))
+
+    def sampler(i: int) -> _Draws:
+        return _importance_draws(families[i], data, prior_list[i], n_ev, rng.split(i))
+
+    draws = dict(zip(active, fan_out(sampler, active, workers(len(active) * n_ev * data.n))))
+    for i in active:
         log_ev[i] = draws[i].log_evidence
         ev_se[i] = draws[i].evidence_se
         log_post[i] = log_ev[i] + np.log(tilde[i])

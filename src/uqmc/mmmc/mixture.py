@@ -39,10 +39,17 @@ own slice of the result, and every sum adds down one column in row order
 on the chunk width or the thread count.  The ``emsd`` integrand takes its
 points in chunks of the same budget against its widest family, through the
 direct form.
+
+A mixture is built a family at a time: ``optimal_mixture`` makes each
+family's components from its thinned posterior rows in one
+``distributions.distributions_of`` call, and ``MixtureDensity`` reads its
+support from each family group (the uniform rows' extremes, or the
+family's fixed support) rather than from every component.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +64,7 @@ from ..distributions import (
     _natural_logpdf_into,
     _natural_params,
     _natural_stats,
+    distributions_of,
     family_logpdf,
     family_ppf,
 )
@@ -97,11 +105,13 @@ class MixtureDensity:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
         position = {fam: i for i, fam in enumerate(Family)}
-        codes = np.array([position[c.family] for c in comps])
+        fams = [c.family for c in comps]
+        codes = np.fromiter(map(position.__getitem__, fams), dtype=np.int64, count=len(comps))
         params = np.array([c.params for c in comps])
         grouped = []
         centres = {}
-        for fam in dict.fromkeys(c.family for c in comps):  # logpdf columns: first-seen order
+        los, his = [], []
+        for fam in dict.fromkeys(fams):  # logpdf columns: first-seen order
             idx = np.flatnonzero(codes == position[fam])
             if fam is Family.NORMAL or fam is Family.LOGNORMAL:
                 centres[fam] = float(np.mean(params[idx, 0]))
@@ -109,11 +119,16 @@ class MixtureDensity:
             log_w = np.log(np.maximum(w[idx], 1e-300))
             natural = _natural_params(fam, params[idx, 0], params[idx, 1], centre, log_w)
             grouped.append((fam, natural, centre))
+            if fam is Family.UNIFORM:
+                los.append(float(np.min(params[idx, 0])))
+                his.append(float(np.max(params[idx, 1])))
+            else:
+                los.append(0.0 if fam.positive_support else -math.inf)
+                his.append(math.inf)
         object.__setattr__(self, "_groups", grouped)
         object.__setattr__(self, "_centres", centres)
         object.__setattr__(self, "_params", params)
         object.__setattr__(self, "_codes", codes)
-        los, his = zip(*(c.support() for c in comps))
         object.__setattr__(self, "_support", (min(los), max(his)))
 
     @property
@@ -186,9 +201,15 @@ class MixtureDensity:
         return out
 
     def to_json(self) -> dict:
+        """The weights and each component's ``Distribution.to_json``, read
+        from the family codes and parameter rows kept at construction."""
+        names = [fam.value for fam in Family]
         return {
             "weights": self.weights.tolist(),
-            "components": [c.to_json() for c in self.components],
+            "components": [
+                {"family": names[k], "params": p}
+                for k, p in zip(self._codes.tolist(), self._params.tolist())
+            ],
         }
 
 
@@ -248,14 +269,13 @@ def optimal_mixture(
     if not fams:
         raise InvalidParameterError("no family with positive weight has a posterior")
     comps: list[Distribution] = []
-    w: list[float] = []
+    w = []
     for fam in fams:
         samples = thin_evenly(posteriors[fam].samples, max_components_per_family)
         fam_w = (1.0 / len(fams)) if mode == "equal" else weights[fam]
-        for row in samples:
-            comps.append(Distribution(fam, tuple(row)))
-            w.append(fam_w / samples.shape[0])
-    return MixtureDensity(components=tuple(comps), weights=np.asarray(w))
+        comps += distributions_of(fam, samples)
+        w.append(np.full(samples.shape[0], fam_w / samples.shape[0]))
+    return MixtureDensity(components=tuple(comps), weights=np.concatenate(w))
 
 
 def _integrate(fn, dists) -> float:

@@ -355,6 +355,23 @@ class TestRun:
         assert ("phase_s" in meta) == (cfg["method"] == "mlmc")  # mc has no phases
         _check_model_seconds(meta, report)
 
+    def test_run_meta_names_the_platform(self, tmp_path):
+        # What the last bits of report.json depend on: numpy, its enabled
+        # dispatch targets, and OpenBLAS's core for this CPU.  report.json
+        # does not hold it.
+        code, report = run_cli(tmp_path, {"method": "mc", "problem": "quadratic", "n": 100})
+        assert code == 0
+        platform = json.loads((tmp_path / "out/run_meta.json").read_text())["platform"]
+        assert platform["numpy"] == np.__version__
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:
+            from numpy.core import _multiarray_umath as umath
+        assert set(platform["cpu_dispatch"]) <= set(umath.__cpu_dispatch__)
+        assert all(umath.__cpu_features__[f] for f in platform["cpu_dispatch"])
+        assert platform["openblas_core"] is None or isinstance(platform["openblas_core"], str)
+        assert "platform" not in json.dumps(report)
+
     @pytest.mark.parametrize(
         "cfg, phases",
         [
@@ -680,8 +697,11 @@ def _listed(flag: str) -> bool:
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_runs(path, tmp_path):
     cfg = validate_config(path.read_text())
-    _, code = run_config(cfg, tmp_path)
+    returned, code = run_config(cfg, tmp_path)
     assert code == 0
+    # report.json is written by reports.report_json: json.dumps's text.
+    text = json.dumps(returned, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert (tmp_path / "report.json").read_text() == text
     report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
     jsonschema.validate(report, SCHEMA)
     assert [f for f in report["diagnostics"]["flags"] if not _listed(f)] == []

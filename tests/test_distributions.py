@@ -11,6 +11,7 @@ from uqmc.distributions import (
     Distribution,
     Family,
     data_in_support,
+    distributions_of,
     log_likelihood,
     mle_fit,
     sample,
@@ -194,6 +195,53 @@ class TestSerialization:
     def test_bad_object(self):
         with pytest.raises(InvalidParameterError):
             Distribution.from_json({"family": "cauchy", "params": [0, 1]})
+
+
+class TestDistributionsOf:
+    """``distributions_of`` validates a family's parameter rows as one array
+    and builds what ``Distribution`` would, row by row."""
+
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    def test_equals_row_wise_construction(self, fam):
+        rows = np.array(GRID[fam] * 3) * np.linspace(1.0, 1.5, 3 * len(GRID[fam]))[:, None]
+        made = distributions_of(fam, rows)
+        ref = [Distribution(fam, tuple(r)) for r in rows]
+        assert made == ref
+        assert [hash(d) for d in made] == [hash(d) for d in ref]
+        for d in made:
+            assert d.family is fam
+            assert type(d.params) is tuple and [type(v) for v in d.params] == [float, float]
+        assert distributions_of(fam.value, rows[:1]) == ref[:1]
+        assert distributions_of(fam, np.empty((0, 2))) == []
+
+    @pytest.mark.parametrize(
+        "fam, bad",
+        [
+            (Family.NORMAL, (0.0, math.inf)),
+            (Family.NORMAL, (math.nan, 1.0)),
+            (Family.NORMAL, (0.0, 0.0)),
+            (Family.LOGNORMAL, (0.0, -1.0)),
+            (Family.GAMMA, (-1.0, 1.0)),
+            (Family.GAMMA, (1.0, 0.0)),
+            (Family.WEIBULL, (0.0, 1.0)),
+            (Family.UNIFORM, (1.0, 1.0)),
+            (Family.UNIFORM, (2.0, 1.0)),
+            (Family.UNIFORM, (-math.inf, 1.0)),
+        ],
+    )
+    def test_first_bad_row_raises_row_wise_error(self, fam, bad):
+        good = GRID[fam][0]
+        later_bad = (math.nan, math.nan)  # raises "must be finite" if it were first
+        rows = np.array([good, good, bad, good, later_bad])
+        with pytest.raises(InvalidParameterError) as expected:
+            [Distribution(fam, tuple(r)) for r in rows]
+        with pytest.raises(InvalidParameterError) as got:
+            distributions_of(fam, rows)
+        assert str(got.value) == str(expected.value)
+
+    def test_wrong_row_length_raises_row_wise_error(self):
+        with pytest.raises(InvalidParameterError, match="normal takes 2 parameters"):
+            distributions_of(Family.NORMAL, np.ones((3, 3)))
 
 
 class TestDataset:

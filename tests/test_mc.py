@@ -6,6 +6,7 @@ import pytest
 from uqmc import (
     ControlVariateConfig,
     CostLedger,
+    LevelHierarchy,
     Model,
     RngStream,
     builtin_problem,
@@ -168,6 +169,23 @@ class TestTwoLevel:
         assert d["pilot_v0"] == 0.0
         assert d["pilot_v1"] == pytest.approx(1.1377448617884585, rel=1e-12)
         assert d["flags"] == []
+
+    @pytest.mark.parametrize("units", [200, 300])
+    def test_small_correction_variance_reserves_its_floor(self, units):
+        # Levels 10/11 of gbm_euler: V_1 is 1e-7 of V_0, so the Lagrange
+        # split gives the correction under 1 sample.  Its floor of 2 is paid
+        # for first, the coarse term takes the rest, and the run spends its
+        # budget exactly instead of raising BudgetError.
+        h = builtin_problem("gbm_euler", {"max_level": 11}).hierarchy
+        pair = LevelHierarchy(h.levels[10:12], h.input, h.coarsen)
+        budget = units * pair.coupled_cost(1)
+        r = two_level_estimate(
+            *pair.levels, h.input, budget, RngStream(82), pilot_n=50, coarsen=h.coarsen
+        )
+        d = r.diagnostics
+        assert d["n1"] == 2
+        assert d["n0"] == int((budget - (50 + 2) * pair.coupled_cost(1)) // pair.coupled_cost(0))
+        assert r.total_cost == budget
 
     def test_gbm_levels_unbiased_over_replications(self):
         p = builtin_problem("gbm_euler")

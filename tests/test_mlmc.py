@@ -18,7 +18,13 @@ from uqmc import (
     mlmc_estimate,
 )
 from uqmc.exceptions import BudgetError, InvalidParameterError
-from uqmc.mlmc import LevelStats, floor_variances, remaining_bias, variance_decay_rate
+from uqmc.mlmc import (
+    LevelStats,
+    _budget_allocation,
+    floor_variances,
+    remaining_bias,
+    variance_decay_rate,
+)
 
 GBM = builtin_problem("gbm_euler")
 
@@ -126,6 +132,34 @@ class TestAllocation:
         for eps in (0.3, 0.1, 0.03):
             plan = mlmc_allocation(stats_from(v, c), eps)
             assert sum(a / n for a, n in zip(v, plan.n_per_level)) <= eps**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e6) | st.just(0.0),  # variance
+            st.floats(1e-3, 1e4),  # cost per sample
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    spare=st.floats(0.0, 1e7),
+)
+def test_budget_allocation_never_raises_or_overspends(terms, spare):
+    # Any budget that covers every term's floor of 2 is split without
+    # BudgetError, with each count at its floor or above and the total
+    # within the budget.
+    v, c = (list(t) for t in zip(*terms))
+    budget = sum(2 * ci for ci in c) + spare
+    n = _budget_allocation(v, c, budget)
+    assert all(k >= 2 for k in n)
+    assert sum(k * ci for k, ci in zip(n, c)) <= budget
+
+
+def test_budget_allocation_raises_when_floors_do_not_fit():
+    with pytest.raises(BudgetError):
+        _budget_allocation([1.0, 1.0], [1.0, 3.0], 7.9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,19 +307,20 @@ class TestLevelStatsCache:
         import uqmc.mlmc
 
         calls = {"passes": 0, "batches": 0}
-
-        def counting(key, fn):
-            def wrapped(*args):
-                calls[key] += 1
-                return fn(*args)
-
-            return wrapped
-
         acc = uqmc.mlmc._LevelAccumulator
-        monkeypatch.setattr(acc, "merge", counting("passes", acc.merge))
-        monkeypatch.setattr(
-            uqmc.mlmc, "coupled_sample", counting("batches", uqmc.mlmc.coupled_sample)
-        )
+        merge, draw = acc.merge, uqmc.mlmc.coupled_batches
+
+        def counting_merge(*args):
+            calls["passes"] += 1
+            return merge(*args)
+
+        def counting_draw(*args):
+            drawn = draw(*args)
+            calls["batches"] += len(drawn)  # one moment record per batch of the round
+            return drawn
+
+        monkeypatch.setattr(acc, "merge", counting_merge)
+        monkeypatch.setattr(uqmc.mlmc, "coupled_batches", counting_draw)
         mlmc_estimate(GBM.hierarchy, 0.01, RngStream(29))
         assert calls["batches"] > 3  # top-ups after the pilots
         assert calls["passes"] == calls["batches"]
@@ -294,14 +329,15 @@ class TestLevelStatsCache:
         import uqmc.mlmc
 
         batches: dict[int, list] = {}  # each batch's moments, by level
-        draw = uqmc.mlmc.coupled_sample
+        draw = uqmc.mlmc.coupled_batches
 
-        def recording(h, level, n, rng, ledger=None):
-            m = draw(h, level, n, rng, ledger)
-            batches.setdefault(level, []).append(m)
-            return m
+        def recording(h, round_batches, ledger=None):
+            drawn = draw(h, round_batches, ledger)
+            for (level, _, _), m in zip(round_batches, drawn):
+                batches.setdefault(level, []).append(m)
+            return drawn
 
-        monkeypatch.setattr(uqmc.mlmc, "coupled_sample", recording)
+        monkeypatch.setattr(uqmc.mlmc, "coupled_batches", recording)
         eps = 0.01
         res = mlmc_estimate(GBM.hierarchy, eps, RngStream(29))
         merged = [
@@ -429,19 +465,20 @@ class TestNewLevels:
         import uqmc.mlmc
 
         events = []
-        draw, allocate = uqmc.mlmc.coupled_sample, uqmc.mlmc.mlmc_allocation
+        draw, allocate = uqmc.mlmc.coupled_batches, uqmc.mlmc.mlmc_allocation
 
-        def recording_draw(h, level, n, rng, ledger=None):
-            m = draw(h, level, n, rng, ledger)
-            events.append(("draw", level, m))  # the batch's moments
-            return m
+        def recording_draw(h, batches, ledger=None):
+            drawn = draw(h, batches, ledger)
+            for (level, _, _), m in zip(batches, drawn):
+                events.append(("draw", level, m))  # each batch's moments
+            return drawn
 
         def recording_allocate(stats, eps):
             plan = allocate(stats, eps)
             events.append(("plan", stats, plan))
             return plan
 
-        monkeypatch.setattr(uqmc.mlmc, "coupled_sample", recording_draw)
+        monkeypatch.setattr(uqmc.mlmc, "coupled_batches", recording_draw)
         monkeypatch.setattr(uqmc.mlmc, "mlmc_allocation", recording_allocate)
         h = self.DEMO.hierarchy
         res = mlmc_estimate(h, 0.02, RngStream(17))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import truncnorm
 
-from uqmc import Dataset, Family, RngStream, builtin_problem
+from uqmc import Dataset, Family, RngStream, _threads, builtin_problem
 from uqmc.distributions import family_logpdf
 from uqmc.exceptions import EstimatorError, InvalidParameterError
 from uqmc.mmmc import (
@@ -304,6 +305,57 @@ class TestBayesWeights:
         assert mp.pi[0] == 1.0
         assert mp.pi[1] == 0.0
         assert "gamma" in mp.diagnostics["infeasible"]
+
+
+FOUR = [Family.NORMAL, Family.LOGNORMAL, Family.GAMMA, Family.WEIBULL]
+
+
+class TestBayesOnThreads:
+    """``bayes_posteriors`` runs the families' samplers side by side on the
+    pool.  Family i draws on ``rng.split(i)`` whichever thread runs it, so
+    one usable core and two give the same bits, and the lowest failing
+    family's error is the one raised."""
+
+    @staticmethod
+    def run(monkeypatch, cores, priors, n_ev):
+        calls = []
+        fan_out = _threads.fan_out
+
+        def counted(fn, items, k):
+            calls.append((len(items), k))
+            return fan_out(fn, items, k)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_threads, "_usable_cores", lambda: cores)
+            mp.setattr("uqmc.mmmc.inference.fan_out", counted)
+            try:
+                return bayes_posteriors(FOUR, POS_DATA, priors, None, n_ev, 500, RngStream(31))
+            finally:
+                assert calls == [(4, cores)]
+
+    def test_one_core_and_two_give_the_same_bits(self, monkeypatch):
+        priors = {f: default_priors(f, POS_DATA) for f in FOUR}
+        runs = [self.run(monkeypatch, k, priors, 10_000) for k in (1, 2)]
+        (p1, post1), (p2, post2) = runs
+        assert p1.pi.tobytes() == p2.pi.tobytes()
+        assert repr(p1.diagnostics) == repr(p2.diagnostics)
+        assert list(post1) == list(post2) == FOUR
+        for fam in FOUR:
+            assert post1[fam].samples.tobytes() == post2[fam].samples.tobytes()
+            assert repr(post1[fam].diagnostics) == repr(post2[fam].diagnostics)
+
+    def test_lowest_failing_family_raises(self, monkeypatch):
+        @dataclass(frozen=True)
+        class Failing(UniformPrior):
+            def ppf(self, u):
+                raise RuntimeError(f"family {self.lower:g} failed")
+
+        priors = {f: default_priors(f, POS_DATA) for f in FOUR}
+        priors[Family.LOGNORMAL] = [Failing(1.0, 2.0), Failing(1.0, 2.0)]
+        priors[Family.GAMMA] = [Failing(2.0, 3.0), Failing(2.0, 3.0)]
+        for cores in (1, 2):
+            with pytest.raises(RuntimeError, match="family 1 failed"):
+                self.run(monkeypatch, cores, priors, 10_000)
 
 
 class TestPosteriorSample:

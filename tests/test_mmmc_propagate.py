@@ -147,6 +147,56 @@ class TestBuildCandidateSet:
             build_candidate_set(mp, post, 10, RngStream(9))
 
 
+def candidates_row_wise(mp, post, size, rng):
+    """``build_candidate_set`` one ``Distribution`` at a time: the reference
+    for its family-grouped build."""
+    u = rng.uniforms(2 * size)
+    cum = np.cumsum(mp.pi)
+    cum[-1] = 1.0
+    fam_idx = np.searchsorted(cum, u[:size], side="right")
+    entries = []
+    for i in range(size):
+        fam = mp.families[int(fam_idx[i])]
+        n = post[fam].n_samples
+        entries.append(Distribution(fam, tuple(post[fam].samples[min(int(u[size + i] * n), n - 1)])))
+    return entries
+
+
+class TestCandidatesByFamily:
+    FAMS = [Family.NORMAL, Family.GAMMA, Family.UNIFORM]
+
+    def posts(self, bad=None):
+        rows = {
+            Family.NORMAL: [[0.1 * k, 1.0 + 0.1 * k] for k in range(5)],
+            Family.GAMMA: [[1.0 + k, 0.5 + 0.2 * k] for k in range(4)],
+            Family.UNIFORM: [[-1.0 - k, 1.0 + k] for k in range(3)],
+        }
+        for fam, row in (bad or {}).items():
+            rows[fam][1] = row
+        return {f: posterior_of(f, r) for f, r in rows.items()}
+
+    def test_equals_row_wise_build(self):
+        mp = probabilities(self.FAMS, [0.5, 0.3, 0.2])
+        post = self.posts()
+        cs = build_candidate_set(mp, post, 300, RngStream(12))
+        ref = candidates_row_wise(mp, post, 300, RngStream(12))
+        assert list(cs.entries) == ref
+        assert [e.family for e in cs.entries] == [e.family for e in ref]
+
+    @pytest.mark.parametrize("seed", [14, 17])
+    def test_first_invalid_entry_raises_row_wise_error(self, seed):
+        # Invalid rows in two families: the error is that of the first
+        # invalid entry in entry order, whichever family it belongs to
+        # (both are drawn; uniform's comes first at seed 14, normal's at 17).
+        mp = probabilities(self.FAMS, [0.4, 0.2, 0.4])
+        post = self.posts({Family.NORMAL: [0.0, 0.0], Family.UNIFORM: [1.0, 1.0]})
+        with pytest.raises(InvalidParameterError) as expected:
+            candidates_row_wise(mp, post, 50, RngStream(seed))
+        with pytest.raises(InvalidParameterError) as got:
+            build_candidate_set(mp, post, 50, RngStream(seed))
+        assert str(got.value) == str(expected.value)
+
+
 class TestReweightRepeats:
     """``reweight`` weights each distinct candidate once and copies the
     result to its repeats; errors name the first occurrence."""
