@@ -5,7 +5,8 @@ The pipeline weights candidate families by AIC, samples each family's
 parameter posterior by MCMC, draws a representative ensemble of input
 models, and propagates all of them through the computational model with
 ONE set of model evaluations: samples come from the optimal mixture
-density and every candidate is served by importance reweighting.
+density, the average of the candidate models themselves, and every
+candidate is served by importance reweighting.
 """
 
 import numpy as np

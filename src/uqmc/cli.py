@@ -353,7 +353,10 @@ def _run_mmmc(cfg, bundle, rng, ledger) -> _Outputs:
             "mixture": run.mixture.to_json(),
         },
         files=files,
-        meta={"distinct_candidates": len(set(run.candidates.entries))},
+        meta={
+            "distinct_candidates": len(set(run.candidates.entries)),
+            "mixture_components": run.mixture.n_components,
+        },
     )
 
 

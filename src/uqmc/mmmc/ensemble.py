@@ -1,6 +1,10 @@
 """Finite representative sets of (family, parameters) models drawn from
 the quantified model-form and parameter uncertainty.
 
+A run's ``CandidateModelSet`` is both the set of targets that ``reweight``
+estimates for and the source of the proposal: ``mixture.optimal_mixture``
+makes each distinct candidate one component, weighted by its multiplicity.
+
 Candidates are built a family at a time from arrays of parameter rows
 (``distributions.distributions_of``), which validates each family's rows
 as one array instead of running ``Distribution``'s checks entry by entry.
@@ -57,7 +61,8 @@ def build_candidate_set(
     Entries repeat: draws with replacement repeat, and so do the stored
     posterior draws themselves, since a rejected Metropolis proposal keeps
     the previous state and resampling repeats heavy importance draws.
-    ``reweight`` weights each distinct entry once."""
+    ``reweight`` weights each distinct entry once, and ``optimal_mixture``
+    makes it one component weighted by its multiplicity."""
     if size < 1:
         raise InvalidParameterError("candidate set size must be >= 1")
     for fam, p in zip(probabilities.families, probabilities.pi):

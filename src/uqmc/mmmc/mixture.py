@@ -1,11 +1,15 @@
 """Finite mixtures of parametric densities and the optimal sampling
 density for an ensemble of targets.
 
-Minimizing the total expected mean squared difference between one
-sampling density and an ensemble of target densities has a closed-form
-solution: the convex mixture of the targets' posterior-expected
-densities.  ``optimal_mixture`` realizes that expectation as an average
-over stored posterior draws; ``emsd`` evaluates the objective as an
+Minimizing the summed mean squared difference between one sampling
+density and a finite ensemble of target densities has a closed-form
+solution: their average.  ``optimal_mixture`` builds it from a run's
+``CandidateModelSet``, as a mixture of the distinct candidates weighted by
+multiplicity ('weighted'), or as the average of the family means
+('equal'), which minimises ``emsd``'s family-averaged objective.  Each
+candidate is a component, so its importance weights are at most the
+inverse of its mixture weight: T over its multiplicity in 'weighted' mode
+when no family is capped.  ``emsd`` evaluates the objective as an
 independent optimality check, and ``mixture_normalization`` checks that a
 mixture integrates to one.
 
@@ -40,16 +44,15 @@ on the chunk width or the thread count.  The ``emsd`` integrand takes its
 points in chunks of the same budget against its widest family, through the
 direct form.
 
-A mixture is built a family at a time: ``optimal_mixture`` makes each
-family's components from its thinned posterior rows in one
-``distributions.distributions_of`` call, and ``MixtureDensity`` reads its
-support from each family group (the uniform rows' extremes, or the
-family's fixed support) rather than from every component.
+``MixtureDensity`` reads its support from each family group (the uniform
+rows' extremes, or the family's fixed support) rather than from every
+component.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +67,6 @@ from ..distributions import (
     _natural_logpdf_into,
     _natural_params,
     _natural_stats,
-    distributions_of,
     family_logpdf,
     family_ppf,
 )
@@ -72,8 +74,6 @@ from ..exceptions import InvalidParameterError, QuadratureError
 from ..rng import RngStream
 from .._threads import fan_out, workers
 from .ensemble import CandidateModelSet, thin_evenly
-from .inference import ModelProbabilities
-from .mcmc import ParameterPosterior
 
 _RULE_TOL = 1e-6
 # Panel edges sit at these quantiles of every density in an integral.  The
@@ -246,35 +246,39 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def optimal_mixture(
-    probabilities: ModelProbabilities,
-    posteriors: dict[Family, ParameterPosterior],
+    candidates: CandidateModelSet,
     mode: str = "weighted",
     max_components_per_family: int = 500,
 ) -> MixtureDensity:
-    """The EMSD-optimal sampling density as a flat component mixture.
+    """The EMSD-optimal sampling density for the candidate ensemble: a
+    mixture of its distinct candidates.
 
-    Each family contributes its posterior-predictive average (an equal
-    split over at most ``max_components_per_family`` stored draws); the
-    family weights are uniform in 'equal' mode or the model probabilities
-    in 'weighted' mode.
+    In 'weighted' mode q = (1/T) Σ_t p_t, so each distinct candidate weighs
+    its multiplicity over T.  In 'equal' mode each of the F families present
+    weighs 1/F, split over its candidates by multiplicity: the average of
+    the family means, the minimiser of ``emsd``.  A family with more than
+    ``max_components_per_family`` distinct candidates keeps that many,
+    thinned evenly in first-appearance order (``thin_evenly``); the kept
+    ones share the family's mass in proportion to their multiplicity.
     """
     if mode not in ("equal", "weighted"):
         raise InvalidParameterError("mode must be 'equal' or 'weighted'")
-    if not posteriors:
-        raise InvalidParameterError("posteriors must be nonempty")
-    fams = [f for f in probabilities.families if f in posteriors]
-    if mode == "weighted":
-        weights = {f: p for f, p in zip(probabilities.families, probabilities.pi)}
-        fams = [f for f in fams if weights[f] > 0.0]
-    if not fams:
-        raise InvalidParameterError("no family with positive weight has a posterior")
+    if max_components_per_family < 1:
+        raise InvalidParameterError("max_components_per_family must be >= 1")
+    if not candidates.entries:
+        raise InvalidParameterError("candidate set is empty")
+    groups: dict[Family, dict[Distribution, int]] = {}
+    for d, k in Counter(candidates.entries).items():  # in first-appearance order
+        groups.setdefault(d.family, {})[d] = k
     comps: list[Distribution] = []
     w = []
-    for fam in fams:
-        samples = thin_evenly(posteriors[fam].samples, max_components_per_family)
-        fam_w = (1.0 / len(fams)) if mode == "equal" else weights[fam]
-        comps += distributions_of(fam, samples)
-        w.append(np.full(samples.shape[0], fam_w / samples.shape[0]))
+    for counts in groups.values():
+        dists = list(counts)
+        mult = np.array(list(counts.values()), dtype=np.float64)
+        mass = mult.sum() if mode == "weighted" else 1.0  # MixtureDensity normalises
+        keep = thin_evenly(np.arange(len(dists)), max_components_per_family)
+        comps += [dists[k] for k in keep]
+        w.append(mult[keep] * (mass / mult[keep].sum()))
     return MixtureDensity(components=tuple(comps), weights=np.concatenate(w))
 
 

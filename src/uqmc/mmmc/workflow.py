@@ -1,6 +1,7 @@
 """End-to-end multimodel pipeline: quantify input-distribution
-uncertainty from a dataset, build the optimal sampling mixture, and
-propagate the whole candidate ensemble through a model in one loop.
+uncertainty from a dataset, draw the candidate ensemble from it, build the
+optimal sampling mixture from that ensemble, and propagate every candidate
+through a model in one loop.
 """
 
 from __future__ import annotations
@@ -107,9 +108,12 @@ def run_multimodel(
 ) -> MultimodelRun:
     """The full single-loop pipeline for one dataset and one model.
 
-    The ledger holds the ``n`` model evaluations and the wall seconds of
-    the phases ``inference``, ``mcmc`` (``inference="aic"`` only),
-    ``candidates_mixture``, ``draw`` and ``reweight``."""
+    The proposal is ``optimal_mixture`` of the ``ensemble_size`` candidates
+    (``mixture_mode``, at most ``max_components_per_family`` components per
+    family), so every candidate it does not thin out is one of its
+    components.  The ledger holds the ``n`` model evaluations and the wall
+    seconds of the phases ``inference``, ``mcmc`` (``inference="aic"``
+    only), ``candidates_mixture``, ``draw`` and ``reweight``."""
     ledger = ledger if ledger is not None else CostLedger()
     probabilities, posteriors = quantify_input_uncertainty(
         data,
@@ -126,9 +130,7 @@ def run_multimodel(
         candidates = build_candidate_set(
             probabilities, posteriors, ensemble_size, rng.split(_CANDIDATE_SPLIT)
         )
-        mixture = optimal_mixture(
-            probabilities, posteriors, mixture_mode, max_components_per_family
-        )
+        mixture = optimal_mixture(candidates, mixture_mode, max_components_per_family)
     with ledger.phase("draw"):
         samples = draw_propagation_samples(model, mixture, n, rng.split(_PROPAGATE_SPLIT), ledger)
     with ledger.phase("reweight"):

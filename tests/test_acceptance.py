@@ -294,17 +294,15 @@ def smalldata_posteriors():
             fam, data, default_priors(fam, data),
             McmcOptions(burn_in=2000, keep=500, thin=2), RngStream(400 + i),
         )
-    return probabilities, posteriors
+    return posteriors
 
 
 def test_08_mmmc_mixture_normalization_and_optimality(smalldata_posteriors):
-    probabilities, posteriors = smalldata_posteriors
-    q_star = optimal_mixture(probabilities, posteriors, mode="equal",
-                             max_components_per_family=10)
+    targets = candidate_set_from_posteriors(smalldata_posteriors, max_per_family=10)
+    q_star = optimal_mixture(targets, mode="equal", max_components_per_family=10)
     norm = mixture_normalization(q_star)
     norm_ok = abs(norm - 1.0) <= 1e-6
 
-    targets = candidate_set_from_posteriors(posteriors, max_per_family=10)
     base = emsd(q_star, targets)
     gen = np.random.default_rng(99)
     beaten = 0

@@ -296,6 +296,10 @@ class TestRun:
         assert meta["distinct_candidates"] == len(passes) == len(set(passes))
         assert 1 <= len(passes) <= 10
         assert "distinct_candidates" not in json.dumps(report)
+        # The proposal has one component per distinct candidate (no cap binds).
+        mixture = report["diagnostics"]["mixture"]
+        assert meta["mixture_components"] == len(mixture["components"]) == len(passes)
+        assert "mixture_components" not in json.dumps(report)
         _check_model_seconds(meta, report)
 
     def test_mmmc_nonfinite_estimates_null_and_flagged(self, tmp_path, monkeypatch, capsys):
@@ -389,6 +393,7 @@ class TestRun:
         # wall_time_s is the estimator's time; the write comes after it.
         assert sum(meta["phase_s"][k] for k in phases) <= meta["wall_time_s"]
         assert "distinct_candidates" not in meta
+        assert "mixture_components" not in meta
         assert "phase_s" not in json.dumps(report)
 
     @pytest.mark.parametrize("keep", [50, 4])
@@ -657,12 +662,12 @@ DEMO_DIGESTS = {
         "levels.csv": "032c75b978fc995a79cacf3b0bdd17a0ed718964ec49e86301e3883aef57ec20",
     },
     "mmmc_bayes": {
-        "report.json": "b00e6e7ca71b5480c60b835eb103981ddfc05d5d2338045d6ea6f0d2ddb5b19d",
-        "estimates.csv": "36df915eb81345c8425c39373cc1b78afaf29a7ca3d90a9c6c093892a1a87969",
+        "report.json": "aa7e1ff830b7115c63e820b50e6bd20f71ff6631af658e02d2fa948a79210dcf",
+        "estimates.csv": "072aadc8f0d90fe1166628783c37f7834513d0b7ed95dd0b37041fd6bdfdf847",
     },
     "mmmc_smalldata": {
-        "report.json": "41a072a60d27d971663fd01bf9d214fb84c9d59780978704a538a012d35cdc7e",
-        "estimates.csv": "115974b1e0b02fec412e19b53ba3ade878582425c1e526dd3f0965dbad5d7395",
+        "report.json": "b00f10af1652b984375c42afafe7de461ec7a96a76c4de28dc37c189d47841a6",
+        "estimates.csv": "8a2e1cd80197ccf01f7d05f44a5ce8d1b937d49355a7cea6198542f1ea0be072",
     },
     "two_level_gbm": {
         "report.json": "90d81947f23c219c7d8c5e2ee1b53c26649797b58b6c2fc34360811d0d5269ba",

@@ -10,8 +10,8 @@ from uqmc.exceptions import InvalidParameterError, QuadratureError
 from uqmc.mmmc import (
     CandidateModelSet,
     MixtureDensity,
-    ModelProbabilities,
     ParameterPosterior,
+    candidate_set_from_posteriors,
     emsd,
     mixture_normalization,
     optimal_mixture,
@@ -30,12 +30,6 @@ def posterior_of(family, rows):
         samples=np.asarray(rows, dtype=np.float64),
         acceptance_rate=0.3,
         chain_length=100,
-    )
-
-
-def probabilities(families, pi):
-    return ModelProbabilities(
-        families=tuple(families), pi=np.asarray(pi), method="aic", diagnostics={}
     )
 
 
@@ -221,40 +215,71 @@ class TestMixtureDensity:
             MixtureDensity((N01, N21), np.array([1.0]))
 
 
+def candidate_set(*counted):
+    """A candidate set holding each (distribution, count) pair's
+    distribution ``count`` times, in the order given."""
+    return CandidateModelSet(entries=tuple(d for d, k in counted for _ in range(k)))
+
+
+U01 = Distribution(Family.UNIFORM, (0.0, 1.0))
+N12 = Distribution(Family.NORMAL, (1.0, 2.0))
+
+
 class TestOptimalMixture:
     def test_single_family_single_draw_is_the_density_itself(self):
-        mp = probabilities([Family.NORMAL], [1.0])
-        post = {Family.NORMAL: posterior_of(Family.NORMAL, [[0.0, 1.0]])}
-        q = optimal_mixture(mp, post, mode="weighted")
+        q = optimal_mixture(candidate_set((N01, 1)), mode="weighted")
         assert q.n_components == 1
         assert q.components[0] == N01
         assert q.weights == pytest.approx([1.0])
 
     def test_weighted_flattening_arithmetic(self):
-        # pi = (0.7, 0.3) with 2 and 1 posterior draws -> (0.35, 0.35, 0.3).
-        mp = probabilities([Family.NORMAL, Family.UNIFORM], [0.7, 0.3])
-        post = {
-            Family.NORMAL: posterior_of(Family.NORMAL, [[0.0, 1.0], [1.0, 2.0]]),
-            Family.UNIFORM: posterior_of(Family.UNIFORM, [[0.0, 1.0]]),
-        }
-        q = optimal_mixture(mp, post, mode="weighted")
-        assert q.weights == pytest.approx([0.35, 0.35, 0.3])
+        # Multiplicities 4, 3 and 3 of T = 10 -> (0.4, 0.3, 0.3).
+        q = optimal_mixture(candidate_set((N01, 4), (N12, 3), (U01, 3)), mode="weighted")
+        assert q.components == (N01, N12, U01)
+        assert q.weights == pytest.approx([0.4, 0.3, 0.3])
+
+    def test_components_in_first_appearance_order(self):
+        q = optimal_mixture(candidate_set((N12, 1), (U01, 1), (N01, 1), (N12, 1)))
+        assert q.components == (N12, N01, U01)
+        assert q.weights == pytest.approx([0.5, 0.25, 0.25])
 
     def test_equal_mode_ignores_pi(self):
-        mp = probabilities([Family.NORMAL, Family.UNIFORM], [0.9, 0.1])
-        post = {
-            Family.NORMAL: posterior_of(Family.NORMAL, [[0.0, 1.0]]),
-            Family.UNIFORM: posterior_of(Family.UNIFORM, [[0.0, 1.0]]),
-        }
-        q = optimal_mixture(mp, post, mode="equal")
+        q = optimal_mixture(candidate_set((N01, 9), (U01, 1)), mode="equal")
         assert q.weights == pytest.approx([0.5, 0.5])
+        # Within a family the multiplicities still split its half.
+        q = optimal_mixture(candidate_set((N01, 3), (N12, 1), (U01, 1)), mode="equal")
+        assert q.weights == pytest.approx([0.375, 0.125, 0.5])
 
     def test_component_cap(self):
         rows = [[float(i) / 100.0, 1.0] for i in range(50)]
-        mp = probabilities([Family.NORMAL], [1.0])
-        post = {Family.NORMAL: posterior_of(Family.NORMAL, rows)}
-        q = optimal_mixture(mp, post, max_components_per_family=10)
+        cands = candidate_set_from_posteriors({Family.NORMAL: posterior_of(Family.NORMAL, rows)})
+        q = optimal_mixture(cands, max_components_per_family=10)
         assert q.n_components == 10
+
+    @pytest.mark.parametrize("mode", ["weighted", "equal"])
+    def test_binding_cap_keeps_each_family_share(self, mode):
+        # 50 distinct normals (the first 10 twice) and 4 gammas of counts
+        # 1..4 under a cap of 3: each family keeps at most 3 components,
+        # evenly thinned in first-appearance order, and its whole share.
+        ns = [Distribution(Family.NORMAL, (float(i), 1.0)) for i in range(50)]
+        gs = [Distribution(Family.GAMMA, (2.0 + i, 1.0)) for i in range(4)]
+        cands = candidate_set(*[(d, 2 if i < 10 else 1) for i, d in enumerate(ns)],
+                              *[(g, i + 1) for i, g in enumerate(gs)])
+        q = optimal_mixture(cands, mode=mode, max_components_per_family=3)
+        assert q.components == (ns[0], ns[24], ns[49], gs[0], gs[2], gs[3])
+        share = [60 / 70, 10 / 70] if mode == "weighted" else [0.5, 0.5]
+        assert [q.weights[:3].sum(), q.weights[3:].sum()] == pytest.approx(share, rel=1e-14)
+        # The kept components split the share by multiplicity.
+        assert q.weights[:3] / q.weights[:3].sum() == pytest.approx([0.5, 0.25, 0.25])
+        assert q.weights[3:] / q.weights[3:].sum() == pytest.approx([1 / 8, 3 / 8, 4 / 8])
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(InvalidParameterError, match="mode"):
+            optimal_mixture(candidate_set((N01, 1)), mode="pi")
+        with pytest.raises(InvalidParameterError, match="max_components_per_family"):
+            optimal_mixture(candidate_set((N01, 1)), max_components_per_family=0)
+        with pytest.raises(InvalidParameterError, match="empty"):
+            optimal_mixture(CandidateModelSet(entries=()))
 
 
 class TestEmsd:
@@ -280,9 +305,8 @@ class TestEmsd:
         # exact minimizer of the empirical objective, so every perturbation
         # must score strictly worse.
         rows = [[-0.5, 0.8], [0.2, 1.1], [0.7, 0.9]]
-        mp = probabilities([Family.NORMAL], [1.0])
         post = {Family.NORMAL: posterior_of(Family.NORMAL, rows)}
-        q_star = optimal_mixture(mp, post, mode="equal")
+        q_star = optimal_mixture(candidate_set_from_posteriors(post), mode="equal")
         targets = CandidateModelSet(entries=q_star.components)
         base = emsd(q_star, targets)
         gen = np.random.default_rng(42)

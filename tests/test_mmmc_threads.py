@@ -27,7 +27,7 @@ from uqmc.mmmc import (
     propagate,
     reweight,
 )
-from uqmc import _threads
+from uqmc import _threads, distributions
 
 from test_cli import DEMO_CONFIGS, DEMO_DIGESTS
 
@@ -116,6 +116,11 @@ class TestBitIdentical:
 
     def test_mmmc_demo_digests(self, monkeypatch, tmp_path):
         force_cores(monkeypatch, 2)
+        # Each demo's proposal is its own distinct candidates (at most 40), whose
+        # log density at 2 000 draws fits one default block.  A smaller block
+        # budget, which moves no bit (tests/test_pair_blocks.py), cuts it into
+        # chunks for the two cores.
+        monkeypatch.setattr(distributions, "_BLOCK_PAIRS", 2**14)
         for demo in ("mmmc_smalldata", "mmmc_bayes"):
             (path,) = [p for p in DEMO_CONFIGS if p.stem == demo]
             calls = counting_fan_out(monkeypatch)
@@ -280,7 +285,7 @@ class TestFanOut:
         # that reused the pool would wait forever for them.
         code = """
 import multiprocessing as mp
-from uqmc import _threads
+from uqmc import _threads, distributions
 _threads.fan_out(abs, [1, 2, 3, 4], 2)
 ctx = mp.get_context("fork")
 q = ctx.Queue()
